@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 	"slices"
+	"sort"
 	"strings"
 )
 
@@ -236,6 +237,11 @@ func BuildCurveOrdered(ws WeightedStats, order []Key) Curve {
 // low-confidence set containing pctBranches percent of dynamic branches,
 // interpolating linearly between curve points (the paper quotes values
 // "at 20 percent of dynamic branches" this way).
+//
+// Both cumulative columns are non-decreasing (DESIGN §5), so a binary
+// search finds the first point reaching pctBranches — the point a scan
+// from the worst bucket would stop at — without walking the long
+// high-confidence tail.
 func (c Curve) MispredsAt(pctBranches float64) float64 {
 	if len(c) == 0 {
 		return 0
@@ -243,38 +249,46 @@ func (c Curve) MispredsAt(pctBranches float64) float64 {
 	if pctBranches <= 0 {
 		return 0
 	}
-	prevX, prevY := 0.0, 0.0
-	for _, p := range c {
-		if p.CumEventsPct >= pctBranches {
-			dx := p.CumEventsPct - prevX
-			if dx == 0 {
-				return p.CumMissesPct
-			}
-			f := (pctBranches - prevX) / dx
-			return prevY + f*(p.CumMissesPct-prevY)
-		}
-		prevX, prevY = p.CumEventsPct, p.CumMissesPct
+	i := sort.Search(len(c), func(i int) bool { return c[i].CumEventsPct >= pctBranches })
+	if i == len(c) {
+		return 100
 	}
-	return 100
+	prevX, prevY := c.prev(i)
+	p := c[i]
+	dx := p.CumEventsPct - prevX
+	if dx == 0 {
+		return p.CumMissesPct
+	}
+	f := (pctBranches - prevX) / dx
+	return prevY + f*(p.CumMissesPct-prevY)
 }
 
 // BranchesFor returns the smallest cumulative branch percentage whose
 // low-confidence set captures at least pctMisses percent of
-// mispredictions — the inverse query of MispredsAt.
+// mispredictions — the inverse query of MispredsAt, found by the same
+// binary search.
 func (c Curve) BranchesFor(pctMisses float64) float64 {
-	prevX, prevY := 0.0, 0.0
-	for _, p := range c {
-		if p.CumMissesPct >= pctMisses {
-			dy := p.CumMissesPct - prevY
-			if dy == 0 {
-				return p.CumEventsPct
-			}
-			f := (pctMisses - prevY) / dy
-			return prevX + f*(p.CumEventsPct-prevX)
-		}
-		prevX, prevY = p.CumEventsPct, p.CumMissesPct
+	i := sort.Search(len(c), func(i int) bool { return c[i].CumMissesPct >= pctMisses })
+	if i == len(c) {
+		return 100
 	}
-	return 100
+	prevX, prevY := c.prev(i)
+	p := c[i]
+	dy := p.CumMissesPct - prevY
+	if dy == 0 {
+		return p.CumEventsPct
+	}
+	f := (pctMisses - prevY) / dy
+	return prevX + f*(p.CumEventsPct-prevX)
+}
+
+// prev returns the cumulative coordinates just before point i: the
+// previous point's, or the origin for the first.
+func (c Curve) prev(i int) (x, y float64) {
+	if i == 0 {
+		return 0, 0
+	}
+	return c[i-1].CumEventsPct, c[i-1].CumMissesPct
 }
 
 // Keys returns the curve's bucket keys in curve order (worst first) —

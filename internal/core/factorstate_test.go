@@ -211,7 +211,7 @@ func TestFactorStateRejectsOversizedEntries(t *testing.T) {
 			fix: func(b []byte) { b[1+9+1] = 0xFF },
 		},
 		"onelevel-uint64": {
-			m: NewOneLevel(OneLevelConfig{Scheme: IndexPC, TableBits: 4, CIRBits: 20}),
+			m:   NewOneLevel(OneLevelConfig{Scheme: IndexPC, TableBits: 4, CIRBits: 20}),
 			fix: func(b []byte) { b[1+9+7] = 0xFF },
 		},
 		"twolevel-second": {
@@ -221,7 +221,7 @@ func TestFactorStateRejectsOversizedEntries(t *testing.T) {
 			fix: func(b []byte) { b[1+9+32+9+1] = 0xFF },
 		},
 		"counter-ceiling": {
-			m: NewCounterTable(CounterConfig{Kind: Resetting, Scheme: IndexPC, TableBits: 4, Max: 16}),
+			m:   NewCounterTable(CounterConfig{Kind: Resetting, Scheme: IndexPC, TableBits: 4, Max: 16}),
 			fix: func(b []byte) { b[1+9] = 17 },
 		},
 	}

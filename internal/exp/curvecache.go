@@ -2,6 +2,7 @@ package exp
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
@@ -13,6 +14,7 @@ import (
 	"branchconf/internal/analysis"
 	"branchconf/internal/artifact"
 	"branchconf/internal/memo"
+	"branchconf/internal/sim"
 )
 
 // The curve tier: sorted confidence curves are pure functions of the
@@ -24,12 +26,16 @@ import (
 // curve share one build, and any change to engine output self-invalidates
 // every dependent curve.
 //
-// Warm runs served from this tier skip BuildCurve and the composite build
-// entirely: CurveSet defers CompositePooled/CompositeDistinct/Single until
-// something actually needs the weighted composite, which on a full curve
-// hit is never. Config.NoCurveArtifact bypasses the tier (memory and disk)
-// for A/B runs; results are byte-identical either way because the codec
-// round-trips every float through its exact bit pattern.
+// The content hash is combined from the runs' per-run digests
+// (sim.Result.Digest). A session-published pass memoizes those digests, so
+// each of its runs is hashed at most once per process and a warm curve hit
+// costs O(runs): combining at most nine digests plus a memory lookup.
+// Warm runs served from this tier also skip BuildCurve and the composite
+// build entirely: CurveSet defers CompositePooled/CompositeDistinct/Single
+// until something actually needs the weighted composite, which on a full
+// curve hit is never. Config.NoCurveArtifact bypasses the tier (memory
+// and disk) for A/B runs; results are byte-identical either way because
+// the codec round-trips every float through its exact bit pattern.
 
 // curveCache is the process-wide curve memo, a sibling of the annotated
 // and bucket-stream byteLRUs. Its resident bound follows the annotated
@@ -72,41 +78,38 @@ func ResetCurveCache() {
 	curveMisses.Store(0)
 }
 
-// CurveSet is one composite's worth of curves: a set of per-run tallies
-// plus a composite mode, from which any number of reductions (the identity
-// curve and bucket-merged variants) are derived. The weighted composite
-// itself is built lazily — a warm run whose curves all hit the cache never
-// pays CompositePooled at all — and at most once, shared across the set's
+// CurveSet is one composite's worth of curves: a set of runs plus a
+// composite mode, from which any number of reductions (the identity curve
+// and bucket-merged variants) are derived. The weighted composite itself
+// is built lazily — a warm run whose curves all hit the cache never pays
+// CompositePooled at all — and at most once, shared across the set's
 // reductions (fig8 derives ideal and ones-count curves from one pooled
 // composite; both cold builds share it here too).
 type CurveSet struct {
 	s    *Session
 	mode string // "pooled" | "distinct" | "single"
-	runs []analysis.BucketStats
-
-	hashOnce sync.Once
-	hash     string
+	runs []sim.Result
 
 	wsOnce sync.Once
 	ws     analysis.WeightedStats
 }
 
 // Pooled returns the curve set over the equal-weight pooled composite of
-// runs (analysis.CompositePooled).
-func (s *Session) Pooled(runs []analysis.BucketStats) *CurveSet {
+// the runs' tallies (analysis.CompositePooled).
+func (s *Session) Pooled(runs []sim.Result) *CurveSet {
 	return &CurveSet{s: s, mode: "pooled", runs: runs}
 }
 
 // Distinct returns the curve set over the equal-weight run-distinct
-// composite of runs (analysis.CompositeDistinct).
-func (s *Session) Distinct(runs []analysis.BucketStats) *CurveSet {
+// composite of the runs' tallies (analysis.CompositeDistinct).
+func (s *Session) Distinct(runs []sim.Result) *CurveSet {
 	return &CurveSet{s: s, mode: "distinct", runs: runs}
 }
 
-// SingleRun returns the curve set over one unweighted run
+// SingleRun returns the curve set over one run's unweighted tallies
 // (analysis.Single).
-func (s *Session) SingleRun(bs analysis.BucketStats) *CurveSet {
-	return &CurveSet{s: s, mode: "single", runs: []analysis.BucketStats{bs}}
+func (s *Session) SingleRun(r sim.Result) *CurveSet {
+	return &CurveSet{s: s, mode: "single", runs: []sim.Result{r}}
 }
 
 // Stats returns the set's weighted composite, building it on first use.
@@ -116,23 +119,25 @@ func (c *CurveSet) Stats() analysis.WeightedStats {
 	c.wsOnce.Do(func() {
 		switch c.mode {
 		case "pooled":
-			c.ws = analysis.CompositePooled(c.runs)
+			c.ws = analysis.CompositePooled(sim.SuiteResult{Runs: c.runs}.Stats())
 		case "distinct":
-			c.ws = analysis.CompositeDistinct(c.runs)
+			c.ws = analysis.CompositeDistinct(sim.SuiteResult{Runs: c.runs}.Stats())
 		default:
-			c.ws = analysis.Single(c.runs[0])
+			c.ws = analysis.Single(c.runs[0].Buckets)
 		}
 	})
 	return c.ws
 }
 
-// contentHash returns the set's tally content hash, computed at most once.
+// contentHash returns the set's tally content hash, analysis.HashRuns of
+// the runs' tallies, combined from their (memoized, where attached) digests.
 func (c *CurveSet) contentHash() string {
-	c.hashOnce.Do(func() {
-		h := analysis.HashRuns(c.runs)
-		c.hash = hex.EncodeToString(h[:])
-	})
-	return c.hash
+	digests := make([][sha256.Size]byte, len(c.runs))
+	for i, r := range c.runs {
+		digests[i] = r.Digest()
+	}
+	h := analysis.CombineRunHashes(digests)
+	return hex.EncodeToString(h[:])
 }
 
 // Curve returns the set's sorted curve under the identity reduction.

@@ -1,10 +1,14 @@
 package exp
 
 import (
+	"encoding/hex"
 	"math"
+	"reflect"
 	"testing"
 
 	"branchconf/internal/analysis"
+	"branchconf/internal/core"
+	"branchconf/internal/sim"
 )
 
 // TestCurveCodecRoundTrip: the curve codec must reproduce every field
@@ -90,5 +94,86 @@ func TestHashRunsKeysContent(t *testing.T) {
 	two := []analysis.BucketStats{{1: {Events: 10, Misses: 2}}, {2: {Events: 5, Misses: 1}}}
 	if analysis.HashRuns(one) == analysis.HashRuns(two) {
 		t.Error("hash missed a run boundary")
+	}
+}
+
+// TestCurveKeyFromMemoizedDigests: a session-published pass keys its
+// curves by the combination of its runs' memoized digests, which equals
+// HashRuns over the pass's tallies — and equals the key of the same
+// tallies carried by unmemoized runs, so both share one curve build.
+func TestCurveKeyFromMemoizedDigests(t *testing.T) {
+	s := NewSession(Config{Branches: 15000})
+	sr, err := s.SuiteOne(predGshare64K, mechOneLevel(core.IndexPCxorBHR))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := analysis.HashRuns(sr.Stats())
+	memoized := s.Pooled(sr.Runs)
+	if got := memoized.contentHash(); got != hex.EncodeToString(want[:]) {
+		t.Fatalf("memoized key %s, want HashRuns %x", got, want)
+	}
+	// The pass's digests are now memoized: keying it again hashes nothing.
+	before := sim.DigestsComputed()
+	if got := s.Pooled(sr.Runs).contentHash(); got != hex.EncodeToString(want[:]) {
+		t.Fatalf("second memoized key %s, want %x", got, want)
+	}
+	if n := sim.DigestsComputed() - before; n != 0 {
+		t.Fatalf("re-keying a memoized pass hashed %d runs, want 0", n)
+	}
+
+	plain := make([]sim.Result, len(sr.Runs))
+	for i, r := range sr.Runs {
+		plain[i] = sim.Result{Benchmark: r.Benchmark, Branches: r.Branches, Misses: r.Misses, Buckets: r.Buckets}
+	}
+	adHoc := s.Pooled(plain)
+	if got := adHoc.contentHash(); got != memoized.contentHash() {
+		t.Fatalf("unmemoized key %s differs from memoized key %s", got, memoized.contentHash())
+	}
+
+	cv := memoized.Curve()
+	tier := CurveCacheReport()
+	if got := adHoc.Curve(); !reflect.DeepEqual(got, cv) {
+		t.Fatal("ad-hoc run list served a different curve")
+	}
+	if r := CurveCacheReport(); r.Hits != tier.Hits+1 || r.Misses != tier.Misses {
+		t.Fatalf("ad-hoc curve: hits %d→%d, misses %d→%d; want one hit, no build", tier.Hits, r.Hits, tier.Misses, r.Misses)
+	}
+}
+
+// TestWarmSessionHashesNothing: re-running figures on a warm session
+// computes no run digest and serves every curve from the tier.
+func TestWarmSessionHashesNothing(t *testing.T) {
+	s := NewSession(Config{Branches: 15000})
+	run := func() (texts []string, curves int) {
+		for _, id := range []string{"fig5", "fig11"} {
+			e, err := ByID(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			o, err := e.Run(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			texts = append(texts, o.Text)
+			curves += len(o.Series)
+		}
+		return texts, curves
+	}
+	cold, _ := run()
+
+	digests, tier := sim.DigestsComputed(), CurveCacheReport()
+	warm, curves := run()
+	if n := sim.DigestsComputed() - digests; n != 0 {
+		t.Errorf("warm figures hashed %d run digests, want 0", n)
+	}
+	r := CurveCacheReport()
+	if r.Misses != tier.Misses {
+		t.Errorf("warm figures built %d curves, want 0", r.Misses-tier.Misses)
+	}
+	if r.Hits-tier.Hits != uint64(curves) {
+		t.Errorf("warm figures hit the curve tier %d times, want one per curve (%d)", r.Hits-tier.Hits, curves)
+	}
+	if !reflect.DeepEqual(warm, cold) {
+		t.Error("warm figures render differently from cold")
 	}
 }

@@ -185,6 +185,9 @@ func (s *Session) Suite(pred PredSpec, mechs ...MechSpec) ([]sim.SuiteResult, er
 				s.passes.Finish(e, 0)
 				continue
 			}
+			// The pass's tallies are immutable from here on, so each
+			// run's digest (the curve tier's key) is hashed at most once.
+			res[j].MemoizeDigests()
 			e.Val = res[j]
 			s.passes.Finish(e, passBytes(res[j]))
 		}

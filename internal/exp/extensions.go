@@ -120,10 +120,8 @@ func registerExtensions() {
 			if err != nil {
 				return nil, err
 			}
-			strengthRuns := srs[0].Stats()
-			resetSR := srs[1]
-			strength := s.Pooled(strengthRuns).Curve()
-			reset := s.Pooled(resetSR.Stats()).Curve()
+			strength := s.Pooled(srs[0].Runs).Curve()
+			reset := s.Pooled(srs[1].Runs).Curve()
 			// The strength method has one natural operating point: its
 			// weak-state set. Compare both methods at that set size.
 			weakPct := strength[0].CumEventsPct
@@ -175,13 +173,13 @@ func registerExtensions() {
 			if err != nil {
 				return nil, err
 			}
-			var soloRuns []analysis.BucketStats
+			var soloRuns []sim.Result
 			for _, name := range mixNames {
 				res, err := oneSR.ByName(name)
 				if err != nil {
 					return nil, err
 				}
-				soloRuns = append(soloRuns, res.Buckets)
+				soloRuns = append(soloRuns, res)
 			}
 			solo := s.Pooled(soloRuns).Curve()
 			o.Series = append(o.Series, analysis.Series{Label: "solo", Curve: solo})
@@ -195,7 +193,7 @@ func registerExtensions() {
 				if err != nil {
 					return nil, err
 				}
-				c := s.SingleRun(res.Buckets).Curve()
+				c := s.SingleRun(res).Curve()
 				label := fmt.Sprintf("mix-q%d", quantum)
 				o.Series = append(o.Series, analysis.Series{Label: label, Curve: c})
 				o.Scalars[label+"@20%"] = c.MispredsAt(20)
@@ -217,7 +215,7 @@ func registerExtensions() {
 			b.WriteString("replica  gshare64K-miss%  BHRxorPC@20%  Reset@20%\n")
 			var missMin, missMax, idealMin, idealMax, resetMin, resetMax float64
 			for rep := 0; rep < replicas; rep++ {
-				var idealRuns, resetRuns []analysis.BucketStats
+				var idealRuns, resetRuns []sim.Result
 				var missSum float64
 				var nspecs int
 				if rep == 0 {
@@ -230,8 +228,8 @@ func registerExtensions() {
 					for _, run := range rs[0].Runs {
 						missSum += run.MissRate()
 					}
-					idealRuns = rs[0].Stats()
-					resetRuns = rs[1].Stats()
+					idealRuns = rs[0].Runs
+					resetRuns = rs[1].Runs
 					nspecs = len(rs[0].Runs)
 				} else {
 					// Mutated-seed replicas stream once each, training both
@@ -254,8 +252,8 @@ func registerExtensions() {
 							return nil, err
 						}
 						missSum += rs[0].MissRate()
-						idealRuns = append(idealRuns, rs[0].Buckets)
-						resetRuns = append(resetRuns, rs[1].Buckets)
+						idealRuns = append(idealRuns, rs[0])
+						resetRuns = append(resetRuns, rs[1])
 					}
 					nspecs = len(specs)
 				}
@@ -297,7 +295,7 @@ func registerExtensions() {
 			var curves []analysis.Curve
 			var names []string
 			for _, res := range sr.Runs {
-				c := s.SingleRun(res.Buckets).Curve()
+				c := s.SingleRun(res).Curve()
 				curves = append(curves, c)
 				names = append(names, res.Benchmark)
 				o.Series = append(o.Series, analysis.Series{Label: res.Benchmark, Curve: c})
@@ -391,7 +389,7 @@ func registerExtensions() {
 			}
 			// One batched walk per benchmark: the flush policies only touch
 			// their own mechanism, so all four share the predictor pass.
-			perPolicy := make([][]analysis.BucketStats, len(policies))
+			perPolicy := make([][]sim.Result, len(policies))
 			for _, spec := range workload.Suite() {
 				src, err := s.Source(spec)
 				if err != nil {
@@ -408,7 +406,7 @@ func registerExtensions() {
 					return nil, err
 				}
 				for i, r := range rs {
-					perPolicy[i] = append(perPolicy[i], r.Buckets)
+					perPolicy[i] = append(perPolicy[i], r)
 				}
 			}
 			for i, pol := range policies {

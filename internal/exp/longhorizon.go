@@ -61,7 +61,7 @@ func runLongHorizon(s *Session) (*Output, error) {
 	cfg := s.Config()
 	o := &Output{ID: "longhorizon", Title: "warmup and aliasing vs trace length", Scalars: map[string]float64{}}
 	var b strings.Builder
-	b.WriteString("horizon(branches)  miss%   " )
+	b.WriteString("horizon(branches)  miss%   ")
 	for _, m := range mechs {
 		fmt.Fprintf(&b, "%18s", m.label+"@20%")
 	}
@@ -100,7 +100,7 @@ func runLongHorizon(s *Session) (*Output, error) {
 			if cfg.NoCurveArtifact {
 				curve = analysis.BuildCurve(analysis.CompositePooled(rs[i].Stats()))
 			} else {
-				curve = s.Pooled(rs[i].Stats()).Curve()
+				curve = s.Pooled(rs[i].Runs).Curve()
 			}
 			cov := curve.MispredsAt(20)
 			fmt.Fprintf(&b, "%17.2f%%", cov)

@@ -35,11 +35,10 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			trainRuns := trainSR.Stats()
 			// The evaluation half walks each program along a disjoint
 			// dynamic path (different walk seed, same build). It is used
 			// once, so it streams instead of entering the replay cache.
-			var evalRuns []analysis.BucketStats
+			var evalRuns []sim.Result
 			for _, spec := range workload.Suite() {
 				evalSrc, err := spec.FiniteSourceSeeded(s.Config().Branches, spec.Seed^0xE7A1_0A7E)
 				if err != nil {
@@ -49,9 +48,9 @@ func init() {
 				if err != nil {
 					return nil, err
 				}
-				evalRuns = append(evalRuns, evalRes.Buckets)
+				evalRuns = append(evalRuns, evalRes)
 			}
-			trainCS := s.Distinct(trainRuns)
+			trainCS := s.Distinct(trainSR.Runs)
 			evalCS := s.Distinct(evalRuns)
 			optimistic := evalCS.Curve() // eval data, eval-sorted
 			order := trainCS.Curve().Keys()
@@ -83,7 +82,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			cs := s.Pooled(sr.Stats())
+			cs := s.Pooled(sr.Runs)
 			ideal := cs.Curve()
 			plain := cs.Merged("1cnt", func(b uint64) uint64 {
 				return uint64(bits.OnesCount64(b))

@@ -149,7 +149,7 @@ func runRealTrace(s *Session) (*Output, error) {
 			if cfg.NoCurveArtifact {
 				curve = analysis.BuildCurve(analysis.CompositePooled(rs[ri].Stats()))
 			} else {
-				curve = s.Pooled(rs[ri].Stats()).Curve()
+				curve = s.Pooled(rs[ri].Runs).Curve()
 			}
 			cov := curve.MispredsAt(20)
 			fmt.Fprintf(&b, "  %17.2f%%", cov)

@@ -4,8 +4,11 @@
 package sim
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"io"
+	"sync"
+	"sync/atomic"
 
 	"branchconf/internal/analysis"
 	"branchconf/internal/core"
@@ -22,6 +25,41 @@ type Result struct {
 	Branches, Misses uint64
 	// Buckets holds per-bucket confidence statistics.
 	Buckets analysis.BucketStats
+
+	// digest, when attached by SuiteResult.MemoizeDigests, is shared by
+	// every copy of the run and holds its Digest once computed.
+	digest *digestMemo
+}
+
+// digestMemo is one run's lazily computed tally digest.
+type digestMemo struct {
+	once sync.Once
+	sum  [sha256.Size]byte
+}
+
+// digestsComputed counts run digests hashed by Digest; see
+// DigestsComputed.
+var digestsComputed atomic.Uint64
+
+// DigestsComputed reports how many run tally digests this process has
+// hashed. Only tests read it, to pin that warm paths hash nothing.
+func DigestsComputed() uint64 { return digestsComputed.Load() }
+
+// Digest returns the content hash of the run's tallies,
+// analysis.HashRun(r.Buckets). A run whose suite pass went through
+// SuiteResult.MemoizeDigests hashes at most once across all its copies;
+// any other run hashes on every call.
+func (r Result) Digest() [sha256.Size]byte {
+	if r.digest == nil {
+		return hashRun(r.Buckets)
+	}
+	r.digest.once.Do(func() { r.digest.sum = hashRun(r.Buckets) })
+	return r.digest.sum
+}
+
+func hashRun(bs analysis.BucketStats) [sha256.Size]byte {
+	digestsComputed.Add(1)
+	return analysis.HashRun(bs)
 }
 
 // MissRate returns the run's misprediction rate.
@@ -222,6 +260,17 @@ func (s SuiteResult) Stats() []analysis.BucketStats {
 		out[i] = r.Buckets
 	}
 	return out
+}
+
+// MemoizeDigests attaches a fresh digest memo to every run, so each run's
+// Digest is hashed at most once across the runs of s and every copy taken
+// from them (ByName included). It writes s.Runs in place, so call it
+// before the result is shared, and only on runs whose tallies are never
+// mutated afterwards.
+func (s SuiteResult) MemoizeDigests() {
+	for i := range s.Runs {
+		s.Runs[i].digest = new(digestMemo)
+	}
 }
 
 // CompositeMissRate returns the equal-weight average misprediction rate,
