@@ -9,9 +9,9 @@ package apps
 
 import (
 	"fmt"
-	"io"
 
 	"branchconf/internal/core"
+	"branchconf/internal/pipeline"
 	"branchconf/internal/predictor"
 	"branchconf/internal/trace"
 )
@@ -76,8 +76,15 @@ func (r DualPathResult) PenaltySavings() float64 {
 // RunDualPath replays src through pred and est, forking a second path for
 // every low-confidence prediction when a thread slot is free. A covered
 // misprediction costs nothing beyond its fork; an uncovered one pays the
-// full penalty.
+// full penalty. It walks pred and est live (pipeline.LiveLanes) into
+// RunDualPathLanes.
 func RunDualPath(src trace.Source, pred predictor.Predictor, est *core.Estimator, cfg DualPathConfig) (DualPathResult, error) {
+	return RunDualPathLanes(pipeline.LiveLanes(src, pred, est), cfg)
+}
+
+// RunDualPathLanes runs the dual-path model over one trace's lanes: only
+// whether each prediction missed and whether its confidence was low.
+func RunDualPathLanes(l *pipeline.Lanes, cfg DualPathConfig) (DualPathResult, error) {
 	if cfg.MaxThreads < 1 {
 		return DualPathResult{}, fmt.Errorf("apps: MaxThreads must be >= 1, got %d", cfg.MaxThreads)
 	}
@@ -85,12 +92,9 @@ func RunDualPath(src trace.Source, pred predictor.Predictor, est *core.Estimator
 	// busy[i] counts remaining branches until the occupying fork resolves.
 	busy := make([]int, cfg.MaxThreads-1)
 	for {
-		r, err := src.Next()
-		if err == io.EOF {
-			return res, nil
-		}
-		if err != nil {
-			return res, err
+		b, ok := l.Next()
+		if !ok {
+			return res, l.Err()
 		}
 		// Age outstanding forks.
 		for i := range busy {
@@ -98,14 +102,9 @@ func RunDualPath(src trace.Source, pred predictor.Predictor, est *core.Estimator
 				busy[i]--
 			}
 		}
-		confident := est.Confident(r)
-		incorrect := pred.Predict(r) != r.Taken
-		pred.Update(r)
-		est.Update(r, incorrect)
-
 		res.Branches++
 		forked := false
-		if !confident {
+		if b.Low {
 			for i := range busy {
 				if busy[i] == 0 {
 					busy[i] = cfg.ResolveDistance
@@ -121,7 +120,7 @@ func RunDualPath(src trace.Source, pred predictor.Predictor, est *core.Estimator
 			res.Forks++
 			res.DualCycles += cfg.ForkPenalty
 		}
-		if incorrect {
+		if b.Miss {
 			res.Misses++
 			res.BaseCycles += cfg.MispredictPenalty
 			if forked {

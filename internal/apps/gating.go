@@ -2,9 +2,9 @@ package apps
 
 import (
 	"fmt"
-	"io"
 
 	"branchconf/internal/core"
+	"branchconf/internal/pipeline"
 	"branchconf/internal/predictor"
 	"branchconf/internal/trace"
 )
@@ -61,97 +61,45 @@ func (r GateResult) StallFrac() float64 {
 	return float64(r.Stalled) / float64(total)
 }
 
-// pendingBranch tracks one unresolved branch in the model's window.
+// pendingBranch is one unresolved branch in a gate's window.
 type pendingBranch struct {
-	remaining int
-	lowConf   bool
-	mispred   bool
+	lowConf bool
+	mispred bool
 }
 
 // RunGating replays src through pred and est under the gating policy.
 func RunGating(src trace.Source, pred predictor.Predictor, est *core.Estimator, cfg GateConfig) (GateResult, error) {
-	if cfg.ResolveDistance < 1 {
-		return GateResult{}, fmt.Errorf("apps: ResolveDistance must be >= 1, got %d", cfg.ResolveDistance)
+	res, err := RunGatingBatch(src, pred, est, []GateConfig{cfg})
+	if len(res) == 0 {
+		return GateResult{}, err
 	}
-	if cfg.Threshold < 0 {
-		return GateResult{}, fmt.Errorf("apps: Threshold must be >= 0, got %d", cfg.Threshold)
-	}
-	var res GateResult
-	var window []pendingBranch
-	lowInFlight, wrongPathDepth := 0, 0
-	for {
-		r, err := src.Next()
-		if err == io.EOF {
-			return res, nil
-		}
-		if err != nil {
-			return res, err
-		}
-		// Resolve aged branches.
-		kept := window[:0]
-		for _, p := range window {
-			p.remaining--
-			if p.remaining <= 0 {
-				if p.lowConf {
-					lowInFlight--
-				}
-				if p.mispred {
-					wrongPathDepth--
-				}
-				continue
-			}
-			kept = append(kept, p)
-		}
-		window = kept
-
-		confident := est.Confident(r)
-		incorrect := pred.Predict(r) != r.Taken
-		pred.Update(r)
-		est.Update(r, incorrect)
-
-		work := uint64(r.Gap) + 1
-		gated := cfg.Threshold > 0 && lowInFlight >= cfg.Threshold
-		switch {
-		case gated:
-			// Fetch deferred: neither useful nor wasted work this slot.
-			res.Stalled += work
-		case wrongPathDepth > 0:
-			// Fetching past an unresolved misprediction: squashed later.
-			res.Wasted += work
-		default:
-			res.Useful += work
-		}
-
-		res.Branches++
-		if incorrect {
-			res.Misses++
-		}
-		p := pendingBranch{remaining: cfg.ResolveDistance, lowConf: !confident, mispred: incorrect && !gated}
-		if p.lowConf {
-			lowInFlight++
-		}
-		if p.mispred {
-			wrongPathDepth++
-		}
-		window = append(window, p)
-	}
+	return res[0], err
 }
 
-// gateState is one threshold's private bookkeeping in a batched run.
+// RunGatingBatch evaluates several gate configurations over a single trace
+// walk through one shared predictor and estimator (pipeline.LiveLanes).
+// The gate only defers fetch — it never alters what the predictor or
+// estimator observe — so the (confident, incorrect) stream is the same for
+// every threshold and each configuration's result is identical to its solo
+// RunGating run.
+func RunGatingBatch(src trace.Source, pred predictor.Predictor, est *core.Estimator, cfgs []GateConfig) ([]GateResult, error) {
+	return RunGatingLanes(pipeline.LiveLanes(src, pred, est), cfgs)
+}
+
+// gateState is one configuration's private bookkeeping. Every branch
+// resolves exactly ResolveDistance branch fetches after it enters the
+// window, so the window is a ring of the last ResolveDistance branches:
+// the slot a new branch takes holds the one resolving as it arrives.
 type gateState struct {
 	cfg            GateConfig
 	res            GateResult
-	window         []pendingBranch
+	ring           []pendingBranch
 	lowInFlight    int
 	wrongPathDepth int
 }
 
-// RunGatingBatch evaluates several gate configurations over a single trace
-// walk through one shared predictor and estimator. The gate only defers
-// fetch — it never alters what the predictor or estimator observe — so the
-// (confident, incorrect) stream is the same for every threshold and each
-// configuration's result is byte-identical to its solo RunGating run.
-func RunGatingBatch(src trace.Source, pred predictor.Predictor, est *core.Estimator, cfgs []GateConfig) ([]GateResult, error) {
+// RunGatingLanes evaluates gate configurations over one trace's lanes.
+func RunGatingLanes(l *pipeline.Lanes, cfgs []GateConfig) ([]GateResult, error) {
 	states := make([]gateState, len(cfgs))
 	for i, cfg := range cfgs {
 		if cfg.ResolveDistance < 1 {
@@ -160,7 +108,7 @@ func RunGatingBatch(src trace.Source, pred predictor.Predictor, est *core.Estima
 		if cfg.Threshold < 0 {
 			return nil, fmt.Errorf("apps: Threshold must be >= 0, got %d", cfg.Threshold)
 		}
-		states[i].cfg = cfg
+		states[i] = gateState{cfg: cfg, ring: make([]pendingBranch, cfg.ResolveDistance)}
 	}
 	finish := func() []GateResult {
 		out := make([]GateResult, len(states))
@@ -169,60 +117,48 @@ func RunGatingBatch(src trace.Source, pred predictor.Predictor, est *core.Estima
 		}
 		return out
 	}
-	for {
-		r, err := src.Next()
-		if err == io.EOF {
-			return finish(), nil
+	for k := 0; ; k++ {
+		b, ok := l.Next()
+		if !ok {
+			return finish(), l.Err()
 		}
-		if err != nil {
-			return finish(), err
-		}
-		confident := est.Confident(r)
-		incorrect := pred.Predict(r) != r.Taken
-		pred.Update(r)
-		est.Update(r, incorrect)
-		work := uint64(r.Gap) + 1
-
+		work := uint64(b.Gap) + 1
 		for i := range states {
 			st := &states[i]
-			kept := st.window[:0]
-			for _, p := range st.window {
-				p.remaining--
-				if p.remaining <= 0 {
-					if p.lowConf {
-						st.lowInFlight--
-					}
-					if p.mispred {
-						st.wrongPathDepth--
-					}
-					continue
+			slot := &st.ring[k%len(st.ring)]
+			if k >= len(st.ring) {
+				// Resolve the branch fetched ResolveDistance fetches ago.
+				if slot.lowConf {
+					st.lowInFlight--
 				}
-				kept = append(kept, p)
+				if slot.mispred {
+					st.wrongPathDepth--
+				}
 			}
-			st.window = kept
 
 			gated := st.cfg.Threshold > 0 && st.lowInFlight >= st.cfg.Threshold
 			switch {
 			case gated:
+				// Fetch deferred: neither useful nor wasted work this slot.
 				st.res.Stalled += work
 			case st.wrongPathDepth > 0:
+				// Fetching past an unresolved misprediction: squashed later.
 				st.res.Wasted += work
 			default:
 				st.res.Useful += work
 			}
 
 			st.res.Branches++
-			if incorrect {
+			if b.Miss {
 				st.res.Misses++
 			}
-			p := pendingBranch{remaining: st.cfg.ResolveDistance, lowConf: !confident, mispred: incorrect && !gated}
-			if p.lowConf {
+			*slot = pendingBranch{lowConf: b.Low, mispred: b.Miss && !gated}
+			if slot.lowConf {
 				st.lowInFlight++
 			}
-			if p.mispred {
+			if slot.mispred {
 				st.wrongPathDepth++
 			}
-			st.window = append(st.window, p)
 		}
 	}
 }

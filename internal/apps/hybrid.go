@@ -36,10 +36,7 @@ func NewConfidenceHybrid(a, b predictor.Predictor, estA, estB core.Mechanism, pr
 // DefaultConfidenceHybrid pairs a bimodal and a gshare predictor with
 // 2^12-entry resetting-counter confidence tables.
 func DefaultConfidenceHybrid() *ConfidenceHybrid {
-	mk := func() core.Mechanism {
-		return core.NewCounterTable(core.CounterConfig{Kind: core.Resetting, Scheme: core.IndexPCxorBHR, TableBits: 12, HistoryBits: 12})
-	}
-	return NewConfidenceHybrid(predictor.NewBimodal(12), predictor.NewGshare(12, 12), mk(), mk(), true)
+	return NewConfidenceHybrid(predictor.NewBimodal(12), predictor.NewGshare(12, 12), core.SmallResetting(12), core.SmallResetting(12), true)
 }
 
 // Predict selects the component with the higher confidence bucket.
@@ -94,17 +91,63 @@ func (h HybridComparison) Rate(misses uint64) float64 {
 	return float64(misses) / float64(h.Branches)
 }
 
-// CompareHybrids replays src through all four predictors in lockstep.
-// newA/newB build the component predictors; the same constructors feed the
-// tournament and the solo baselines so every structure sees identical
-// geometry.
-func CompareHybrids(src trace.Source, newA, newB func() predictor.Predictor, chooserBits uint) (HybridComparison, error) {
-	mkEst := func() core.Mechanism {
-		return core.NewCounterTable(core.CounterConfig{Kind: core.Resetting, Scheme: core.IndexPCxorBHR, TableBits: 12, HistoryBits: 12})
+// add accounts one branch: each component's miss and confidence bucket,
+// and the tournament's miss. The confidence-selected hybrid (which, as in
+// CompareHybrids, lets b win ties) misses exactly when the component with
+// the higher bucket does: the tables train on their own component's
+// correctness, never on the hybrid's choice, so the choice is a pure
+// function of these lanes.
+func (h *HybridComparison) add(missA, missB, missTour bool, bucketA, bucketB uint64) {
+	h.Branches++
+	conf := missB
+	if bucketA > bucketB {
+		conf = missA
 	}
-	conf := NewConfidenceHybrid(newA(), newB(), mkEst(), mkEst(), true)
+	if conf {
+		h.ConfHybrid++
+	}
+	if missTour {
+		h.Tournament++
+	}
+	if missA {
+		h.SoloA++
+	}
+	if missB {
+		h.SoloB++
+	}
+}
+
+// HybridLanes is one trace's input to the hybrid comparison: N branches'
+// packed miss bits (bit i of word i/64) for component a, component b and
+// their tournament, and each component's bucket per branch in its own
+// 12-bit resetting-counter confidence table.
+type HybridLanes struct {
+	N                      int
+	MissA, MissB, MissTour []uint64
+	BucketA, BucketB       func(i int) uint64
+}
+
+// CompareHybridLanes computes the comparison from lanes, with no predictor
+// or confidence table in the loop.
+func CompareHybridLanes(l HybridLanes) HybridComparison {
+	var res HybridComparison
+	bit := func(words []uint64, i int) bool { return words[i>>6]>>(uint(i)&63)&1 != 0 }
+	for i := 0; i < l.N; i++ {
+		res.add(bit(l.MissA, i), bit(l.MissB, i), bit(l.MissTour, i), l.BucketA(i), l.BucketB(i))
+	}
+	return res
+}
+
+// CompareHybrids replays src through the confidence-selected hybrid, a
+// McFarling tournament of the same components, and both solo components,
+// in lockstep. newA/newB build the component predictors; the same
+// constructors feed the tournament and the solo baselines so every
+// structure sees identical geometry. The walk produces the lanes
+// CompareHybridLanes reads, a branch at a time.
+func CompareHybrids(src trace.Source, newA, newB func() predictor.Predictor, chooserBits uint) (HybridComparison, error) {
+	a, b := newA(), newB()
+	estA, estB := core.SmallResetting(12), core.SmallResetting(12)
 	tour := predictor.NewTournament(newA(), newB(), chooserBits)
-	soloA, soloB := newA(), newB()
 
 	var res HybridComparison
 	for {
@@ -115,22 +158,12 @@ func CompareHybrids(src trace.Source, newA, newB func() predictor.Predictor, cho
 		if err != nil {
 			return res, err
 		}
-		res.Branches++
-		if conf.Predict(r) != r.Taken {
-			res.ConfHybrid++
-		}
-		if tour.Predict(r) != r.Taken {
-			res.Tournament++
-		}
-		if soloA.Predict(r) != r.Taken {
-			res.SoloA++
-		}
-		if soloB.Predict(r) != r.Taken {
-			res.SoloB++
-		}
-		conf.Update(r)
+		missA, missB, missTour := a.Predict(r) != r.Taken, b.Predict(r) != r.Taken, tour.Predict(r) != r.Taken
+		res.add(missA, missB, missTour, estA.Bucket(r), estB.Bucket(r))
+		a.Update(r)
+		b.Update(r)
 		tour.Update(r)
-		soloA.Update(r)
-		soloB.Update(r)
+		estA.Update(r, missA)
+		estB.Update(r, missB)
 	}
 }

@@ -35,78 +35,86 @@ func (r ReverserResult) Delta() float64 {
 	return (float64(r.ReversedMisses) - float64(r.BaseMisses)) / float64(r.Branches)
 }
 
-// ProfileReverseSet runs a profiling pass and returns the mechanism buckets
-// whose misprediction rate exceeds threshold (0.5 for a true reverser).
-// The returned set may be empty — the paper's data suggests it often is
-// for well-tuned predictors, which is itself a reproducible finding.
-func ProfileReverseSet(src trace.Source, pred predictor.Predictor, mech core.Mechanism, threshold float64) ([]uint64, error) {
+// tallyBuckets walks src through pred and mech and tallies each bucket's
+// events and mispredictions — the (bucket, miss) lanes a reverser reads,
+// folded into a histogram as they stream by. On a source failure it
+// returns the tallies so far with the error.
+func tallyBuckets(src trace.Source, pred predictor.Predictor, mech core.Mechanism) (analysis.BucketStats, error) {
 	stats := make(analysis.BucketStats)
 	for {
 		r, err := src.Next()
 		if err == io.EOF {
-			break
+			return stats, nil
 		}
 		if err != nil {
-			return nil, err
+			return stats, err
 		}
 		incorrect := pred.Predict(r) != r.Taken
 		stats.Add(mech.Bucket(r), incorrect)
 		pred.Update(r)
 		mech.Update(r, incorrect)
 	}
+}
+
+// ReverseSet returns the buckets of a profile histogram whose
+// misprediction rate exceeds threshold (0.5 for a true reverser). A
+// bucket needs a minimum population, so a handful of unlucky events
+// cannot nominate it. The set may be empty — the paper's data suggests it
+// often is for well-tuned predictors, which is itself a reproducible
+// finding.
+func ReverseSet(profile analysis.BucketStats, threshold float64) []uint64 {
 	var set []uint64
-	for b, t := range stats {
-		// Require a minimum population so a handful of unlucky events
-		// cannot nominate a bucket.
+	for b, t := range profile {
 		if t.Events >= 64 && t.Rate() > threshold {
 			set = append(set, b)
 		}
 	}
-	return set, nil
+	return set
+}
+
+// ProfileReverseSet runs a profiling pass and returns the mechanism buckets
+// whose misprediction rate exceeds threshold (see ReverseSet).
+func ProfileReverseSet(src trace.Source, pred predictor.Predictor, mech core.Mechanism, threshold float64) ([]uint64, error) {
+	stats, err := tallyBuckets(src, pred, mech)
+	if err != nil {
+		return nil, err
+	}
+	return ReverseSet(stats, threshold), nil
+}
+
+// EvalReverser evaluates a reversal set over a trace's histogram of
+// bucket → {events, mispredictions}. The tables train on the original
+// prediction's correctness — the reverser consumes the confidence signal
+// but is not part of the training loop (§1's architecture, Fig. 1) — so
+// the histogram determines every count: each reversed branch flips from
+// miss to hit or hit to miss.
+func EvalReverser(eval analysis.BucketStats, reverseSet []uint64) ReverserResult {
+	var res ReverserResult
+	for _, t := range eval {
+		res.Branches += t.Events
+		res.BaseMisses += t.Misses
+	}
+	res.ReversedMisses = res.BaseMisses
+	reversed := make(map[uint64]bool, len(reverseSet))
+	for _, b := range reverseSet {
+		t, ok := eval[b]
+		if !ok || reversed[b] {
+			continue
+		}
+		reversed[b] = true
+		res.Reversals += t.Events
+		res.GoodReversals += t.Misses
+		res.ReversedMisses = res.ReversedMisses - t.Misses + (t.Events - t.Misses)
+	}
+	return res
 }
 
 // RunReverser replays src, inverting every prediction whose confidence
 // bucket is in reverseSet, and reports both baselines. The predictor and
 // mechanism must be fresh instances (the profiling pass has its own).
 func RunReverser(src trace.Source, pred predictor.Predictor, mech core.Mechanism, reverseSet []uint64) (ReverserResult, error) {
-	rev := make(map[uint64]struct{}, len(reverseSet))
-	for _, b := range reverseSet {
-		rev[b] = struct{}{}
-	}
-	var res ReverserResult
-	for {
-		r, err := src.Next()
-		if err == io.EOF {
-			return res, nil
-		}
-		if err != nil {
-			return res, err
-		}
-		p := pred.Predict(r)
-		_, reverse := rev[mech.Bucket(r)]
-		finalPred := p
-		if reverse {
-			finalPred = !p
-			res.Reversals++
-		}
-		baseIncorrect := p != r.Taken
-		finalIncorrect := finalPred != r.Taken
-		if reverse && baseIncorrect && !finalIncorrect {
-			res.GoodReversals++
-		}
-		// Tables train on the original prediction's correctness: the
-		// reverser is a consumer of the confidence signal, not part of
-		// the training loop (§1's architecture, Fig. 1).
-		pred.Update(r)
-		mech.Update(r, baseIncorrect)
-		res.Branches++
-		if baseIncorrect {
-			res.BaseMisses++
-		}
-		if finalIncorrect {
-			res.ReversedMisses++
-		}
-	}
+	stats, err := tallyBuckets(src, pred, mech)
+	return EvalReverser(stats, reverseSet), err
 }
 
 // ReverserStudy profiles on one seed of a benchmark and evaluates on the

@@ -2,9 +2,9 @@ package apps
 
 import (
 	"fmt"
-	"io"
 
 	"branchconf/internal/core"
+	"branchconf/internal/pipeline"
 	"branchconf/internal/predictor"
 	"branchconf/internal/trace"
 )
@@ -40,11 +40,6 @@ type SMTThread struct {
 	Src  trace.Source
 	Pred predictor.Predictor
 	Est  *core.Estimator
-
-	next     *trace.Record // lookahead record
-	done     bool
-	squash   int // slots until a pending misprediction resolves
-	wastedIn bool
 }
 
 // SMTResult summarises a fetch-gating run.
@@ -66,27 +61,61 @@ func (r SMTResult) Efficiency() float64 {
 }
 
 // RunSMT drives the threads until any thread's trace ends (keeping thread
-// loads comparable) or maxSlots fetch slots elapse.
+// loads comparable) or maxSlots fetch slots elapse. Each thread walks its
+// predictor and estimator live (pipeline.LiveLanes) into RunSMTLanes: the
+// contexts are private, so a thread's lanes do not depend on when the
+// fetch policy picks it.
 func RunSMT(threads []*SMTThread, cfg SMTConfig, maxSlots uint64) (SMTResult, error) {
-	if len(threads) == 0 {
+	lanes := make([]*pipeline.Lanes, len(threads))
+	for i, th := range threads {
+		lanes[i] = pipeline.LiveLanes(th.Src, th.Pred, th.Est)
+	}
+	return RunSMTLanes(lanes, cfg, maxSlots)
+}
+
+// smtThread is one thread's fetch state in RunSMTLanes.
+type smtThread struct {
+	lanes  *pipeline.Lanes
+	next   pipeline.Branch // lookahead branch
+	done   bool
+	squash int // slots until a pending misprediction resolves
+}
+
+// advance pulls the thread's next branch into the lookahead.
+func (t *smtThread) advance() error {
+	b, ok := t.lanes.Next()
+	if !ok {
+		t.done = true
+		return t.lanes.Err()
+	}
+	t.next = b
+	return nil
+}
+
+// RunSMTLanes runs the fetch-gating model over each thread's lanes: its
+// gaps, miss bits and low-confidence bits.
+func RunSMTLanes(lanes []*pipeline.Lanes, cfg SMTConfig, maxSlots uint64) (SMTResult, error) {
+	if len(lanes) == 0 {
 		return SMTResult{}, fmt.Errorf("apps: RunSMT needs at least one thread")
 	}
 	if cfg.ResolveSlots < 1 {
 		return SMTResult{}, fmt.Errorf("apps: ResolveSlots must be >= 1")
 	}
-	res := SMTResult{PerThreadUse: make([]uint64, len(threads))}
+	res := SMTResult{PerThreadUse: make([]uint64, len(lanes))}
+	threads := make([]smtThread, len(lanes))
 	// Prime lookaheads.
-	for _, th := range threads {
-		if err := th.advance(); err != nil {
+	for i := range threads {
+		threads[i].lanes = lanes[i]
+		if err := threads[i].advance(); err != nil {
 			return res, err
 		}
 	}
 	rr := 0
 	for res.Slots < maxSlots {
 		// Retire squash windows.
-		for _, th := range threads {
-			if th.squash > 0 {
-				th.squash--
+		for i := range threads {
+			if threads[i].squash > 0 {
+				threads[i].squash--
 			}
 		}
 		pick := -1
@@ -94,11 +123,11 @@ func RunSMT(threads []*SMTThread, cfg SMTConfig, maxSlots uint64) (SMTResult, er
 		// next prediction is low confidence (or which are mid-squash).
 		for scan := 0; scan < len(threads); scan++ {
 			i := (rr + scan) % len(threads)
-			th := threads[i]
+			th := &threads[i]
 			if th.done || th.squash > 0 {
 				continue
 			}
-			if cfg.Gated && !th.confident() {
+			if cfg.Gated && th.next.Low {
 				res.GatedSkips++
 				continue
 			}
@@ -121,16 +150,10 @@ func RunSMT(threads []*SMTThread, cfg SMTConfig, maxSlots uint64) (SMTResult, er
 			res.Slots++
 			continue
 		}
-		th := threads[pick]
+		th := &threads[pick]
 		rr = (pick + 1) % len(threads)
-		r := *th.next
-
-		incorrect := th.Pred.Predict(r) != r.Taken
-		th.Pred.Update(r)
-		th.Est.Update(r, incorrect)
-
-		fetched := uint64(r.Gap) + 1
-		if incorrect {
+		fetched := uint64(th.next.Gap) + 1
+		if th.next.Miss {
 			// The branch itself is useful; what follows until resolution
 			// is wasted. Approximate the squashed run as the next
 			// ResolveSlots slots of this thread's fetch.
@@ -150,27 +173,4 @@ func RunSMT(threads []*SMTThread, cfg SMTConfig, maxSlots uint64) (SMTResult, er
 		}
 	}
 	return res, nil
-}
-
-// advance pulls the thread's next record into the lookahead.
-func (t *SMTThread) advance() error {
-	r, err := t.Src.Next()
-	if err == io.EOF {
-		t.done = true
-		t.next = nil
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	t.next = &r
-	return nil
-}
-
-// confident reports the estimator's signal for the lookahead branch.
-func (t *SMTThread) confident() bool {
-	if t.next == nil {
-		return false
-	}
-	return t.Est.Confident(*t.next)
 }

@@ -5,8 +5,6 @@ import (
 	"strings"
 
 	"branchconf/internal/apps"
-	"branchconf/internal/core"
-	"branchconf/internal/predictor"
 	"branchconf/internal/workload"
 )
 
@@ -40,22 +38,14 @@ func init() {
 			// 1) Selective dual-path execution, averaged over the suite.
 			var forkRate, coverage, savings float64
 			n := 0
-			for _, spec := range workload.Suite() {
-				params := appDualParams("gshare64k", "paper16", apps.DefaultDualPath())
-				counts, err := s.modelCounts(modelKey("appdual", spec.Name, s.Branches(), params), appDualLen, func() ([]uint64, error) {
-					src, err := s.Source(spec)
-					if err != nil {
-						return nil, err
-					}
-					res, err := apps.RunDualPath(src, predictor.Gshare64K(), core.PaperEstimator(16), apps.DefaultDualPath())
-					if err != nil {
-						return nil, err
-					}
-					return packAppDual(res), nil
-				})
-				if err != nil {
-					return nil, err
-				}
+			params := appDualParams("gshare64k", "paper16", apps.DefaultDualPath())
+			rows, err := s.suiteModel("appdual", params, appDualLen, func(spec workload.Spec) ([]uint64, error) {
+				return s.runAppDual(spec, predGshare64K, paperSignal(16), apps.DefaultDualPath())
+			})
+			if err != nil {
+				return nil, err
+			}
+			for _, counts := range rows {
 				res := unpackAppDual(counts)
 				forkRate += res.ForkRate()
 				coverage += res.Coverage()
@@ -70,38 +60,22 @@ func init() {
 			o.Scalars["dualpath-savings%"] = 100 * savings
 
 			// 2) SMT fetch gating: four mixed threads, gated vs round-robin.
-			mkThreads := func() ([]*apps.SMTThread, error) {
-				names := []string{"groff", "real_gcc", "jpeg_play", "sdet"}
-				out := make([]*apps.SMTThread, 0, len(names))
-				for _, name := range names {
-					spec, err := workload.ByName(name)
-					if err != nil {
-						return nil, err
-					}
-					src, err := s.Source(spec)
-					if err != nil {
-						return nil, err
-					}
-					out = append(out, &apps.SMTThread{Name: name, Src: src, Pred: predictor.Gshare4K(), Est: core.PaperEstimator(16)})
-				}
-				return out, nil
-			}
 			// One SMT model run per policy, served through the model tier.
 			// The thread mix is part of the key; PerThreadUse rides behind
 			// the four scalar counters in the packed vector.
+			var mix []workload.Spec
+			for _, name := range []string{"groff", "real_gcc", "jpeg_play", "sdet"} {
+				spec, err := workload.ByName(name)
+				if err != nil {
+					return nil, err
+				}
+				mix = append(mix, spec)
+			}
 			runSMT := func(gated bool) (apps.SMTResult, error) {
 				smtCfg := apps.SMTConfig{ResolveSlots: 6, Gated: gated}
-				params := fmt.Sprintf("mix=groff+real_gcc+jpeg_play+sdet|pred=gshare4k|est=paper16|slots=%d|gated=%t", smtCfg.ResolveSlots, gated)
-				counts, err := s.modelCounts(modelKey("smt", "mix4", 4*s.Branches(), params), 4+4, func() ([]uint64, error) {
-					threads, err := mkThreads()
-					if err != nil {
-						return nil, err
-					}
-					res, err := apps.RunSMT(threads, smtCfg, 4*s.Branches())
-					if err != nil {
-						return nil, err
-					}
-					return append([]uint64{res.Slots, res.Useful, res.Wasted, res.GatedSkips}, res.PerThreadUse...), nil
+				params := fmt.Sprintf("pred=gshare4k|est=paper16|slots=%d|gated=%t", smtCfg.ResolveSlots, gated)
+				counts, err := s.modelCounts(modelKey("smt", suiteName(mix), 4*s.Branches(), params), 4+len(mix), func() ([]uint64, error) {
+					return s.runSMT(mix, smtCfg, 4*s.Branches())
 				})
 				if err != nil {
 					return apps.SMTResult{}, err
@@ -123,24 +97,11 @@ func init() {
 
 			// 3) Hybrid selector vs tournament, averaged over the suite.
 			var confRate, tourRate, bimRate, gshRate float64
-			for _, spec := range workload.Suite() {
-				counts, err := s.modelCounts(modelKey("hybrid", spec.Name, s.Branches(), "a=bimodal12|b=gshare12x12|chooser=12"), 5, func() ([]uint64, error) {
-					src, err := s.Source(spec)
-					if err != nil {
-						return nil, err
-					}
-					r, err := apps.CompareHybrids(src,
-						func() predictor.Predictor { return predictor.NewBimodal(12) },
-						func() predictor.Predictor { return predictor.NewGshare(12, 12) },
-						12)
-					if err != nil {
-						return nil, err
-					}
-					return []uint64{r.Branches, r.ConfHybrid, r.Tournament, r.SoloA, r.SoloB}, nil
-				})
-				if err != nil {
-					return nil, err
-				}
+			rows, err = s.suiteModel("hybrid", "a=bimodal12|b=gshare12x12|chooser=12", 5, s.runHybrid)
+			if err != nil {
+				return nil, err
+			}
+			for _, counts := range rows {
 				cmpRes := apps.HybridComparison{Branches: counts[0], ConfHybrid: counts[1], Tournament: counts[2], SoloA: counts[3], SoloB: counts[4]}
 				confRate += cmpRes.Rate(cmpRes.ConfHybrid)
 				tourRate += cmpRes.Rate(cmpRes.Tournament)
@@ -157,27 +118,13 @@ func init() {
 			// predictor (where >50% buckets are likelier).
 			var deltaSum float64
 			var setSum int
-			for _, spec := range workload.Suite() {
-				counts, err := s.modelCounts(modelKey("reverser", spec.Name, s.Branches(), "pred=gshare4k|mech=smallreset12|thr=0.55"), 6, func() ([]uint64, error) {
-					p1, err := s.Source(spec)
-					if err != nil {
-						return nil, err
-					}
-					p2, err := s.Source(spec)
-					if err != nil {
-						return nil, err
-					}
-					r, setSize, err := apps.ReverserStudy(p1, p2,
-						func() predictor.Predictor { return predictor.Gshare4K() },
-						func() core.Mechanism { return core.SmallResetting(12) }, 0.55)
-					if err != nil {
-						return nil, err
-					}
-					return []uint64{r.Branches, r.BaseMisses, r.ReversedMisses, r.Reversals, r.GoodReversals, uint64(setSize)}, nil
-				})
-				if err != nil {
-					return nil, err
-				}
+			rows, err = s.suiteModel("reverser", "pred=gshare4k|mech=smallreset12|thr=0.55", 6, func(spec workload.Spec) ([]uint64, error) {
+				return s.runReverser(spec, 0.55)
+			})
+			if err != nil {
+				return nil, err
+			}
+			for _, counts := range rows {
 				res := apps.ReverserResult{Branches: counts[0], BaseMisses: counts[1], ReversedMisses: counts[2], Reversals: counts[3], GoodReversals: counts[4]}
 				deltaSum += res.Delta()
 				setSum += int(counts[5])

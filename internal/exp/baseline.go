@@ -7,7 +7,40 @@ import (
 	"branchconf/internal/core"
 	"branchconf/internal/predictor"
 	"branchconf/internal/sim"
+	"branchconf/internal/workload"
 )
+
+// compositeMissRate returns the registry predictor's equal-weight mean
+// misprediction rate over the suite (sim.SuiteResult.CompositeMissRate).
+// The miss counts come straight from the annotated streams (sim.Lanes),
+// so no mechanism is replayed; a segmented session, which holds no
+// whole-trace streams, takes them from a static-profile suite pass.
+func (s *Session) compositeMissRate(name string) (float64, error) {
+	newPred := func() predictor.Predictor {
+		p, err := predictor.Build(name)
+		if err != nil {
+			panic(err) // registry names are valid by construction
+		}
+		return p
+	}
+	if s.cfg.SegmentBranches > 0 {
+		sr, err := s.SuiteOne(PredSpec{Key: name, New: newPred}, mechStatic)
+		if err != nil {
+			return 0, err
+		}
+		return sr.CompositeMissRate(), nil
+	}
+	specs := workload.Suite()
+	runs := make([]sim.Result, len(specs))
+	for i, spec := range specs {
+		_, ann, _, err := sim.Lanes(s.suiteConfig(), spec, name, newPred, nil)
+		if err != nil {
+			return 0, err
+		}
+		runs[i] = sim.Result{Benchmark: spec.Name, Branches: uint64(ann.Len()), Misses: ann.Misses()}
+	}
+	return sim.SuiteResult{Runs: runs}.CompositeMissRate(), nil
+}
 
 func init() {
 	register(Experiment{
@@ -19,21 +52,10 @@ func init() {
 			var b strings.Builder
 			b.WriteString("baseline — composite misprediction rates\n")
 			for _, name := range predictor.Names() {
-				name := name
-				sr, err := s.SuiteOne(PredSpec{
-					Key: name,
-					New: func() predictor.Predictor {
-						p, err := predictor.Build(name)
-						if err != nil {
-							panic(err) // registry names are valid by construction
-						}
-						return p
-					},
-				}, mechStatic)
+				rate, err := s.compositeMissRate(name)
 				if err != nil {
 					return nil, err
 				}
-				rate := sr.CompositeMissRate()
 				o.Scalars[name] = rate
 				fmt.Fprintf(&b, "%-16s %6.2f%%\n", name, 100*rate)
 			}

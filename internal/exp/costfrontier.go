@@ -40,13 +40,13 @@ func init() {
 			for _, split := range splits {
 				split := split
 				histBits := split.predBits
-				mkPred := func() predictor.Predictor { return predictor.NewGshare(split.predBits, histBits) }
+				pred := Pred(func() predictor.Predictor { return predictor.NewGshare(split.predBits, histBits) })
 				var missSum, covSum, saveSum float64
 				n := 0
 				if split.ctBits == 0 {
 					// The all-predictor split only needs miss rates, which
 					// any cached pass under this predictor supplies.
-					sr, err := s.SuiteOne(Pred(mkPred), mechStatic)
+					sr, err := s.SuiteOne(pred, mechStatic)
 					if err != nil {
 						return nil, err
 					}
@@ -61,38 +61,28 @@ func init() {
 							TableBits: split.ctBits, HistoryBits: histBits,
 						})
 					})
-					sr, err := s.SuiteOne(Pred(mkPred), mech)
+					sr, err := s.SuiteOne(pred, mech)
 					if err != nil {
 						return nil, err
 					}
-					est := func() *core.Estimator {
-						return core.NewEstimator(mech.New(), core.CounterReducer{Threshold: 16})
+					table := func() *core.CounterTable { return mech.New().(*core.CounterTable) }
+					params := appDualParams(
+						fmt.Sprintf("gshare%dx%d", split.predBits, histBits),
+						fmt.Sprintf("ctreset%dh%dthr16", split.ctBits, histBits),
+						apps.DefaultDualPath())
+					rows, err := s.suiteModel("appdual", params, appDualLen, func(spec workload.Spec) ([]uint64, error) {
+						return s.runAppDual(spec, pred, laneSignal{table: table, thr: 16}, apps.DefaultDualPath())
+					})
+					if err != nil {
+						return nil, err
 					}
-					for _, spec := range workload.Suite() {
+					for i, spec := range workload.Suite() {
 						run, err := sr.ByName(spec.Name)
 						if err != nil {
 							return nil, err
 						}
 						eres := sim.DeriveEstimator(run, core.CounterReducer{Threshold: 16})
-						params := appDualParams(
-							fmt.Sprintf("gshare%dx%d", split.predBits, histBits),
-							fmt.Sprintf("ctreset%dh%dthr16", split.ctBits, histBits),
-							apps.DefaultDualPath())
-						counts, err := s.modelCounts(modelKey("appdual", spec.Name, s.Branches(), params), appDualLen, func() ([]uint64, error) {
-							src, err := s.Source(spec)
-							if err != nil {
-								return nil, err
-							}
-							dres, err := apps.RunDualPath(src, mkPred(), est(), apps.DefaultDualPath())
-							if err != nil {
-								return nil, err
-							}
-							return packAppDual(dres), nil
-						})
-						if err != nil {
-							return nil, err
-						}
-						dres := unpackAppDual(counts)
+						dres := unpackAppDual(rows[i])
 						missSum += float64(eres.Misses) / float64(eres.Branches)
 						covSum += eres.Coverage()
 						saveSum += dres.PenaltySavings()

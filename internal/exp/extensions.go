@@ -44,9 +44,10 @@ func registerExtensions() {
 			o := &Output{ID: "gating", Title: "pipeline gating", Scalars: map[string]float64{}}
 			var b strings.Builder
 			b.WriteString("gate-threshold  wasted%work  stalled%demand  mispredict%\n")
-			// All thresholds share one predictor+estimator walk per benchmark
-			// (the gate never feeds back into either), so the whole study is
-			// one pass over the suite instead of len(thresholds) passes.
+			// All thresholds read one (miss, low-confidence) lane pair per
+			// benchmark (the gate never feeds back into the predictor or the
+			// estimator), so the whole study is one pass over the suite
+			// instead of len(thresholds) passes.
 			thresholds := []int{0, 4, 2, 1}
 			cfgs := make([]apps.GateConfig, len(thresholds))
 			for i, thr := range thresholds {
@@ -56,35 +57,20 @@ func registerExtensions() {
 			stalled := make([]float64, len(thresholds))
 			miss := make([]float64, len(thresholds))
 			n := 0
-			for _, spec := range workload.Suite() {
-				// The whole batch is one model-tier entry: its counts are a
-				// pure function of one predictor+estimator walk, and the
-				// threshold list is part of the key.
-				params := fmt.Sprintf("pred=gshare4k|est=paper8|resolve=4|thrs=%v", thresholds)
-				counts, err := s.modelCounts(modelKey("gating", spec.Name, s.Branches(), params), 5*len(cfgs), func() ([]uint64, error) {
-					src, err := s.Source(spec)
-					if err != nil {
-						return nil, err
-					}
-					results, err := apps.RunGatingBatch(src, predictor.Gshare4K(), core.PaperEstimator(8), cfgs)
-					if err != nil {
-						return nil, err
-					}
-					out := make([]uint64, 0, 5*len(results))
-					for _, r := range results {
-						out = append(out, r.Branches, r.Misses, r.Useful, r.Wasted, r.Stalled)
-					}
-					return out, nil
-				})
-				if err != nil {
-					return nil, err
-				}
-				results := make([]apps.GateResult, len(cfgs))
-				for i := range results {
+			// The whole batch is one model-tier entry: its counts are a pure
+			// function of one predictor+estimator lane pair per benchmark,
+			// and the threshold list is part of the key.
+			params := fmt.Sprintf("pred=gshare4k|est=paper8|resolve=4|thrs=%v", thresholds)
+			rows, err := s.suiteModel("gating", params, 5*len(cfgs), func(spec workload.Spec) ([]uint64, error) {
+				return s.runGating(spec, cfgs)
+			})
+			if err != nil {
+				return nil, err
+			}
+			for _, counts := range rows {
+				for i := range cfgs {
 					w := counts[5*i:]
-					results[i] = apps.GateResult{Branches: w[0], Misses: w[1], Useful: w[2], Wasted: w[3], Stalled: w[4]}
-				}
-				for i, res := range results {
+					res := apps.GateResult{Branches: w[0], Misses: w[1], Useful: w[2], Wasted: w[3], Stalled: w[4]}
 					wasted[i] += res.WastedFrac()
 					stalled[i] += res.StallFrac()
 					miss[i] += float64(res.Misses) / float64(res.Branches)

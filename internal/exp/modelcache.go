@@ -13,20 +13,26 @@ import (
 
 // The model tier: the cycle-driven application models (internal/pipeline's
 // gated fetch and dual-path machines, internal/apps' dual-path, SMT, hybrid,
-// reverser and gating studies) are pure functions of a materialized trace
-// and a small configuration, and their outputs are flat vectors of event
-// counts. On a warm run they are the largest remaining cost — no stage-0..2
-// artifact can skip a cycle model — so their count vectors memoize and
+// reverser and gating studies) are pure functions of per-branch lanes — each
+// branch's gap, whether its prediction missed and its confidence bucket —
+// and their outputs are flat vectors of event counts. A cold build reads
+// those lanes from the engine's annotated and bucket tiers (modellanes.go),
+// so it walks no predictor or estimator of its own; the machines then cost
+// a few tens of nanoseconds per branch. Their count vectors memoize and
 // persist exactly like curves: a process-wide byteLRU in front of a
 // KindModelStats disk artifact, keyed by everything the counts are a pure
-// function of. Every derived figure (IPC, waste, coverage, efficiency) is
-// recomputed from the counts, so a served vector renders byte-identically
-// to a live model run.
+// function of. One record holds a model configuration's vectors for the
+// whole suite, in suite order, so a warm report reads one small record per
+// configuration rather than one per benchmark. Every derived figure (IPC,
+// waste, coverage, efficiency) is recomputed from the counts, so a served
+// vector renders byte-identically to a live model run.
 
 // modelVersion versions the cycle models' behaviour in every model-tier
 // key. Bump it whenever any model in internal/pipeline or internal/apps
 // changes semantics — the key carries no content hash of the model code, so
-// this constant is the only invalidation handle.
+// this constant is the only invalidation handle. TestModelGoldenCounts pins
+// every model's count vector on a fixed trace, so a change in semantics
+// fails it with a reminder to bump this constant.
 const modelVersion = 1
 
 // modelCache is the process-wide model-stats memo. Entries are a few
@@ -68,11 +74,12 @@ func ResetModelCache() {
 }
 
 // modelKey builds the canonical model-tier key: model version, model name,
-// workload spec, branch budget, and the model's full parameterisation.
-// params must cover every input the counts depend on — predictor geometry,
-// estimator config, machine shape — or two distinct runs would alias.
-func modelKey(model, spec string, branches uint64, params string) string {
-	return fmt.Sprintf("model|v%d|%s|spec=%s|n=%d|%s", modelVersion, model, spec, branches, params)
+// the benchmarks the record covers (suiteName), branch budget, and the
+// model's full parameterisation. params must cover every input the counts
+// depend on — predictor geometry, estimator config, machine shape — or two
+// distinct runs would alias.
+func modelKey(model, suite string, branches uint64, params string) string {
+	return fmt.Sprintf("model|v%d|%s|suite=%s|n=%d|%s", modelVersion, model, suite, branches, params)
 }
 
 // modelCounts serves one cycle-model invocation's count vector through the

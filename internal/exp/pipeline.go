@@ -4,25 +4,9 @@ import (
 	"fmt"
 	"strings"
 
-	"branchconf/internal/core"
 	"branchconf/internal/pipeline"
-	"branchconf/internal/predictor"
-	"branchconf/internal/trace"
 	"branchconf/internal/workload"
 )
-
-// oracleSignal is a perfect confidence estimator: low confidence exactly
-// when the prediction will be wrong. It bounds what any real estimator
-// can achieve for pipeline gating.
-type oracleSignal struct {
-	pred predictor.Predictor
-}
-
-// Confident peeks at the predictor (Predict is side-effect free).
-func (o oracleSignal) Confident(r trace.Record) bool { return o.pred.Predict(r) == r.Taken }
-
-// Update is a no-op: oracles need no training.
-func (o oracleSignal) Update(trace.Record, bool) {}
 
 // packPipeStats flattens a pipeline run's counters for the model tier; the
 // unpacker must mirror the order exactly.
@@ -74,36 +58,24 @@ func init() {
 				var ipc, waste, stall float64
 				n := 0
 				estLabel := "none"
+				var sig laneSignal
 				if pol.oracle {
 					estLabel = "oracle"
+					sig.oracle = true
 				} else if pol.gate > 0 {
 					estLabel = fmt.Sprintf("paper%d", pol.est)
+					sig = paperSignal(pol.est)
 				}
 				m := mach
 				m.GateThreshold = pol.gate
 				params := fmt.Sprintf("pred=gshare4k|est=%s|fw=%d|depth=%d|gate=%d", estLabel, m.FetchWidth, m.Depth, m.GateThreshold)
-				for _, spec := range workload.Suite() {
-					counts, err := s.modelCounts(modelKey("pipeline", spec.Name, s.Branches(), params), pipeStatsLen, func() ([]uint64, error) {
-						src, err := s.Source(spec)
-						if err != nil {
-							return nil, err
-						}
-						pred := predictor.Gshare4K()
-						var est pipeline.ConfidenceSignal
-						if pol.oracle {
-							est = oracleSignal{pred: pred}
-						} else if pol.gate > 0 {
-							est = core.PaperEstimator(pol.est)
-						}
-						st, err := pipeline.Run(src, pred, est, m)
-						if err != nil {
-							return nil, err
-						}
-						return packPipeStats(st), nil
-					})
-					if err != nil {
-						return nil, err
-					}
+				rows, err := s.suiteModel("pipeline", params, pipeStatsLen, func(spec workload.Spec) ([]uint64, error) {
+					return s.runPipeline(spec, sig, m)
+				})
+				if err != nil {
+					return nil, err
+				}
+				for _, counts := range rows {
 					st := unpackPipeStats(counts)
 					ipc += st.IPC()
 					waste += st.WasteFrac()
@@ -144,62 +116,40 @@ func init() {
 			for _, pol := range policies {
 				var ipc, covered, forkSlots float64
 				n := 0
-				estLabel := "none"
-				if pol.oracle {
-					estLabel = "oracle"
-				} else if !pol.off {
-					estLabel = fmt.Sprintf("paper%d", pol.est)
-				}
-				for _, spec := range workload.Suite() {
-					if pol.off {
-						params := fmt.Sprintf("pred=gshare4k|est=none|fw=%d|depth=%d|gate=0", mach.FetchWidth, mach.Depth)
-						counts, err := s.modelCounts(modelKey("pipeline", spec.Name, s.Branches(), params), pipeStatsLen, func() ([]uint64, error) {
-							src, err := s.Source(spec)
-							if err != nil {
-								return nil, err
-							}
-							st, err := pipeline.Run(src, predictor.Gshare4K(), nil, pipeline.Config{FetchWidth: mach.FetchWidth, Depth: mach.Depth})
-							if err != nil {
-								return nil, err
-							}
-							return packPipeStats(st), nil
-						})
-						if err != nil {
-							return nil, err
-						}
-						ipc += unpackPipeStats(counts).IPC()
-						n++
-						continue
-					}
-					params := fmt.Sprintf("pred=gshare4k|est=%s|fw=%d|depth=%d|forkw=%d", estLabel, mach.FetchWidth, mach.Depth, mach.ForkWidth)
-					counts, err := s.modelCounts(modelKey("pipedual", spec.Name, s.Branches(), params), dualStatsLen, func() ([]uint64, error) {
-						src, err := s.Source(spec)
-						if err != nil {
-							return nil, err
-						}
-						pred := predictor.Gshare4K()
-						var est pipeline.ConfidenceSignal
-						if pol.oracle {
-							est = oracleSignal{pred: pred}
-						} else {
-							est = core.PaperEstimator(pol.est)
-						}
-						st, err := pipeline.RunDualPath(src, pred, est, mach)
-						if err != nil {
-							return nil, err
-						}
-						return packDualStats(st), nil
+				if pol.off {
+					params := fmt.Sprintf("pred=gshare4k|est=none|fw=%d|depth=%d|gate=0", mach.FetchWidth, mach.Depth)
+					rows, err := s.suiteModel("pipeline", params, pipeStatsLen, func(spec workload.Spec) ([]uint64, error) {
+						return s.runPipeline(spec, laneSignal{}, pipeline.Config{FetchWidth: mach.FetchWidth, Depth: mach.Depth})
 					})
 					if err != nil {
 						return nil, err
 					}
-					st := unpackDualStats(counts)
-					ipc += st.IPC()
-					if st.Misses > 0 {
-						covered += float64(st.CoveredMiss) / float64(st.Misses)
+					for _, counts := range rows {
+						ipc += unpackPipeStats(counts).IPC()
+						n++
 					}
-					forkSlots += float64(st.ForkSlots) / float64(st.Cycles*uint64(mach.FetchWidth))
-					n++
+				} else {
+					estLabel := fmt.Sprintf("paper%d", pol.est)
+					sig := paperSignal(pol.est)
+					if pol.oracle {
+						estLabel, sig = "oracle", laneSignal{oracle: true}
+					}
+					params := fmt.Sprintf("pred=gshare4k|est=%s|fw=%d|depth=%d|forkw=%d", estLabel, mach.FetchWidth, mach.Depth, mach.ForkWidth)
+					rows, err := s.suiteModel("pipedual", params, dualStatsLen, func(spec workload.Spec) ([]uint64, error) {
+						return s.runPipeDual(spec, sig, mach)
+					})
+					if err != nil {
+						return nil, err
+					}
+					for _, counts := range rows {
+						st := unpackDualStats(counts)
+						ipc += st.IPC()
+						if st.Misses > 0 {
+							covered += float64(st.CoveredMiss) / float64(st.Misses)
+						}
+						forkSlots += float64(st.ForkSlots) / float64(st.Cycles*uint64(mach.FetchWidth))
+						n++
+					}
 				}
 				ipc, covered, forkSlots = ipc/float64(n), covered/float64(n), forkSlots/float64(n)
 				fmt.Fprintf(&b, "%-15s %5.2f   %14.1f   %10.1f\n", pol.label, ipc, 100*covered, 100*forkSlots)

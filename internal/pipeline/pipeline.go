@@ -17,7 +17,6 @@ package pipeline
 
 import (
 	"fmt"
-	"io"
 
 	"branchconf/internal/predictor"
 	"branchconf/internal/trace"
@@ -75,61 +74,39 @@ func (s Stats) WasteFrac() float64 {
 	return float64(s.WrongPath) / float64(total)
 }
 
-// outBranch tracks an unresolved branch in flight.
-type outBranch struct {
+// pending is an in-flight branch whose resolve changes machine state: a
+// low-confidence one (it holds the gate) or a mispredicted one (it ends
+// the wrong-path window). Every other branch resolves silently, so the
+// machine never queues it; the drain waits on the last branch fetched.
+type pending struct {
 	resolveAt uint64
 	mispred   bool
 	lowConf   bool
 }
 
-// instrStream expands a branch trace into an instruction-granularity
-// stream: Gap non-branch instructions precede each branch.
-type instrStream struct {
-	src     trace.Source
-	cur     trace.Record
-	gapLeft int
-	loaded  bool
-	done    bool
-}
-
-// nextBulk returns the next fetch group from the stream: either gap > 0
-// non-branch instructions (at most max of them — the remaining fetch slots
-// this cycle), or the next conditional branch (gap == 0, rec valid). ok is
-// false once the stream is exhausted. Consuming gap instructions in bulk
-// instead of one call per instruction keeps the per-cycle cost at O(fetch
-// groups), not O(instructions); the counts produced are identical.
-func (s *instrStream) nextBulk(max int) (gap int, isBranch bool, rec trace.Record, ok bool, err error) {
-	if s.done {
-		return 0, false, trace.Record{}, false, nil
-	}
-	if !s.loaded {
-		r, err := s.src.Next()
-		if err == io.EOF {
-			s.done = true
-			return 0, false, trace.Record{}, false, nil
-		}
-		if err != nil {
-			return 0, false, trace.Record{}, false, err
-		}
-		s.cur = r
-		s.gapLeft = int(r.Gap)
-		s.loaded = true
-	}
-	if s.gapLeft > 0 {
-		k := s.gapLeft
-		if k > max {
-			k = max
-		}
-		s.gapLeft -= k
-		return k, false, trace.Record{}, true, nil
-	}
-	s.loaded = false
-	return 0, true, s.cur, true, nil
-}
-
-// Run drives the machine over src. The estimator may be nil when gating is
-// disabled; with gating enabled it must be non-nil.
+// Run drives the machine over src, walking pred and est live (LiveLanes).
+// The estimator may be nil when gating is disabled; with gating enabled it
+// must be non-nil.
 func Run(src trace.Source, pred predictor.Predictor, est ConfidenceSignal, cfg Config) (Stats, error) {
+	if cfg.GateThreshold > 0 && est == nil {
+		return Stats{}, fmt.Errorf("pipeline: gating requires a confidence estimator")
+	}
+	return RunLanes(LiveLanes(src, pred, est), cfg)
+}
+
+// RunLanes drives the machine over one trace's lanes. Per cycle the
+// machine resolves the branches due, stalls a whole fetch group while the
+// gate is closed, and otherwise fetches up to FetchWidth instructions —
+// gap instructions, then the branch — with everything after a
+// misprediction fetched down the wrong path until it resolves.
+//
+// Cycles in which nothing can change are skipped rather than stepped:
+// wrong-path, closed-gate and drain spans jump straight to the next resolve
+// (only a resolve can reopen the gate or end a wrong-path window), and
+// while the gate is open the whole cycles of a long gap are fetched at
+// once (a resolve can only open the gate further, and no branch is fetched
+// to close it). The counts are exactly those of stepping every cycle.
+func RunLanes(l *Lanes, cfg Config) (Stats, error) {
 	if cfg.FetchWidth < 1 {
 		return Stats{}, fmt.Errorf("pipeline: FetchWidth must be >= 1, got %d", cfg.FetchWidth)
 	}
@@ -139,99 +116,106 @@ func Run(src trace.Source, pred predictor.Predictor, est ConfidenceSignal, cfg C
 	if cfg.GateThreshold < 0 {
 		return Stats{}, fmt.Errorf("pipeline: GateThreshold must be >= 0, got %d", cfg.GateThreshold)
 	}
-	if cfg.GateThreshold > 0 && est == nil {
-		return Stats{}, fmt.Errorf("pipeline: gating requires a confidence estimator")
-	}
 	var st Stats
-	stream := &instrStream{src: src}
-	// window is consumed from head and appended at the tail; compacting once
-	// drained (instead of re-slicing) reuses its capacity, keeping the hot
-	// loop allocation-free.
-	var window []outBranch
+	width, depth, gate := uint64(cfg.FetchWidth), uint64(cfg.Depth), cfg.GateThreshold
+	// queue is consumed from head and appended at the tail; compacting once
+	// drained (instead of re-slicing) reuses its capacity.
+	var queue []pending
 	head := 0
 	lowInFlight := 0
 	wrongPath := false
 	streamDone := false
+	var lastResolve uint64 // resolve cycle of the last branch fetched
+	var cur Branch         // the next branch, once loaded
+	loaded := false
+	var gapLeft uint64 // cur's gap instructions not yet fetched
 
-	for cycle := uint64(0); ; cycle++ {
-		// Resolve branches due this cycle (in fetch order).
-		for head < len(window) && window[head].resolveAt <= cycle {
-			b := window[head]
+	for cycle := uint64(0); ; {
+		for head < len(queue) && queue[head].resolveAt <= cycle {
+			b := queue[head]
 			head++
 			if b.lowConf {
 				lowInFlight--
 			}
 			if b.mispred {
-				// Redirect: younger in-flight branches were wrong-path
-				// bookkeeping only (none were real — fetch stopped
-				// consuming the stream), so simply leave wrong-path mode.
 				wrongPath = false
 			}
 		}
-		if head == len(window) {
-			window, head = window[:0], 0
+		if head == len(queue) {
+			queue, head = queue[:0], 0
 		}
-
-		if streamDone && head == len(window) {
+		if streamDone && cycle >= lastResolve {
 			st.Cycles = cycle
 			return st, nil
 		}
-
-		// Gate check: a closed gate idles the whole fetch group.
-		if cfg.GateThreshold > 0 && lowInFlight >= cfg.GateThreshold {
-			st.GateStalls += uint64(cfg.FetchWidth)
+		gated := gate > 0 && lowInFlight >= gate
+		if gated || wrongPath {
+			// Idle until the next resolve: a closed gate idles the whole
+			// fetch group, a wrong-path window wastes it.
+			next := queue[head].resolveAt
+			if gated {
+				st.GateStalls += (next - cycle) * width
+			} else {
+				st.WrongPath += (next - cycle) * width
+			}
+			cycle = next
 			continue
 		}
-
-		// Fetch up to FetchWidth instructions.
-		for slot := 0; slot < cfg.FetchWidth; {
+		if streamDone {
+			// Draining: no fetch, and the gate can only open further.
+			cycle = lastResolve
+			continue
+		}
+		for slot := uint64(0); slot < width; {
 			if wrongPath {
 				// Fetching down the mispredicted path: pure waste for the
 				// rest of the group.
-				st.WrongPath += uint64(cfg.FetchWidth - slot)
+				st.WrongPath += width - slot
 				break
 			}
-			if streamDone {
+			if !loaded {
+				b, ok := l.Next()
+				if !ok {
+					if l.err != nil {
+						return st, l.err
+					}
+					streamDone = true
+					break
+				}
+				cur, loaded, gapLeft = b, true, uint64(b.Gap)
+			}
+			if slot == 0 && gapLeft >= width {
+				// Whole cycles of gap: this one and k-1 more.
+				k := gapLeft / width
+				st.Retired += k * width
+				gapLeft -= k * width
+				cycle += k - 1
 				break
 			}
-			gap, isBranch, rec, ok, err := stream.nextBulk(cfg.FetchWidth - slot)
-			if err != nil {
-				return st, err
-			}
-			if !ok {
-				streamDone = true
-				break
-			}
-			if !isBranch {
-				st.Retired += uint64(gap)
-				slot += gap
+			if gapLeft > 0 {
+				k := min(gapLeft, width-slot)
+				st.Retired += k
+				slot += k
+				gapLeft -= k
 				continue
 			}
+			loaded = false
 			st.Retired++
 			slot++
 			st.Branches++
-			confident := true
-			if est != nil {
-				confident = est.Confident(rec)
-			}
-			incorrect := pred.Predict(rec) != rec.Taken
-			pred.Update(rec)
-			if est != nil {
-				est.Update(rec, incorrect)
-			}
-			if incorrect {
+			lastResolve = cycle + depth
+			low := cur.Low && gate > 0
+			if cur.Miss {
 				st.Misses++
 				wrongPath = true
 			}
-			b := outBranch{resolveAt: cycle + uint64(cfg.Depth), mispred: incorrect, lowConf: !confident}
-			if b.lowConf {
+			if low {
 				lowInFlight++
 			}
-			window = append(window, b)
-			if incorrect {
-				// Remaining slots this cycle go down the wrong path.
-				continue
+			if cur.Miss || low {
+				queue = append(queue, pending{resolveAt: lastResolve, mispred: cur.Miss, lowConf: low})
 			}
 		}
+		cycle++
 	}
 }

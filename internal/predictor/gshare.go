@@ -123,8 +123,16 @@ func (g *Gshare) TableBits() uint { return g.tableBits }
 // HistoryBits returns the global history length.
 func (g *Gshare) HistoryBits() uint { return g.historyBits }
 
-// Name implements Predictor.
-func (g *Gshare) Name() string { return fmt.Sprintf("gshare-%s", sizeName(g.tableBits)) }
+// Name implements Predictor. Engine and artifact keys derive from it, so
+// it names every parameter: the history length appears as a suffix only
+// when it differs from the table bits, which keeps the paper's "gshare-4K"
+// and "gshare-64K" while NewGshare(12, 0) becomes "gshare-4K-h0".
+func (g *Gshare) Name() string {
+	if g.historyBits == g.tableBits {
+		return fmt.Sprintf("gshare-%s", sizeName(g.tableBits))
+	}
+	return fmt.Sprintf("gshare-%s-h%d", sizeName(g.tableBits), g.historyBits)
+}
 
 // Gselect concatenates PC bits and history bits instead of XORing them
 // (McFarling's gselect). Included for baseline comparisons: gshare usually

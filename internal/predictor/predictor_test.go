@@ -337,6 +337,38 @@ func TestTournamentResetAndName(t *testing.T) {
 	}
 }
 
+// TestNamesCoverEveryParameter: engine and artifact keys derive from
+// Name(), so distinct gshare and tournament configurations must get
+// distinct names, while the names already in use stay unchanged.
+func TestNamesCoverEveryParameter(t *testing.T) {
+	keep := map[string]Predictor{
+		"gshare-4K":                          NewGshare(12, 12),
+		"gshare-64K":                         NewGshare(16, 16),
+		"tournament(bimodal-4K,gshare-4K)":   NewTournament(NewBimodal(12), NewGshare(12, 12), 12),
+		"tournament(bimodal-16K,gshare-16K)": NewTournament(NewBimodal(14), NewGshare(14, 14), 14),
+	}
+	for want, p := range keep {
+		if p.Name() != want {
+			t.Errorf("name %q, want %q unchanged", p.Name(), want)
+		}
+	}
+	distinct := []Predictor{
+		NewGshare(12, 12), NewGshare(12, 0), NewGshare(12, 8), NewGshare(12, 16),
+		NewTournament(NewBimodal(12), NewGshare(12, 12), 12),
+		NewTournament(NewBimodal(12), NewGshare(12, 12), 10),
+		NewTournament(NewBimodal(12), NewGshare(12, 8), 12),
+		NewTournament(NewBimodal(12), AlwaysTaken{}, 12),
+		NewTournament(NewBimodal(12), AlwaysTaken{}, 10),
+	}
+	seen := map[string]int{}
+	for i, p := range distinct {
+		if j, dup := seen[p.Name()]; dup {
+			t.Errorf("configurations %d and %d share the name %q", j, i, p.Name())
+		}
+		seen[p.Name()] = i
+	}
+}
+
 func TestSizeName(t *testing.T) {
 	for bits, want := range map[uint]string{8: "256", 10: "1K", 12: "4K", 16: "64K", 20: "1M"} {
 		if got := sizeName(bits); got != want {

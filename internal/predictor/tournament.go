@@ -75,7 +75,14 @@ func (t *Tournament) Reset() {
 	t.resetChooser()
 }
 
-// Name implements Predictor.
+// Name implements Predictor. Engine and artifact keys derive from it, so
+// it names the chooser too: the chooser size appears as a suffix unless it
+// matches the second component's table size, which keeps the names of the
+// registry's and the hybrid study's tournaments.
 func (t *Tournament) Name() string {
-	return fmt.Sprintf("tournament(%s,%s)", t.a.Name(), t.b.Name())
+	name := fmt.Sprintf("tournament(%s,%s)", t.a.Name(), t.b.Name())
+	if b, ok := t.b.(interface{ TableBits() uint }); ok && b.TableBits() == t.bits {
+		return name
+	}
+	return fmt.Sprintf("%s-c%s", name, sizeName(t.bits))
 }

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"branchconf/internal/artifact"
+	"branchconf/internal/core"
 	"branchconf/internal/memo"
 	"branchconf/internal/predictor"
 	"branchconf/internal/trace"
@@ -168,4 +169,32 @@ func annotatedToDisk(spec workload.Spec, n uint64, predKey string, ann *Annotate
 	if s := artifact.Default(); s != nil {
 		_ = s.Put(artifact.KindAnnotatedStream, annArtifactKey(spec, n, predKey), marshalAnnotatedStream(ann))
 	}
+}
+
+// Lanes returns one benchmark's per-branch lanes as the engine's tiers hold
+// them: the flat record view (gaps, PCs, outcomes), the annotated stream of
+// pred's mispredict bits and, when fm is non-nil, the bucket stream of fm's
+// table geometry trained on those bits. Each comes from its process-wide
+// memo and disk tier and is built only on a miss, exactly as a suite pass
+// would build it — whatever cfg.NoTally says, since the lanes are the same
+// either way. Consumers that need only "did it miss" and "what bucket was
+// it in" per branch (the cycle models) read these instead of re-walking
+// the predictor and the table. cfg must not be segmented: the lanes are
+// whole-trace.
+func Lanes(cfg SuiteConfig, spec workload.Spec, predKey string, newPred func() predictor.Predictor, fm core.Factorable) (*trace.FlatView, *AnnotatedStream, *BucketStream, error) {
+	if cfg.SegmentBranches > 0 {
+		return nil, nil, nil, fmt.Errorf("sim: whole-trace lanes requested under a segmented config")
+	}
+	flat, ann, err := annotatedFor(cfg, spec, predKey, newPred)
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("sim: annotating %s: %w", spec.Name, err)
+	}
+	if fm == nil {
+		return flat, ann, nil, nil
+	}
+	bs, err := bucketStreamFor(cfg, spec, predKey, flat, ann, fm)
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("sim: tallying %s: %w", spec.Name, err)
+	}
+	return flat, ann, bs, nil
 }

@@ -258,6 +258,7 @@ func RunSuiteAnnotated(cfg SuiteConfig, predKey string, newPred func() predictor
 		perSpec[i] = make([]Result, len(newMechs))
 	}
 	chunks := chunkIndices(len(newMechs), currentParallelism())
+	shared := make([]sharedAnnotation, len(specs))
 	errs := make([]error, len(chunks))
 	var wg sync.WaitGroup
 	for c, chunk := range chunks {
@@ -267,7 +268,7 @@ func RunSuiteAnnotated(cfg SuiteConfig, predKey string, newPred func() predictor
 			defer wg.Done()
 			release := acquireSlot()
 			defer release()
-			errs[c] = runMechChunk(cfg, specs, predKey, newPred, newMechs, chunk, perSpec)
+			errs[c] = runMechChunk(cfg, specs, shared, predKey, newPred, newMechs, chunk, perSpec)
 		}()
 	}
 	wg.Wait()
@@ -285,19 +286,41 @@ func RunSuiteAnnotated(cfg SuiteConfig, predKey string, newPred func() predictor
 	return out, nil
 }
 
+// sharedAnnotation is one benchmark's (flat view, annotated stream) pair
+// within a single RunSuiteAnnotated call. The call's chunks share it, so
+// the benchmark's annotated-cache entry is claimed once per call: a cache
+// hit always means reuse across calls, never a sibling chunk of the same
+// call, whatever the chunk count (and hence NumCPU) is.
+type sharedAnnotation struct {
+	once sync.Once
+	flat *trace.FlatView
+	ann  *AnnotatedStream
+	err  error
+}
+
+// get claims the benchmark's pair on first use; later chunks wait on that
+// claim and receive the same pair.
+func (s *sharedAnnotation) get(cfg SuiteConfig, spec workload.Spec, predKey string, newPred func() predictor.Predictor) (*trace.FlatView, *AnnotatedStream, error) {
+	s.once.Do(func() {
+		s.flat, s.ann, s.err = annotatedFor(cfg, spec, predKey, newPred)
+	})
+	return s.flat, s.ann, s.err
+}
+
 // runMechChunk replays every benchmark through one chunk of mechanisms,
 // writing results into perSpec[spec][mech]. The chunk's mechanism instances
 // are built once and Reset between benchmarks. Stage labels "annotate",
 // "tally" and "replay" mark the work for CPU profiles; the first chunk to
-// claim a benchmark's cache entry pays the annotation walk, later chunks
-// wait on the entry and go straight to tally/replay.
+// reach a benchmark claims its cache entry (paying the annotation walk on
+// a miss) through shared[spec], later chunks wait on that claim and go
+// straight to tally/replay.
 //
 // Factorable mechanisms (unless cfg.NoTally, or the mechanism also reads
 // predictor state) are served by the stage-3 bucket-stream cache: their
 // result shares the geometry's immutable base histogram, and the per-branch
 // walk happens at most once per geometry process-wide. The rest replay on
 // the stage-2 path.
-func runMechChunk(cfg SuiteConfig, specs []workload.Spec, predKey string, newPred func() predictor.Predictor, newMechs []func() core.Mechanism, chunk []int, perSpec [][]Result) error {
+func runMechChunk(cfg SuiteConfig, specs []workload.Spec, shared []sharedAnnotation, predKey string, newPred func() predictor.Predictor, newMechs []func() core.Mechanism, chunk []int, perSpec [][]Result) error {
 	mechs := make([]core.Mechanism, len(chunk))
 	for k, j := range chunk {
 		mechs[k] = newMechs[j]()
@@ -308,7 +331,7 @@ func runMechChunk(cfg SuiteConfig, specs []workload.Spec, predKey string, newPre
 		var ann *AnnotatedStream
 		var err error
 		pprof.Do(context.Background(), pprof.Labels("benchmark", spec.Name, "stage", "annotate"), func(context.Context) {
-			flat, ann, err = annotatedFor(cfg, spec, predKey, newPred)
+			flat, ann, err = shared[i].get(cfg, spec, predKey, newPred)
 		})
 		heapwatch.Sample("annotate")
 		if err != nil {

@@ -52,6 +52,33 @@ func (b *BucketStream) Len() int { return b.n }
 // bulk consumers use the histogram).
 func (b *BucketStream) Bucket(i int) uint64 { return b.lane.At(i) }
 
+// Below returns the packed bit lane of branches whose bucket is below
+// threshold — bit i of word i/64, least significant first — which is the
+// low-confidence lane of a counter estimator with that threshold
+// (core.CounterReducer).
+func (b *BucketStream) Below(threshold uint64) []uint64 {
+	out := make([]uint64, (b.n+63)/64)
+	var (
+		words   = b.lane.Words()
+		width   = b.lane.Width()
+		perWord = int(b.lane.PerWord())
+		mask    = uint64(1)<<width - 1
+	)
+	if width == 64 {
+		mask = ^uint64(0)
+	}
+	for i, wi := 0, 0; i < b.n; wi++ {
+		w := words[wi]
+		for k := 0; k < perWord && i < b.n; k, i = k+1, i+1 {
+			if w&mask < threshold {
+				out[i>>6] |= 1 << (uint(i) & 63)
+			}
+			w >>= width
+		}
+	}
+	return out
+}
+
 // Stats returns the base histogram for use as a Result's bucket
 // statistics. The map is shared by every variant served from this stream
 // (and by the stream cache) and must be treated as read-only — which every
