@@ -80,23 +80,18 @@ func (l *Lanes) Oracle() *Lanes {
 func (l *Lanes) Err() error { return l.err }
 
 // Next returns the next branch's lanes; ok is false once the lanes are
-// exhausted (Err then tells a failure from the end of the trace).
+// exhausted (Err then tells a failure from the end of the trace). Live
+// lanes walk one record through the estimator and the predictor.
 func (l *Lanes) Next() (Branch, bool) {
-	if l.src != nil {
-		return l.walk()
+	if l.src == nil {
+		i := l.i
+		if i >= len(l.recs) {
+			return Branch{}, false
+		}
+		l.i = i + 1
+		w, sh := i>>6, uint(i)&63
+		return Branch{Gap: l.recs[i].Gap, Miss: l.miss[w]>>sh&1 != 0, Low: l.low[w]>>sh&1 != 0}, true
 	}
-	i := l.i
-	if i >= len(l.recs) {
-		return Branch{}, false
-	}
-	l.i = i + 1
-	w, sh := i>>6, uint(i)&63
-	return Branch{Gap: l.recs[i].Gap, Miss: l.miss[w]>>sh&1 != 0, Low: l.low[w]>>sh&1 != 0}, true
-}
-
-// walk is Next for live lanes: one record through the estimator and the
-// predictor.
-func (l *Lanes) walk() (Branch, bool) {
 	r, err := l.src.Next()
 	if err != nil {
 		if err != io.EOF {
