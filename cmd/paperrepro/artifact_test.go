@@ -18,11 +18,11 @@ import (
 // behaves like a fresh process and must go through the disk store (or
 // regenerate) rather than hitting the memos warmed by a previous run.
 func resetEngineCaches() {
-	workload.ResetMaterializeCache()
-	sim.ResetAnnotatedCache()
-	sim.ResetBucketCache()
-	exp.ResetCurveCache()
-	exp.ResetModelCache()
+	workload.TraceTier.Reset()
+	sim.AnnotatedTier.Reset()
+	sim.BucketTier.Reset()
+	exp.CurveTier.Reset()
+	exp.ModelTier.Reset()
 }
 
 // cacheTier extracts one tier's counters from -cache-stats output.
@@ -62,21 +62,19 @@ func TestArtifactWarmStart(t *testing.T) {
 		parallel:   2,
 		cacheStats: true,
 	}
-	run := func(artifactDir string, noCurve, noModel bool) (report, errOut string) {
+	run := func(artifactDir string) (report, errOut string) {
 		t.Helper()
 		resetEngineCaches()
 		var out, errW strings.Builder
 		cfg := base
 		cfg.artifactDir = artifactDir
-		cfg.noCurveArtifact = noCurve
-		cfg.noModelArtifact = noModel
 		if err := writeReport(&out, &errW, cfg); err != nil {
 			t.Fatal(err)
 		}
 		return out.String(), errW.String()
 	}
 
-	cold, coldErr := run(dir, false, false)
+	cold, coldErr := run(dir)
 	if hits, _, vf := diskTier(t, coldErr); hits != 0 || vf != 0 {
 		t.Fatalf("cold run saw disk hits=%d verify_fails=%d, want 0/0", hits, vf)
 	}
@@ -91,7 +89,7 @@ func TestArtifactWarmStart(t *testing.T) {
 		t.Fatalf("cold run persisted no artifacts (err=%v)", err)
 	}
 
-	warm, warmErr := run(dir, false, false)
+	warm, warmErr := run(dir)
 	if warm != cold {
 		t.Error("warm report differs from cold report")
 	}
@@ -103,28 +101,9 @@ func TestArtifactWarmStart(t *testing.T) {
 		t.Errorf("warm run still missed the disk tier %d times", misses)
 	}
 
-	noStore, _ := run("", false, false)
+	noStore, _ := run("")
 	if noStore != cold {
 		t.Error("-no-artifact report differs from cold report")
-	}
-
-	// The curve tier is byte-transparent too: bypassing it entirely must
-	// reproduce the same report.
-	noCurve, noCurveErr := run(dir, true, false)
-	if noCurve != cold {
-		t.Error("-no-curve-artifact report differs from cold report")
-	}
-	if h, m, _ := cacheTier(t, noCurveErr, "curve"); h != 0 || m != 0 {
-		t.Errorf("-no-curve-artifact still moved the curve tier: hits=%d misses=%d", h, m)
-	}
-
-	// Same transparency contract for the cycle-model tier.
-	noModel, noModelErr := run(dir, false, true)
-	if noModel != cold {
-		t.Error("-no-model-artifact report differs from cold report")
-	}
-	if h, m, _ := cacheTier(t, noModelErr, "model-stats"); h != 0 || m != 0 {
-		t.Errorf("-no-model-artifact still moved the model tier: hits=%d misses=%d", h, m)
 	}
 
 	// Flip one bit in the middle of every record: the third run must
@@ -140,7 +119,7 @@ func TestArtifactWarmStart(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	healed, healedErr := run(dir, false, false)
+	healed, healedErr := run(dir)
 	if healed != cold {
 		t.Error("post-corruption report differs from cold report")
 	}
@@ -149,7 +128,7 @@ func TestArtifactWarmStart(t *testing.T) {
 	}
 
 	// And the store healed: a fourth run is warm again.
-	final, finalErr := run(dir, false, false)
+	final, finalErr := run(dir)
 	if final != cold {
 		t.Error("post-heal report differs from cold report")
 	}

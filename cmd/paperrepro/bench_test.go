@@ -25,7 +25,7 @@ func benchReport(b *testing.B, parallel int) {
 	}
 	// One discarded warmup iteration: JIT-ish one-time costs (first GC
 	// sizing, page faults on the trace buffers) land outside the timer.
-	workload.ResetMaterializeCache()
+	workload.TraceTier.Reset()
 	if err := writeReport(io.Discard, io.Discard, cfg); err != nil {
 		b.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func benchReport(b *testing.B, parallel int) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		workload.ResetMaterializeCache()
+		workload.TraceTier.Reset()
 		b.StartTimer()
 		if err := writeReport(io.Discard, io.Discard, cfg); err != nil {
 			b.Fatal(err)
@@ -77,8 +77,8 @@ func benchEngines(b *testing.B, filter map[string]bool, noAnnotate, noTally, war
 		noTally:    noTally,
 	}
 	resetCaches := func() {
-		sim.ResetAnnotatedCache()
-		sim.ResetBucketCache()
+		sim.AnnotatedTier.Reset()
+		sim.BucketTier.Reset()
 	}
 	// Warm the trace cache so no engine pays the synthetic walk; this also
 	// serves as the discarded warmup iteration for one-time process costs.

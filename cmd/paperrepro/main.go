@@ -13,11 +13,10 @@
 //
 //	paperrepro [-branches 1000000] [-o report.md] [-skip-ablations]
 //	           [-only fig5,table1] [-parallel N] [-no-timings]
-//	           [-annotate-cache-mb 256] [-bucket-cache-mb N]
+//	           [-annotate-cache-mb 256]
 //	           [-artifact-dir DIR|auto] [-artifact-disk-mb 1024] [-no-artifact]
 //	           [-artifact-strict] [-artifact-remote URL] [-shard i/n]
-//	           [-no-annotate] [-no-tally]
-//	           [-no-curve-artifact] [-no-model-artifact] [-cache-stats]
+//	           [-no-annotate] [-no-tally] [-cache-stats]
 //	           [-cache-stats-json] [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //	paperrepro serve [-listen 127.0.0.1:8091] [engine flags] [service flags]
 //	paperrepro client [-addr http://127.0.0.1:8091] [request flags | -stats]
@@ -105,14 +104,11 @@ func appMain(args []string, stdout, errW io.Writer) error {
 		skipAblations = fs.Bool("skip-ablations", false, "run only the paper's own artefacts")
 		only          = fs.String("only", "", "comma-separated experiment ids to run (default: all)")
 		parallel      = fs.Int("parallel", runtime.NumCPU(), "max concurrent experiments, per-benchmark simulation units, and streaming unit pipelines (each pipeline itself overlaps annotate/tally with a bounded segment queue)")
-		annCacheMB    = fs.Uint64("annotate-cache-mb", 256, "resident bound for the annotated-stream cache in MiB (0 = unbounded)")
-		bucketCacheMB = fs.Int64("bucket-cache-mb", -1, "resident bound for the bucket-stream cache in MiB (0 = unbounded, -1 = follow -annotate-cache-mb)")
+		annCacheMB    = fs.Uint64("annotate-cache-mb", 256, tierBoundUsage)
 		noAnnotate    = fs.Bool("no-annotate", false, "disable the two-stage annotated engine (byte-identical, for benchmarking)")
 		noTally       = fs.Bool("no-tally", false, "disable the stage-3 tally engine (byte-identical, for benchmarking)")
 		segBranches   = fs.Int64("segment-branches", -1, "stream traces in segments of this many branches with bounded resident memory (byte-identical; -1 = auto: segment only above the materialization ceiling)")
 		noStream      = fs.Bool("no-stream", false, "never stream: materialize whole traces even above the ceiling (rejected for budgets that cannot be materialized)")
-		noCurveArt    = fs.Bool("no-curve-artifact", false, "disable the curve memo/disk tier (byte-identical, for A/B benchmarking)")
-		noModelArt    = fs.Bool("no-model-artifact", false, "disable the cycle-model memo/disk tier (byte-identical, for A/B benchmarking)")
 		noTimings     = fs.Bool("no-timings", false, "omit the per-experiment wall-time lines, making the report bytes fully deterministic")
 		traceFile     = fs.String("trace", "", "recorded ChampSim trace for the realtrace experiment (generate one with tracegen -format champsim)")
 		artifactDir   = fs.String("artifact-dir", "", "persist engine artifacts in this directory for warm starts across runs (\"auto\" = user cache dir; empty = disabled)")
@@ -208,10 +204,6 @@ func appMain(args []string, stdout, errW io.Writer) error {
 			filter[id] = true
 		}
 	}
-	bucketCacheBytes := int64(-1)
-	if *bucketCacheMB >= 0 {
-		bucketCacheBytes = *bucketCacheMB << 20
-	}
 	dir := *artifactDir
 	if *noArtifact {
 		dir = ""
@@ -224,27 +216,24 @@ func appMain(args []string, stdout, errW io.Writer) error {
 		dir = filepath.Join(base, "branchconf", "artifacts")
 	}
 	err := writeReport(w, errW, reportConfig{
-		branches:         *branches,
-		skipAblations:    *skipAblations,
-		filter:           filter,
-		noTimings:        *noTimings,
-		traceFile:        *traceFile,
-		progress:         *out != "",
-		parallel:         *parallel,
-		annCacheBytes:    *annCacheMB << 20,
-		bucketCacheBytes: bucketCacheBytes,
-		noAnnotate:       *noAnnotate,
-		noTally:          *noTally,
-		segmentBranches:  segment,
-		noCurveArtifact:  *noCurveArt,
-		noModelArtifact:  *noModelArt,
-		cacheStats:       *cacheStats,
-		cacheStatsJSON:   *cacheStatsJ,
-		artifactDir:      dir,
-		artifactBudget:   *artifactMB << 20,
-		artifactStrict:   *strictStore,
-		artifactRemote:   *remoteURL,
-		shard:            *shardSpec,
+		branches:        *branches,
+		skipAblations:   *skipAblations,
+		filter:          filter,
+		noTimings:       *noTimings,
+		traceFile:       *traceFile,
+		progress:        *out != "",
+		parallel:        *parallel,
+		annCacheBytes:   *annCacheMB << 20,
+		noAnnotate:      *noAnnotate,
+		noTally:         *noTally,
+		segmentBranches: segment,
+		cacheStats:      *cacheStats,
+		cacheStatsJSON:  *cacheStatsJ,
+		artifactDir:     dir,
+		artifactBudget:  *artifactMB << 20,
+		artifactStrict:  *strictStore,
+		artifactRemote:  *remoteURL,
+		shard:           *shardSpec,
 	})
 	if err != nil {
 		return err

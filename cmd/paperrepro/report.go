@@ -14,29 +14,26 @@ import (
 
 // reportConfig controls which experiments run and how output is produced.
 type reportConfig struct {
-	branches         uint64
-	skipAblations    bool
-	filter           map[string]bool // experiment id filter (nil = all)
-	noTimings        bool            // omit per-experiment wall-time lines
-	traceFile        string          // recorded ChampSim trace for realtrace ("" = none)
-	progress         bool            // emit per-experiment progress to errW
-	parallel         int             // max concurrent experiments (<=1 = serial)
-	annCacheBytes    uint64          // annotated-cache resident bound (0 = unbounded)
-	bucketCacheBytes int64           // bucket-cache resident bound (-1 = follow annCacheBytes)
-	noAnnotate       bool            // force the interleaved single-pass engine
-	noTally          bool            // disable the stage-3 tally engine
-	segmentBranches  uint64          // stream traces in segments of this many branches (0 = monolithic)
-	noCurveArtifact  bool            // disable the curve memo/disk tier
-	noModelArtifact  bool            // disable the cycle-model memo/disk tier
-	cacheStats       bool            // print per-cache counters to errW at exit
-	cacheStatsJSON   bool            // print the same counters as JSON to errW at exit
-	artifactDir      string          // persistent artifact store directory ("" = disabled)
-	artifactBudget   uint64          // artifact store disk budget in bytes (0 = unbounded)
-	artifactStrict   bool            // fail hard on store I/O errors instead of degrading
-	artifactFS       artifact.FS     // filesystem for the store (nil = real disk; tests inject faults)
-	artifactRemote   string          // remote artifact store base URL ("" = no remote tier)
-	remoteDoer       artifact.Doer   // transport for the remote tier (nil = real HTTP; tests inject faults)
-	shard            string          // "i/n": run one shard and emit a partial report ("" = full report)
+	branches        uint64
+	skipAblations   bool
+	filter          map[string]bool // experiment id filter (nil = all)
+	noTimings       bool            // omit per-experiment wall-time lines
+	traceFile       string          // recorded ChampSim trace for realtrace ("" = none)
+	progress        bool            // emit per-experiment progress to errW
+	parallel        int             // max concurrent experiments (<=1 = serial)
+	annCacheBytes   uint64          // resident bound of each memory tier (0 = unbounded)
+	noAnnotate      bool            // force the interleaved single-pass engine
+	noTally         bool            // disable the stage-3 tally engine
+	segmentBranches uint64          // stream traces in segments of this many branches (0 = monolithic)
+	cacheStats      bool            // print per-cache counters to errW at exit
+	cacheStatsJSON  bool            // print the same counters as JSON to errW at exit
+	artifactDir     string          // persistent artifact store directory ("" = disabled)
+	artifactBudget  uint64          // artifact store disk budget in bytes (0 = unbounded)
+	artifactStrict  bool            // fail hard on store I/O errors instead of degrading
+	artifactFS      artifact.FS     // filesystem for the store (nil = real disk; tests inject faults)
+	artifactRemote  string          // remote artifact store base URL ("" = no remote tier)
+	remoteDoer      artifact.Doer   // transport for the remote tier (nil = real HTTP; tests inject faults)
+	shard           string          // "i/n": run one shard and emit a partial report ("" = full report)
 }
 
 // writeReport is the one-shot run: it configures the process-wide engine
@@ -68,13 +65,7 @@ func writeReport(w, errW io.Writer, cfg reportConfig) error {
 		// curves) reach the fleet before the process exits.
 		defer store.Close()
 	}
-	sim.SetAnnotatedCacheBound(cfg.annCacheBytes)
-	sim.SetTallyCacheDefaultBound(cfg.annCacheBytes)
-	exp.SetCurveCacheDefaultBound(cfg.annCacheBytes)
-	exp.SetModelCacheDefaultBound(cfg.annCacheBytes)
-	if cfg.bucketCacheBytes >= 0 {
-		sim.SetBucketCacheBound(uint64(cfg.bucketCacheBytes))
-	}
+	setTierBounds(cfg.annCacheBytes)
 	// Stream counters and heap peaks are per-run observability (unlike the
 	// cache tiers, whose contents — and so counters — persist process-wide),
 	// so each report starts them from zero.
@@ -87,8 +78,6 @@ func writeReport(w, errW io.Writer, cfg reportConfig) error {
 		Branches:        cfg.branches,
 		NoAnnotate:      cfg.noAnnotate,
 		NoTally:         cfg.noTally,
-		NoCurveArtifact: cfg.noCurveArtifact,
-		NoModelArtifact: cfg.noModelArtifact,
 		SegmentBranches: cfg.segmentBranches,
 		TraceFile:       cfg.traceFile,
 	})
@@ -156,13 +145,18 @@ func writeReport(w, errW io.Writer, cfg reportConfig) error {
 	}
 
 	if cfg.progress {
-		tiers := exp.CacheTiers()
+		tiers := map[string]artifact.TierStats{}
+		for _, tier := range exp.CacheTiers() {
+			tiers[tier.Name] = tier.Stats
+		}
+		trace, ann := tiers["trace-memo"], tiers["annotated-stream"]
+		bucket, model, curve, disk := tiers["bucket-stream"], tiers["model-stats"], tiers["curve"], tiers["artifact-disk"]
 		pHits, pMisses := session.Stats()
 		fmt.Fprintf(errW, "pass cache: %d hits, %d misses; trace cache: %d hits, %d misses (%.1f MB resident); annotated cache: %d hits, %d misses (%.1f MB resident); bucket cache: %d hits, %d misses; model cache: %d hits, %d misses; curve cache: %d hits, %d misses; artifact disk: %d hits, %d misses\n",
-			pHits, pMisses, tiers[0].Stats.Hits, tiers[0].Stats.Misses, float64(tiers[0].Stats.ResidentBytes)/(1<<20),
-			tiers[1].Stats.Hits, tiers[1].Stats.Misses, float64(tiers[1].Stats.ResidentBytes)/(1<<20),
-			tiers[2].Stats.Hits, tiers[2].Stats.Misses, tiers[3].Stats.Hits, tiers[3].Stats.Misses,
-			tiers[4].Stats.Hits, tiers[4].Stats.Misses, tiers[5].Stats.Hits, tiers[5].Stats.Misses)
+			pHits, pMisses, trace.Hits, trace.Misses, float64(trace.ResidentBytes)/(1<<20),
+			ann.Hits, ann.Misses, float64(ann.ResidentBytes)/(1<<20),
+			bucket.Hits, bucket.Misses, model.Hits, model.Misses,
+			curve.Hits, curve.Misses, disk.Hits, disk.Misses)
 	}
 	if cfg.cacheStats {
 		pHits, pMisses := session.Stats()
@@ -185,6 +179,19 @@ func writeReport(w, errW io.Writer, cfg reportConfig) error {
 		}
 	}
 	return nil
+}
+
+// tierBoundUsage is the -annotate-cache-mb help text, shared by the
+// one-shot run and the daemon.
+const tierBoundUsage = "resident bound in MiB for each in-memory engine tier: annotated streams with their flat views, bucket streams, model counts, curves (0 = unbounded)"
+
+// setTierBounds bounds the resident bytes of every bounded in-memory
+// engine tier; the trace memo stays unbounded.
+func setTierBounds(bytes uint64) {
+	sim.SetAnnotatedCacheBound(bytes)
+	sim.SetTallyCacheDefaultBound(bytes)
+	exp.SetCurveCacheDefaultBound(bytes)
+	exp.SetModelCacheDefaultBound(bytes)
 }
 
 // printCacheStats renders one cache tier's counters for the -cache-stats

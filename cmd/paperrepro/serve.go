@@ -34,12 +34,9 @@ func serveMain(args []string, stdout, errW io.Writer) error {
 	var (
 		listen        = fs.String("listen", "127.0.0.1:8091", "listen address (host:port; port 0 picks a free port, printed on stderr)")
 		parallel      = fs.Int("parallel", runtime.NumCPU(), "max concurrent experiments within one request, and the process-wide simulation-unit bound")
-		annCacheMB    = fs.Uint64("annotate-cache-mb", 256, "resident bound for the annotated-stream cache in MiB (0 = unbounded)")
-		bucketCacheMB = fs.Int64("bucket-cache-mb", -1, "resident bound for the bucket-stream cache in MiB (0 = unbounded, -1 = follow -annotate-cache-mb)")
+		annCacheMB    = fs.Uint64("annotate-cache-mb", 256, tierBoundUsage)
 		noAnnotate    = fs.Bool("no-annotate", false, "disable the two-stage annotated engine (byte-identical, for benchmarking)")
 		noTally       = fs.Bool("no-tally", false, "disable the stage-3 tally engine (byte-identical, for benchmarking)")
-		noCurveArt    = fs.Bool("no-curve-artifact", false, "disable the curve memo/disk tier (byte-identical, for A/B benchmarking)")
-		noModelArt    = fs.Bool("no-model-artifact", false, "disable the cycle-model memo/disk tier (byte-identical, for A/B benchmarking)")
 		artifactDir   = fs.String("artifact-dir", "", "persist engine artifacts in this directory for warm starts across restarts (\"auto\" = user cache dir; empty = disabled)")
 		artifactMB    = fs.Uint64("artifact-disk-mb", 1024, "disk budget for -artifact-dir in MiB, LRU-evicted by access time (0 = unbounded)")
 		noArtifact    = fs.Bool("no-artifact", false, "ignore -artifact-dir (byte-identical, for A/B benchmarking)")
@@ -103,13 +100,7 @@ func serveMain(args []string, stdout, errW io.Writer) error {
 		defer artifact.SetDefault(nil)
 		defer store.Close()
 	}
-	sim.SetAnnotatedCacheBound(*annCacheMB << 20)
-	sim.SetTallyCacheDefaultBound(*annCacheMB << 20)
-	exp.SetCurveCacheDefaultBound(*annCacheMB << 20)
-	exp.SetModelCacheDefaultBound(*annCacheMB << 20)
-	if *bucketCacheMB >= 0 {
-		sim.SetBucketCacheBound(uint64(*bucketCacheMB) << 20)
-	}
+	setTierBounds(*annCacheMB << 20)
 	sim.SetParallelism(*parallel)
 	sim.ResetStreamStats()
 	if *cacheStats {
@@ -119,10 +110,8 @@ func serveMain(args []string, stdout, errW io.Writer) error {
 
 	srv := serve.New(serve.Config{
 		Defaults: exp.Config{
-			NoAnnotate:      *noAnnotate,
-			NoTally:         *noTally,
-			NoCurveArtifact: *noCurveArt,
-			NoModelArtifact: *noModelArt,
+			NoAnnotate: *noAnnotate,
+			NoTally:    *noTally,
 		},
 		Parallel:          *parallel,
 		MaxSessions:       *maxSessions,

@@ -1,15 +1,12 @@
 package exp
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"math"
-	"runtime/pprof"
 	"sync"
-	"sync/atomic"
 
 	"branchconf/internal/analysis"
 	"branchconf/internal/artifact"
@@ -33,50 +30,23 @@ import (
 // Warm runs served from this tier also skip BuildCurve and the composite
 // build entirely: CurveSet defers CompositePooled/CompositeDistinct/Single
 // until something actually needs the weighted composite, which on a full
-// curve hit is never. Config.NoCurveArtifact bypasses the tier (memory
-// and disk) for A/B runs; results are byte-identical either way because
+// curve hit is never. Results are byte-identical to a direct build because
 // the codec round-trips every float through its exact bit pattern.
 
-// curveCache is the process-wide curve memo, a sibling of the annotated
-// and bucket-stream byteLRUs. Its resident bound follows the annotated
-// budget unless SetCurveCacheBound overrides it.
-var curveCache memo.ByteLRU
-
-var curveHits, curveMisses atomic.Uint64
-
-// curveBoundOverridden records an explicit SetCurveCacheBound call, after
-// which SetCurveCacheDefaultBound no longer tracks the annotated bound.
-var curveBoundOverridden atomic.Bool
-
-// SetCurveCacheBound bounds the resident payload bytes of the curve cache,
-// overriding the default of following the annotated cache's bound. 0
-// removes the bound.
-func SetCurveCacheBound(bytes uint64) {
-	curveBoundOverridden.Store(true)
-	curveCache.SetBound(bytes)
+// CurveTier is the process-wide curve tier, persisted as KindCurve
+// records. The memory key is the store key itself.
+var CurveTier = &memo.Tier[string, analysis.Curve]{
+	Name:   "curve",
+	Kind:   artifact.KindCurve,
+	Key:    func(k string) string { return k },
+	Encode: marshalCurve,
+	Decode: unmarshalCurve,
+	Size:   func(cv analysis.Curve) uint64 { return uint64(len(cv)) * curvePointWire },
 }
 
-// SetCurveCacheDefaultBound points the curve cache at the shared
-// -annotate-cache-mb budget figure; an explicit SetCurveCacheBound wins.
-func SetCurveCacheDefaultBound(bytes uint64) {
-	if !curveBoundOverridden.Load() {
-		curveCache.SetBound(bytes)
-	}
-}
-
-// CurveCacheReport returns the curve cache's observability quad.
-func CurveCacheReport() artifact.TierStats {
-	r, e := curveCache.Usage()
-	return artifact.TierStats{Hits: curveHits.Load(), Misses: curveMisses.Load(), Evictions: e, ResidentBytes: r}
-}
-
-// ResetCurveCache drops every cached curve and zeroes the counters. The
-// bound (and whether it was overridden) is retained.
-func ResetCurveCache() {
-	curveCache.Reset()
-	curveHits.Store(0)
-	curveMisses.Store(0)
-}
+// SetCurveCacheDefaultBound bounds the resident payload bytes of the curve
+// tier. 0 removes the bound.
+func SetCurveCacheDefaultBound(bytes uint64) { CurveTier.SetBound(bytes) }
 
 // CurveSet is one composite's worth of curves: a set of runs plus a
 // composite mode, from which any number of reductions (the identity curve
@@ -167,27 +137,10 @@ func (c *CurveSet) build(fn func(uint64) uint64) analysis.Curve {
 
 // curve serves one (tallies, mode, reduction) curve through the tier:
 // process memo first, disk artifact second, direct build last. Concurrent
-// claimants of one key share a single build.
+// claimants of one key share a single build, which cannot fail.
 func (c *CurveSet) curve(desc string, fn func(uint64) uint64) analysis.Curve {
-	if c.s.cfg.NoCurveArtifact {
-		return c.build(fn)
-	}
 	key := curveArtifactKey(c.contentHash(), c.mode, desc)
-	e, owner := curveCache.Claim(key)
-	if !owner {
-		curveHits.Add(1)
-		<-e.Done
-		cv, _ := e.Val.(analysis.Curve)
-		return cv
-	}
-	curveMisses.Add(1)
-	cv, fromDisk := curveFromDisk(key)
-	if !fromDisk {
-		cv = c.build(fn)
-		curveToDisk(key, cv)
-	}
-	e.Val = cv
-	curveCache.Finish(e, uint64(len(cv))*curvePointWire)
+	cv, _ := CurveTier.Get(key, nil, func() (analysis.Curve, error) { return c.build(fn), nil })
 	return cv
 }
 
@@ -250,37 +203,4 @@ func unmarshalCurve(data []byte) (analysis.Curve, error) {
 		}
 	}
 	return cv, nil
-}
-
-// curveFromDisk consults the persistent artifact tier on an in-memory
-// miss. ok distinguishes a served curve (possibly nil — empty curves are
-// legitimate) from a miss; a record failing the type-level decode is
-// dropped fail-closed and rebuilt.
-func curveFromDisk(key string) (cv analysis.Curve, ok bool) {
-	s := artifact.Default()
-	if s == nil {
-		return nil, false
-	}
-	pprof.Do(context.Background(), pprof.Labels("stage", "curve-load"), func(context.Context) {
-		payload, got := s.Get(artifact.KindCurve, key)
-		if !got {
-			return
-		}
-		dec, err := unmarshalCurve(payload)
-		if err != nil {
-			s.Drop(artifact.KindCurve, key)
-			return
-		}
-		cv, ok = dec, true
-	})
-	return cv, ok
-}
-
-// curveToDisk publishes a freshly built curve to the persistent tier, best
-// effort; the store owns retry and degradation, so its error is
-// deliberately ignored.
-func curveToDisk(key string, cv analysis.Curve) {
-	if s := artifact.Default(); s != nil {
-		_ = s.Put(artifact.KindCurve, key, marshalCurve(cv))
-	}
 }

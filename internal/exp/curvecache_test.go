@@ -131,11 +131,11 @@ func TestCurveKeyFromMemoizedDigests(t *testing.T) {
 	}
 
 	cv := memoized.Curve()
-	tier := CurveCacheReport()
+	tier := CurveTier.Stats()
 	if got := adHoc.Curve(); !reflect.DeepEqual(got, cv) {
 		t.Fatal("ad-hoc run list served a different curve")
 	}
-	if r := CurveCacheReport(); r.Hits != tier.Hits+1 || r.Misses != tier.Misses {
+	if r := CurveTier.Stats(); r.Hits != tier.Hits+1 || r.Misses != tier.Misses {
 		t.Fatalf("ad-hoc curve: hits %d→%d, misses %d→%d; want one hit, no build", tier.Hits, r.Hits, tier.Misses, r.Misses)
 	}
 }
@@ -161,12 +161,12 @@ func TestWarmSessionHashesNothing(t *testing.T) {
 	}
 	cold, _ := run()
 
-	digests, tier := sim.DigestsComputed(), CurveCacheReport()
+	digests, tier := sim.DigestsComputed(), CurveTier.Stats()
 	warm, curves := run()
 	if n := sim.DigestsComputed() - digests; n != 0 {
 		t.Errorf("warm figures hashed %d run digests, want 0", n)
 	}
-	r := CurveCacheReport()
+	r := CurveTier.Stats()
 	if r.Misses != tier.Misses {
 		t.Errorf("warm figures built %d curves, want 0", r.Misses-tier.Misses)
 	}

@@ -79,7 +79,7 @@ func TestSharedSessionMatchesIsolatedRuns(t *testing.T) {
 	// regenerated from the synthetic walk (cold materialization cache).
 	want := make(map[string][]byte)
 	for _, id := range ids {
-		workload.ResetMaterializeCache()
+		workload.TraceTier.Reset()
 		e, err := ByID(id)
 		if err != nil {
 			t.Fatal(err)
@@ -90,7 +90,7 @@ func TestSharedSessionMatchesIsolatedRuns(t *testing.T) {
 		}
 		want[id] = artefactBytes(t, o)
 	}
-	workload.ResetMaterializeCache()
+	workload.TraceTier.Reset()
 
 	// Shared engine run: all experiments concurrently on one session.
 	session := NewSession(cfg)

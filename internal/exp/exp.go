@@ -26,15 +26,6 @@ type Config struct {
 	// engine: factorable mechanisms replay per-variant instead of sharing
 	// geometry-keyed bucket streams. Results are byte-identical either way.
 	NoTally bool
-	// NoCurveArtifact disables the curve tier: every curve is built
-	// directly from its composite instead of being served from the
-	// content-hash-keyed memo and disk artifact. Results are byte-identical
-	// either way; the switch exists for A/B benchmarking.
-	NoCurveArtifact bool
-	// NoModelArtifact disables the model tier: every cycle-driven
-	// application model runs live instead of serving its count vector from
-	// the memo and disk artifact. Results are byte-identical either way.
-	NoModelArtifact bool
 	// SegmentBranches, when non-zero, routes suite passes through the
 	// segmented streaming engine: traces are walked in segments of this
 	// many branches with bounded resident memory and checkpointed resume,

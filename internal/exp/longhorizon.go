@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"branchconf/internal/analysis"
 	"branchconf/internal/core"
 	"branchconf/internal/sim"
 	"branchconf/internal/workload"
@@ -96,12 +95,7 @@ func runLongHorizon(s *Session) (*Output, error) {
 		fmt.Fprintf(&b, "%17d  %5.2f  ", h, miss)
 		o.Scalars[fmt.Sprintf("miss%%@%d", h)] = miss
 		for i, m := range mechs {
-			var curve analysis.Curve
-			if cfg.NoCurveArtifact {
-				curve = analysis.BuildCurve(analysis.CompositePooled(rs[i].Stats()))
-			} else {
-				curve = s.Pooled(rs[i].Runs).Curve()
-			}
+			curve := s.Pooled(rs[i].Runs).Curve()
 			cov := curve.MispredsAt(20)
 			fmt.Fprintf(&b, "%17.2f%%", cov)
 			o.Scalars[fmt.Sprintf("%s@20%%@%d", m.label, h)] = cov

@@ -1,11 +1,8 @@
 package exp
 
 import (
-	"context"
 	"encoding/binary"
 	"fmt"
-	"runtime/pprof"
-	"sync/atomic"
 
 	"branchconf/internal/artifact"
 	"branchconf/internal/memo"
@@ -19,8 +16,8 @@ import (
 // those lanes from the engine's annotated and bucket tiers (modellanes.go),
 // so it walks no predictor or estimator of its own; the machines then cost
 // a few tens of nanoseconds per branch. Their count vectors memoize and
-// persist exactly like curves: a process-wide byteLRU in front of a
-// KindModelStats disk artifact, keyed by everything the counts are a pure
+// persist exactly like curves: a memo.Tier in front of a KindModelStats
+// disk artifact, keyed by everything the counts are a pure
 // function of. One record holds a model configuration's vectors for the
 // whole suite, in suite order, so a warm report reads one small record per
 // configuration rather than one per benchmark. Every derived figure (IPC,
@@ -35,43 +32,22 @@ import (
 // fails it with a reminder to bump this constant.
 const modelVersion = 1
 
-// modelCache is the process-wide model-stats memo. Entries are a few
-// hundred bytes each; the bound exists for symmetry with the other tiers
-// and follows the annotated budget unless overridden.
-var modelCache memo.ByteLRU
-
-var modelHits, modelMisses atomic.Uint64
-
-var modelBoundOverridden atomic.Bool
-
-// SetModelCacheBound bounds the resident payload bytes of the model cache,
-// overriding the default of following the annotated cache's bound. 0
-// removes the bound.
-func SetModelCacheBound(bytes uint64) {
-	modelBoundOverridden.Store(true)
-	modelCache.SetBound(bytes)
+// ModelTier is the process-wide model-stats tier, persisted as
+// KindModelStats records. Entries are a few hundred bytes each; the bound
+// exists for symmetry with the other tiers. The memory key is the store
+// key itself.
+var ModelTier = &memo.Tier[string, []uint64]{
+	Name:   "model-stats",
+	Kind:   artifact.KindModelStats,
+	Key:    func(k string) string { return k },
+	Encode: marshalCounts,
+	Decode: unmarshalCounts,
+	Size:   func(counts []uint64) uint64 { return uint64(len(counts)) * 8 },
 }
 
-// SetModelCacheDefaultBound points the model cache at the shared
-// -annotate-cache-mb budget figure; an explicit SetModelCacheBound wins.
-func SetModelCacheDefaultBound(bytes uint64) {
-	if !modelBoundOverridden.Load() {
-		modelCache.SetBound(bytes)
-	}
-}
-
-// ModelCacheReport returns the model cache's observability quad.
-func ModelCacheReport() artifact.TierStats {
-	r, e := modelCache.Usage()
-	return artifact.TierStats{Hits: modelHits.Load(), Misses: modelMisses.Load(), Evictions: e, ResidentBytes: r}
-}
-
-// ResetModelCache drops every cached model result and zeroes the counters.
-func ResetModelCache() {
-	modelCache.Reset()
-	modelHits.Store(0)
-	modelMisses.Store(0)
-}
+// SetModelCacheDefaultBound bounds the resident payload bytes of the model
+// tier. 0 removes the bound.
+func SetModelCacheDefaultBound(bytes uint64) { ModelTier.SetBound(bytes) }
 
 // modelKey builds the canonical model-tier key: model version, model name,
 // the benchmarks the record covers (suiteName), branch budget, and the
@@ -90,39 +66,7 @@ func modelKey(model, suite string, branches uint64, params string) string {
 // model whose count set changed without a version bump costs a rebuild,
 // never a panic in an unpacker.
 func (s *Session) modelCounts(key string, want int, build func() ([]uint64, error)) ([]uint64, error) {
-	if s.cfg.NoModelArtifact {
-		return build()
-	}
-	e, owner := modelCache.Claim(key)
-	if !owner {
-		modelHits.Add(1)
-		<-e.Done
-		if e.Err != nil {
-			return nil, e.Err
-		}
-		return e.Val.([]uint64), nil
-	}
-	modelMisses.Add(1)
-	counts, ok := modelFromDisk(key)
-	if ok && len(counts) != want {
-		if st := artifact.Default(); st != nil {
-			st.Drop(artifact.KindModelStats, key)
-		}
-		ok = false
-	}
-	if !ok {
-		var err error
-		counts, err = build()
-		if err != nil {
-			e.Err = err
-			modelCache.Finish(e, 0)
-			return nil, err
-		}
-		modelToDisk(key, counts)
-	}
-	e.Val = counts
-	modelCache.Finish(e, uint64(len(counts))*8)
-	return counts, nil
+	return ModelTier.Get(key, func(counts []uint64) bool { return len(counts) == want }, build)
 }
 
 // marshalCounts frames a count vector for the artifact tier.
@@ -151,33 +95,4 @@ func unmarshalCounts(data []byte) ([]uint64, error) {
 		counts[i] = binary.LittleEndian.Uint64(data[i*8:])
 	}
 	return counts, nil
-}
-
-// modelFromDisk consults the persistent tier on an in-memory miss; a record
-// failing the type-level decode is dropped fail-closed and re-run.
-func modelFromDisk(key string) (counts []uint64, ok bool) {
-	s := artifact.Default()
-	if s == nil {
-		return nil, false
-	}
-	pprof.Do(context.Background(), pprof.Labels("stage", "model-load"), func(context.Context) {
-		payload, got := s.Get(artifact.KindModelStats, key)
-		if !got {
-			return
-		}
-		dec, err := unmarshalCounts(payload)
-		if err != nil {
-			s.Drop(artifact.KindModelStats, key)
-			return
-		}
-		counts, ok = dec, true
-	})
-	return counts, ok
-}
-
-// modelToDisk publishes a freshly computed count vector, best effort.
-func modelToDisk(key string, counts []uint64) {
-	if s := artifact.Default(); s != nil {
-		_ = s.Put(artifact.KindModelStats, key, marshalCounts(counts))
-	}
 }

@@ -196,13 +196,13 @@ func TestWarmSessionWalksNoPredictor(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs six experiments twice")
 	}
-	sim.ResetAnnotatedCache()
-	sim.ResetBucketCache()
-	ResetModelCache()
-	defer sim.ResetAnnotatedCache()
-	defer sim.ResetBucketCache()
-	defer ResetModelCache()
-	defer workload.ResetMaterializeCache()
+	sim.AnnotatedTier.Reset()
+	sim.BucketTier.Reset()
+	ModelTier.Reset()
+	defer sim.AnnotatedTier.Reset()
+	defer sim.BucketTier.Reset()
+	defer ModelTier.Reset()
+	defer workload.TraceTier.Reset()
 
 	ids := []string{"pipeline", "dualpath-ipc", "apps", "gating", "ablation-costsplit", "baseline"}
 	s := NewSession(Config{Branches: 3000})
@@ -222,7 +222,7 @@ func TestWarmSessionWalksNoPredictor(t *testing.T) {
 		return out
 	}
 	cold := run()
-	ann, buckets, models := sim.AnnotatedCacheReport(), sim.BucketCacheReport(), ModelCacheReport()
+	ann, buckets, models := sim.AnnotatedTier.Stats(), sim.BucketTier.Stats(), ModelTier.Stats()
 	if models.Misses == 0 {
 		t.Fatal("cold run built no model vectors")
 	}
@@ -230,13 +230,13 @@ func TestWarmSessionWalksNoPredictor(t *testing.T) {
 	if !reflect.DeepEqual(warm, cold) {
 		t.Fatal("warm rerun renders differently")
 	}
-	if got := sim.AnnotatedCacheReport().Misses; got != ann.Misses {
+	if got := sim.AnnotatedTier.Stats().Misses; got != ann.Misses {
 		t.Errorf("warm rerun walked predictors: annotated-stream misses %d -> %d", ann.Misses, got)
 	}
-	if got := sim.BucketCacheReport().Misses; got != buckets.Misses {
+	if got := sim.BucketTier.Stats().Misses; got != buckets.Misses {
 		t.Errorf("warm rerun walked tables: bucket-stream misses %d -> %d", buckets.Misses, got)
 	}
-	if got := ModelCacheReport().Misses; got != models.Misses {
+	if got := ModelTier.Stats().Misses; got != models.Misses {
 		t.Errorf("warm rerun built model vectors: model misses %d -> %d", models.Misses, got)
 	}
 }

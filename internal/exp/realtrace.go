@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"branchconf/internal/analysis"
 	"branchconf/internal/core"
 	"branchconf/internal/predictor"
 	"branchconf/internal/sim"
@@ -145,12 +144,7 @@ func runRealTrace(s *Session) (*Output, error) {
 				fmt.Fprintf(&b, "  %18s", "—")
 				continue
 			}
-			var curve analysis.Curve
-			if cfg.NoCurveArtifact {
-				curve = analysis.BuildCurve(analysis.CompositePooled(rs[ri].Stats()))
-			} else {
-				curve = s.Pooled(rs[ri].Runs).Curve()
-			}
+			curve := s.Pooled(rs[ri].Runs).Curve()
 			cov := curve.MispredsAt(20)
 			fmt.Fprintf(&b, "  %17.2f%%", cov)
 			o.Scalars[leg.pred.Key+"/"+c.label+"@20%"] = cov

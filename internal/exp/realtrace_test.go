@@ -76,10 +76,9 @@ func TestRealTraceEnginesAgree(t *testing.T) {
 		}
 	}
 	variants := map[string]Config{
-		"batched":           {TraceFile: path, NoAnnotate: true},
-		"no-tally":          {TraceFile: path, NoTally: true},
-		"streaming":         {TraceFile: path, SegmentBranches: 512},
-		"no-curve-artifact": {TraceFile: path, NoCurveArtifact: true},
+		"batched":   {TraceFile: path, NoAnnotate: true},
+		"no-tally":  {TraceFile: path, NoTally: true},
+		"streaming": {TraceFile: path, SegmentBranches: 512},
 	}
 	for name, cfg := range variants {
 		out, err := e.RunOnce(cfg)

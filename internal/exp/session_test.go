@@ -22,9 +22,9 @@ import (
 // the constructors) while the rest block on the entry and share the result.
 // Run under -race in CI.
 func TestSessionConcurrentClaimants(t *testing.T) {
-	sim.ResetAnnotatedCache()
-	defer sim.ResetAnnotatedCache()
-	defer workload.ResetMaterializeCache()
+	sim.AnnotatedTier.Reset()
+	defer sim.AnnotatedTier.Reset()
+	defer workload.TraceTier.Reset()
 
 	var predBuilds, mechBuilds atomic.Int64
 	pred := PredSpec{Key: "gshare-64K", New: func() predictor.Predictor {
@@ -89,9 +89,9 @@ func TestSessionConcurrentClaimants(t *testing.T) {
 // request sharing the result, and pool-wide stats counting each request's
 // claim. Run under -race in CI.
 func TestSessionCrossRequestSingleFlight(t *testing.T) {
-	sim.ResetAnnotatedCache()
-	defer sim.ResetAnnotatedCache()
-	defer workload.ResetMaterializeCache()
+	sim.AnnotatedTier.Reset()
+	defer sim.AnnotatedTier.Reset()
+	defer workload.TraceTier.Reset()
 
 	var mechBuilds atomic.Int64
 	pred := Pred(func() predictor.Predictor { return predictor.Gshare64K() })
@@ -154,9 +154,9 @@ func TestSessionCrossRequestSingleFlight(t *testing.T) {
 // through the pass cache directly (the engine has no injectable failure
 // path), which is exactly the layer the contract lives in.
 func TestSessionErroredClaimantMidFlight(t *testing.T) {
-	sim.ResetAnnotatedCache()
-	defer sim.ResetAnnotatedCache()
-	defer workload.ResetMaterializeCache()
+	sim.AnnotatedTier.Reset()
+	defer sim.AnnotatedTier.Reset()
+	defer workload.TraceTier.Reset()
 
 	pred := Pred(func() predictor.Predictor { return predictor.Gshare64K() })
 	mech := Mech(func() core.Mechanism { return core.PaperResetting() })
@@ -214,9 +214,9 @@ func TestSessionErroredClaimantMidFlight(t *testing.T) {
 // bound the pass cache evicts completed passes LRU-first, and an evicted
 // pass is re-simulated (a miss) on the next claim rather than served.
 func TestSessionPassEviction(t *testing.T) {
-	sim.ResetAnnotatedCache()
-	defer sim.ResetAnnotatedCache()
-	defer workload.ResetMaterializeCache()
+	sim.AnnotatedTier.Reset()
+	defer sim.AnnotatedTier.Reset()
+	defer workload.TraceTier.Reset()
 
 	pred := Pred(func() predictor.Predictor { return predictor.Gshare64K() })
 	mech := Mech(func() core.Mechanism { return core.PaperResetting() })
@@ -268,9 +268,9 @@ func TestAnnotatedMatchesInterleavedArtefacts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a registry slice twice")
 	}
-	sim.ResetAnnotatedCache()
-	defer sim.ResetAnnotatedCache()
-	defer workload.ResetMaterializeCache()
+	sim.AnnotatedTier.Reset()
+	defer sim.AnnotatedTier.Reset()
+	defer workload.TraceTier.Reset()
 
 	// baseline matters here: it sweeps every registered predictor,
 	// including the target-reading BTFN and agree predictors.
@@ -293,7 +293,7 @@ func TestAnnotatedMatchesInterleavedArtefacts(t *testing.T) {
 			t.Errorf("%s: annotated-engine artefact differs from interleaved engine", id)
 		}
 	}
-	if rep := sim.AnnotatedCacheReport(); rep.Hits == 0 && rep.Misses == 0 {
+	if rep := sim.AnnotatedTier.Stats(); rep.Hits == 0 && rep.Misses == 0 {
 		t.Error("annotated engine did not touch the annotated cache")
 	}
 }

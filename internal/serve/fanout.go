@@ -8,6 +8,7 @@ import (
 
 	"branchconf/internal/artifact"
 	"branchconf/internal/exp"
+	"branchconf/internal/memo"
 )
 
 // Sharded experiment fan-out. The (experiment, benchmark) unit matrix of a
@@ -260,20 +261,26 @@ func partialArtifactKey(req ReportRequest, sh Shard) string {
 	return fmt.Sprintf("partial|fmt=%d|req{%s}|shard=%s", PartialFormatVersion, req.Key(), sh)
 }
 
+// partialTier carries partials through the artifact store (and so its
+// remote tier) under their store keys. Only its disk half is used: a
+// partial is published once and collected once.
+var partialTier = &memo.Tier[string, *PartialReport]{
+	Kind:   artifact.KindPartial,
+	Key:    func(k string) string { return k },
+	Encode: (*PartialReport).Encode,
+	Decode: DecodePartial,
+}
+
 // PublishPartial stores the shard's partial in the default artifact store
 // (and so, write-behind, in its remote tier), where a coordinator on any
 // machine can collect it. Reports whether a store was configured; the Put
 // itself is the store's usual best-effort contract.
 func PublishPartial(p *PartialReport) bool {
-	store := artifact.Default()
-	if store == nil {
-		return false
-	}
 	sh, err := ParseShard(p.Shard)
-	if err != nil {
+	if err != nil || artifact.Default() == nil {
 		return false
 	}
-	_ = store.Put(artifact.KindPartial, partialArtifactKey(p.Request, sh), p.Encode())
+	partialTier.Save(partialArtifactKey(p.Request, sh), p)
 	return true
 }
 
@@ -282,19 +289,7 @@ func PublishPartial(p *PartialReport) bool {
 // that fails to decode or does not match its key is dropped fail-closed
 // and reported as a miss, like any corrupt artifact.
 func FetchPartial(req ReportRequest, sh Shard) (*PartialReport, bool) {
-	store := artifact.Default()
-	if store == nil {
-		return nil, false
-	}
-	key := partialArtifactKey(req, sh)
-	payload, ok := store.Get(artifact.KindPartial, key)
-	if !ok {
-		return nil, false
-	}
-	p, err := DecodePartial(payload)
-	if err != nil || p.Shard != sh.String() || p.Request.Key() != req.Key() {
-		store.Drop(artifact.KindPartial, key)
-		return nil, false
-	}
-	return p, true
+	return partialTier.Load(partialArtifactKey(req, sh), func(p *PartialReport) bool {
+		return p.Shard == sh.String() && p.Request.Key() == req.Key()
+	})
 }

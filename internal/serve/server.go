@@ -69,14 +69,12 @@ type Server struct {
 	cfg     Config
 	pool    *exp.SessionPool
 	adm     *Admission
-	reports memo.ByteLRU
+	reports *memo.Tier[string, []byte] // rendered timing-free reports, memory only
 	mux     *http.ServeMux
 
 	requestsTotal  atomic.Uint64
 	requestsOK     atomic.Uint64
 	requestsFailed atomic.Uint64
-	reportHits     atomic.Uint64
-	reportMisses   atomic.Uint64
 	pressureEvents atomic.Uint64
 
 	janitorStop chan struct{}
@@ -91,9 +89,13 @@ func New(cfg Config) *Server {
 		cfg.ReportCacheBytes = DefaultReportCacheBytes
 	}
 	s := &Server{
-		cfg:         cfg,
-		pool:        exp.NewSessionPool(cfg.MaxSessions, cfg.PassCacheBytes),
-		adm:         NewAdmission(cfg.MaxInflight, cfg.MaxQueue, cfg.QueueTimeout),
+		cfg:  cfg,
+		pool: exp.NewSessionPool(cfg.MaxSessions, cfg.PassCacheBytes),
+		adm:  NewAdmission(cfg.MaxInflight, cfg.MaxQueue, cfg.QueueTimeout),
+		reports: &memo.Tier[string, []byte]{
+			Name: "report",
+			Size: func(b []byte) uint64 { return uint64(len(b)) },
+		},
 		janitorStop: make(chan struct{}),
 		janitorDone: make(chan struct{}),
 	}
@@ -161,7 +163,7 @@ func (s *Server) janitor() {
 				continue
 			}
 			s.pool.Trim()
-			s.reports.Reset()
+			s.reports.Release()
 			s.pressureEvents.Add(1)
 			runtime.GC()
 		}
@@ -236,25 +238,12 @@ func (s *Server) report(ctx context.Context, req ReportRequest) (_ []byte, cache
 		b, err := s.build(ctx, req)
 		return b, false, err
 	}
-	e, owner := s.reports.Claim(req.Key())
-	if !owner {
-		<-e.Done
-		if e.Err != nil {
-			return nil, false, e.Err
-		}
-		s.reportHits.Add(1)
-		return e.Val.([]byte), true, nil
-	}
-	s.reportMisses.Add(1)
-	b, err := s.build(ctx, req)
-	if err != nil {
-		e.Err = err
-		s.reports.Finish(e, 0)
-		return nil, false, err
-	}
-	e.Val = b
-	s.reports.Finish(e, uint64(len(b)))
-	return b, false, nil
+	built := false
+	b, err := s.reports.Get(req.Key(), nil, func() ([]byte, error) {
+		built = true
+		return s.build(ctx, req)
+	})
+	return b, !built && err == nil, err
 }
 
 // build renders one report against the pooled session for the request's
@@ -294,12 +283,13 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	snap := SnapshotCacheStats(hits, misses, s.cfg.HeapStats)
 	inflight, queued := s.adm.Gauges()
 	full, timeout, draining := s.adm.Rejections()
+	reports := s.reports.Stats()
 	snap.Server = &ServerStatsJSON{
 		RequestsTotal:     s.requestsTotal.Load(),
 		RequestsOK:        s.requestsOK.Load(),
 		RequestsFailed:    s.requestsFailed.Load(),
-		ReportCacheHits:   s.reportHits.Load(),
-		ReportCacheMisses: s.reportMisses.Load(),
+		ReportCacheHits:   reports.Hits,
+		ReportCacheMisses: reports.Misses,
 		Inflight:          inflight,
 		Queued:            queued,
 		RejectedFull:      full,

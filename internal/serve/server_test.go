@@ -115,7 +115,7 @@ func TestServerCoalescesConcurrentRequests(t *testing.T) {
 			t.Fatalf("client %d got different bytes", g)
 		}
 	}
-	if misses := srv.reportMisses.Load(); misses != 1 {
+	if misses := srv.reports.Stats().Misses; misses != 1 {
 		t.Fatalf("report-cache misses = %d, want 1 (all clients coalesced)", misses)
 	}
 }
@@ -132,7 +132,7 @@ func TestServerTimingRequestsBypassCache(t *testing.T) {
 			t.Fatalf("request %d with timings served from the report cache", i)
 		}
 	}
-	if hits := srv.reportHits.Load(); hits != 0 {
+	if hits := srv.reports.Stats().Hits; hits != 0 {
 		t.Fatalf("report-cache hits = %d for timing requests, want 0", hits)
 	}
 }

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"branchconf/internal/artifact"
 	"branchconf/internal/core"
@@ -12,7 +11,7 @@ import (
 	"branchconf/internal/workload"
 )
 
-// Process-wide annotated-stream cache. The predictor stage of the engine is
+// Process-wide annotated-stream tier. The predictor stage of the engine is
 // a pure function of (benchmark spec, branch budget, predictor config), so
 // its outputs are memoized exactly like materialized traces:
 //
@@ -21,10 +20,10 @@ import (
 //   - annotated streams (mispredict + state bits, ~3/8 B/branch for gshare)
 //     are keyed by (spec, budget, predictor key).
 //
-// Both kinds live in one memo.ByteLRU instance, so they share a single
-// resident-bytes budget (SetAnnotatedCacheBound); the claim-or-wait and
-// LRU-eviction mechanics are the cache's. The stage-3 bucket-stream cache
-// (tally.go) is a sibling instance over the same machinery.
+// Flat views live in the annotated tier's memory (memo.Tier.ShareWith), so
+// both kinds share a single resident-bytes budget
+// (SetAnnotatedCacheBound). The stage-3 bucket-stream tier (tally.go) is a
+// sibling over the same machinery.
 
 type flatKey struct {
 	spec workload.Spec
@@ -37,12 +36,26 @@ type annKey struct {
 	predKey string
 }
 
-var annCache memo.ByteLRU
+// AnnotatedTier memoizes annotated streams, persisted as
+// KindAnnotatedStream records. Its counters count annotated-stream claims
+// (the expensive artifact); its resident bytes include the flat views
+// sharing its budget.
+var AnnotatedTier = &memo.Tier[annKey, *AnnotatedStream]{
+	Name:   "annotated-stream",
+	Kind:   artifact.KindAnnotatedStream,
+	Key:    func(k annKey) string { return annArtifactKey(k.spec, k.n, k.predKey) },
+	Encode: marshalAnnotatedStream,
+	Decode: unmarshalAnnotatedStream,
+	Size:   (*AnnotatedStream).Footprint,
+}
 
-// Cache observability counters. Hits and misses count annotated-stream
-// claims (the expensive artifact); flat views piggyback on the same keys
-// one level up.
-var annHits, annMisses atomic.Uint64
+// flatTier memoizes flat views in the annotated tier's memory; they are
+// cheap to rebuild from the trace memo, so they never reach the store.
+var flatTier = &memo.Tier[flatKey, *trace.FlatView]{
+	Name:      "flat-view",
+	Size:      (*trace.FlatView).Footprint,
+	ShareWith: AnnotatedTier,
+}
 
 // CacheStats is one cache's observability snapshot, as printed under the
 // paperrepro -cache-stats flag — the uniform hit/miss/eviction/resident
@@ -51,124 +64,40 @@ var annHits, annMisses atomic.Uint64
 type CacheStats = artifact.TierStats
 
 // SetAnnotatedCacheBound bounds the resident payload bytes of the annotated
-// cache (flat views plus annotated streams). 0 removes the bound. When an
-// insertion pushes the cache over the bound, completed entries are evicted
-// least-recently-used first; a single entry larger than the bound is still
-// admitted (and becomes the next eviction candidate).
-func SetAnnotatedCacheBound(bytes uint64) {
-	annCache.SetBound(bytes)
-}
-
-// AnnotatedCacheReport returns the annotated cache's observability quad
-// (claims of annotated streams; resident bytes include the flat views
-// sharing the budget).
-func AnnotatedCacheReport() CacheStats {
-	r, e := annCache.Usage()
-	return CacheStats{Hits: annHits.Load(), Misses: annMisses.Load(), Evictions: e, ResidentBytes: r}
-}
-
-// ResetAnnotatedCache drops every cached entry and zeroes the counters. The
-// bound is retained. Intended for tests and batch boundaries.
-func ResetAnnotatedCache() {
-	annCache.Reset()
-	annHits.Store(0)
-	annMisses.Store(0)
-}
-
-// flatFor returns the shared flat view for (spec, budget), building it from
-// the suite's replay buffer on first use.
-func flatFor(cfg SuiteConfig, spec workload.Spec, n uint64) (*trace.FlatView, error) {
-	e, owner := annCache.Claim(flatKey{spec: spec, n: n})
-	if !owner {
-		<-e.Done
-		flat, _ := e.Val.(*trace.FlatView)
-		return flat, e.Err
-	}
-	var flat *trace.FlatView
-	buf, err := cfg.buffer(spec)
-	if err != nil {
-		e.Err = err
-	} else {
-		flat = buf.Flatten()
-		e.Val = flat
-	}
-	var bytes uint64
-	if flat != nil {
-		bytes = flat.Footprint()
-	}
-	annCache.Finish(e, bytes)
-	return flat, e.Err
-}
+// tier (flat views plus annotated streams). 0 removes the bound.
+func SetAnnotatedCacheBound(bytes uint64) { AnnotatedTier.SetBound(bytes) }
 
 // annotatedFor returns the (flat view, annotated stream) pair for one
 // benchmark under one predictor config, running the predictor stage only on
-// a cache miss. Concurrent claimants of the same key share one build.
+// a miss in memory and on disk. Concurrent claimants of the same key share
+// one build.
 func annotatedFor(cfg SuiteConfig, spec workload.Spec, predKey string, newPred func() predictor.Predictor) (*trace.FlatView, *AnnotatedStream, error) {
 	n := cfg.Branches
 	if n == 0 {
 		n = spec.DefaultBranches
 	}
-	flat, err := flatFor(cfg, spec, n)
+	flat, err := flatTier.Get(flatKey{spec: spec, n: n}, nil, func() (*trace.FlatView, error) {
+		buf, err := cfg.buffer(spec)
+		if err != nil {
+			return nil, err
+		}
+		return buf.Flatten(), nil
+	})
 	if err != nil {
 		return nil, nil, err
 	}
-
-	e, owner := annCache.Claim(annKey{spec: spec, n: n, predKey: predKey})
-	if !owner {
-		annHits.Add(1)
-		<-e.Done
-		ann, _ := e.Val.(*AnnotatedStream)
-		return flat, ann, e.Err
-	}
-	annMisses.Add(1)
-	ann := annotatedFromDisk(spec, n, predKey, flat)
-	if ann == nil {
-		ann = Annotate(flat, newPred())
-		annotatedToDisk(spec, n, predKey, ann)
-	}
-	e.Val = ann
-	annCache.Finish(e, ann.Footprint())
-	return flat, ann, e.Err
+	// A stored stream must cover exactly the flat view's branches.
+	covers := func(ann *AnnotatedStream) bool { return ann.n == flat.Len() }
+	ann, err := AnnotatedTier.Get(annKey{spec: spec, n: n, predKey: predKey}, covers, func() (*AnnotatedStream, error) {
+		return Annotate(flat, newPred()), nil
+	})
+	return flat, ann, err
 }
 
 // annArtifactKey is the canonical disk-store key for one annotated stream:
 // codec version, full spec identity, resolved budget, and predictor config.
 func annArtifactKey(spec workload.Spec, n uint64, predKey string) string {
 	return fmt.Sprintf("ann|v%d|%s|n=%d|pred=%s", artifact.FormatVersion, spec.CacheKey(), n, predKey)
-}
-
-// annotatedFromDisk consults the persistent artifact tier on an in-memory
-// miss, returning nil when the tier is disabled, cold, or fails
-// verification (the predictor stage then runs as usual). The decoded
-// stream must cover exactly the flat view's branches; anything else is
-// treated as corruption and dropped.
-func annotatedFromDisk(spec workload.Spec, n uint64, predKey string, flat *trace.FlatView) *AnnotatedStream {
-	s := artifact.Default()
-	if s == nil {
-		return nil
-	}
-	key := annArtifactKey(spec, n, predKey)
-	payload, ok := s.Get(artifact.KindAnnotatedStream, key)
-	if !ok {
-		return nil
-	}
-	ann, err := unmarshalAnnotatedStream(payload)
-	if err != nil || ann.n != flat.Len() {
-		s.Drop(artifact.KindAnnotatedStream, key)
-		return nil
-	}
-	return ann
-}
-
-// annotatedToDisk publishes a freshly annotated stream to the persistent
-// tier, best effort: write failures only cost the next process a cold
-// start. The store retries transient faults and degrades itself after
-// repeated ones (artifact.TierStats.Degraded), so the error is deliberately
-// ignored here — failure policy lives in one place, the store.
-func annotatedToDisk(spec workload.Spec, n uint64, predKey string, ann *AnnotatedStream) {
-	if s := artifact.Default(); s != nil {
-		_ = s.Put(artifact.KindAnnotatedStream, annArtifactKey(spec, n, predKey), marshalAnnotatedStream(ann))
-	}
 }
 
 // Lanes returns one benchmark's per-branch lanes as the engine's tiers hold

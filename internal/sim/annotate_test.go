@@ -143,9 +143,9 @@ func TestAnnotateWithoutStateLane(t *testing.T) {
 // be byte-identical to the interleaved suite engine, and a second run must
 // be served from the annotated cache.
 func TestRunSuiteAnnotatedMatchesBatch(t *testing.T) {
-	defer ResetAnnotatedCache()
-	defer workload.ResetMaterializeCache()
-	ResetAnnotatedCache()
+	defer AnnotatedTier.Reset()
+	defer workload.TraceTier.Reset()
+	AnnotatedTier.Reset()
 	cfg := SuiteConfig{Branches: 8000}
 	newPred := func() predictor.Predictor { return predictor.Gshare64K() }
 	newMechs := []func() core.Mechanism{
@@ -164,7 +164,7 @@ func TestRunSuiteAnnotatedMatchesBatch(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("annotated suite diverges from batched suite")
 	}
-	rep := AnnotatedCacheReport()
+	rep := AnnotatedTier.Stats()
 	hits, misses, resident := rep.Hits, rep.Misses, rep.ResidentBytes
 	if hits != 0 {
 		t.Fatalf("first annotated run: want 0 hits, got %d", hits)
@@ -179,7 +179,7 @@ func TestRunSuiteAnnotatedMatchesBatch(t *testing.T) {
 	if !reflect.DeepEqual(again, want) {
 		t.Fatal("cached annotated suite diverges")
 	}
-	rep2 := AnnotatedCacheReport()
+	rep2 := AnnotatedTier.Stats()
 	hits2, misses2 := rep2.Hits, rep2.Misses
 	if hits2 == 0 {
 		t.Fatal("second annotated run took no cache hits")
@@ -194,9 +194,9 @@ func TestRunSuiteAnnotatedMatchesBatch(t *testing.T) {
 // only) as long as no mechanism needs predictor state, matching the
 // interleaved engine exactly.
 func TestRunSuiteAnnotatedUncoupledNonAnnotatingPredictor(t *testing.T) {
-	defer ResetAnnotatedCache()
-	defer workload.ResetMaterializeCache()
-	ResetAnnotatedCache()
+	defer AnnotatedTier.Reset()
+	defer workload.TraceTier.Reset()
+	AnnotatedTier.Reset()
 	cfg := SuiteConfig{Branches: 6000, Specs: workload.Suite()[:3]}
 	newPred := func() predictor.Predictor {
 		p, err := predictor.Build("gselect-64K")
@@ -224,10 +224,10 @@ func TestRunSuiteAnnotatedUncoupledNonAnnotatingPredictor(t *testing.T) {
 // TestAnnotatedCacheBound: a tight bound evicts LRU entries; results stay
 // correct because replays hold their own pointers.
 func TestAnnotatedCacheBound(t *testing.T) {
-	defer ResetAnnotatedCache()
-	defer workload.ResetMaterializeCache()
+	defer AnnotatedTier.Reset()
+	defer workload.TraceTier.Reset()
 	defer SetAnnotatedCacheBound(0)
-	ResetAnnotatedCache()
+	AnnotatedTier.Reset()
 	SetAnnotatedCacheBound(1) // evict everything on completion
 	cfg := SuiteConfig{Branches: 4000, Specs: workload.Suite()[:2]}
 	newPred := func() predictor.Predictor { return predictor.Gshare64K() }
@@ -245,7 +245,7 @@ func TestAnnotatedCacheBound(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("bounded annotated suite diverges from batched suite")
 	}
-	if resident := AnnotatedCacheReport().ResidentBytes; resident > 1 {
+	if resident := AnnotatedTier.Stats().ResidentBytes; resident > 1 {
 		t.Fatalf("bound 1 byte: resident %d bytes after run", resident)
 	}
 	// A rerun must still be correct (all misses, no stale state).

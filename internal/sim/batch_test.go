@@ -102,7 +102,7 @@ func TestRunSuiteBatchCachedSource(t *testing.T) {
 		}
 		return buf.Source(), nil
 	}
-	defer workload.ResetMaterializeCache()
+	defer workload.TraceTier.Reset()
 	newPred := func() predictor.Predictor { return predictor.Gshare64K() }
 	newMech := func() core.Mechanism { return core.PaperResetting() }
 	want, err := RunSuite(cfg, newPred, newMech)

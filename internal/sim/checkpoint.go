@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"branchconf/internal/artifact"
+	"branchconf/internal/memo"
 	"branchconf/internal/workload"
 )
 
@@ -87,3 +88,52 @@ func geomCkptKey(spec workload.Spec, n uint64, predKey, geom string, segSize, b 
 	return fmt.Sprintf("ckpt|v%d|%s|n=%d|pred=%s|geom=%s|segsz=%d|b=%d",
 		artifact.FormatVersion, spec.CacheKey(), n, predKey, geom, segSize, b)
 }
+
+// segKey names one of a streaming unit's records: the unit (benchmark,
+// budget, predictor config, segment size), the geometry for a geometry
+// lane's records ("" for the predictor's), and the segment index — or, for
+// a checkpoint, the boundary branch position.
+type segKey struct {
+	spec    workload.Spec
+	n       uint64
+	predKey string
+	geom    string
+	segSize uint64
+	at      uint64
+}
+
+// with returns k for geometry geom at segment index or boundary at.
+func (k segKey) with(geom string, at uint64) segKey {
+	k.geom, k.at = geom, at
+	return k
+}
+
+// The streaming engine's records use only the tiers' disk half: a walk
+// consumes each segment once, so no memory holds them.
+var (
+	annSegTier = &memo.Tier[segKey, *AnnotatedStream]{
+		Kind:   artifact.KindAnnotatedStream,
+		Key:    func(k segKey) string { return annSegKey(k.spec, k.n, k.predKey, k.segSize, int(k.at)) },
+		Encode: marshalAnnotatedStream,
+		Decode: unmarshalAnnotatedStream,
+	}
+	bucketSegTier = &memo.Tier[segKey, *BucketStream]{
+		Kind:   artifact.KindBucketStream,
+		Key:    func(k segKey) string { return bucketSegKey(k.spec, k.n, k.predKey, k.geom, k.segSize, int(k.at)) },
+		Encode: marshalBucketStream,
+		Decode: unmarshalBucketStream,
+	}
+	// ckptTier holds boundary checkpoints: the predictor's, or a
+	// geometry's factor state when the key names a geometry.
+	ckptTier = &memo.Tier[segKey, Checkpoint]{
+		Kind: artifact.KindCheckpoint,
+		Key: func(k segKey) string {
+			if k.geom == "" {
+				return predCkptKey(k.spec, k.n, k.predKey, k.segSize, k.at)
+			}
+			return geomCkptKey(k.spec, k.n, k.predKey, k.geom, k.segSize, k.at)
+		},
+		Encode: MarshalCheckpoint,
+		Decode: UnmarshalCheckpoint,
+	}
+)

@@ -18,9 +18,9 @@ import (
 // acquire and hang the test).
 func TestSetParallelismResizeMidSuite(t *testing.T) {
 	defer SetParallelism(0)
-	defer ResetAnnotatedCache()
-	defer workload.ResetMaterializeCache()
-	ResetAnnotatedCache()
+	defer AnnotatedTier.Reset()
+	defer workload.TraceTier.Reset()
+	AnnotatedTier.Reset()
 
 	cfg := SuiteConfig{Branches: 3000, Specs: workload.Suite()[:4]}
 	newPred := func() predictor.Predictor { return predictor.Gshare64K() }

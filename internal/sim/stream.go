@@ -258,10 +258,11 @@ func streamUnitOnce(cfg SuiteConfig, spec workload.Spec, predKey string, newPred
 	freeAnns := make(chan *AnnotatedStream, streamInflightSegments+2)
 	var prodWG sync.WaitGroup
 	prodWG.Add(1)
+	unit := segKey{spec: spec, n: budget, predKey: predKey, segSize: segSize}
 	go func() {
 		defer prodWG.Done()
 		defer close(ch)
-		streamProduce(cfg, spec, predKey, pred, budget, segSize, wantState, forceLive, ch, stop, freeBufs, freeAnns)
+		streamProduce(cfg, unit, pred, wantState, forceLive, ch, stop, freeBufs, freeAnns)
 	}()
 
 	var err error
@@ -277,7 +278,7 @@ consume:
 		scratch = flat
 		segN := uint64(flat.Len())
 		for _, g := range lanes {
-			if e := consumeSegGeom(g, spec, predKey, budget, segSize, flat, msg, cum, forceLive); e != nil {
+			if e := consumeSegGeom(g, unit, flat, msg, cum, forceLive); e != nil {
 				err = e
 				untrackInflight(msg.bytes)
 				break consume
@@ -347,20 +348,22 @@ consume:
 // boundary checkpoint when a warm segment left it stale. Each prepared
 // segment is handed over ch; a closed stop channel (consumer error) ends
 // production.
-func streamProduce(cfg SuiteConfig, spec workload.Spec, predKey string, pred predictor.Predictor, budget, segSize uint64, wantState, forceLive bool, ch chan<- segMsg, stop <-chan struct{}, freeBufs chan *trace.ReplayBuffer, freeAnns chan *AnnotatedStream) {
+func streamProduce(cfg SuiteConfig, unit segKey, pred predictor.Predictor, wantState, forceLive bool, ch chan<- segMsg, stop <-chan struct{}, freeBufs chan *trace.ReplayBuffer, freeAnns chan *AnnotatedStream) {
 	fail := func(err error) {
 		select {
 		case ch <- segMsg{err: err}:
 		case <-stop:
 		}
 	}
+	spec := unit.spec
 	src, err := cfg.source(spec)
 	if err != nil {
 		fail(err)
 		return
 	}
-	segr := trace.NewSegmenter(src, int(segSize))
+	segr := trace.NewSegmenter(src, int(unit.segSize))
 	ckpred, canCkpt := pred.(predictor.Checkpointer)
+	persist := artifact.Default() != nil
 	predValid := true // pred is trained exactly through the current boundary
 	var pos, cum uint64
 	for idx := 0; ; idx++ {
@@ -379,17 +382,32 @@ func streamProduce(cfg SuiteConfig, spec workload.Spec, predKey string, pred pre
 		}
 		heapwatch.Sample("stream-materialize")
 		var ann *AnnotatedStream
+		warm := false
 		if !forceLive {
-			ann = annSegFromDisk(spec, budget, predKey, segSize, idx, buf.Len(), wantState)
+			// A stored segment must have the segment's length and the
+			// state lane the live walk would produce.
+			segN := buf.Len()
+			ann, warm = annSegTier.Load(unit.with("", uint64(idx)), func(a *AnnotatedStream) bool {
+				return a.n == segN && a.HasState() == wantState
+			})
 		}
-		if ann != nil {
+		if warm {
 			// The predictor did not observe this segment; it can only
 			// continue from a boundary checkpoint.
 			predValid = false
 			streamSegWarm.Add(1)
 		} else {
 			if !predValid {
-				if !canCkpt || !restorePredCkpt(ckpred, spec, budget, predKey, segSize, pos, cum) {
+				// The checkpoint's position and cumulative misses must match
+				// the unit's own running totals before its state reaches the
+				// predictor codec.
+				restored := false
+				if canCkpt {
+					_, restored = ckptTier.Load(unit.with("", pos), func(c Checkpoint) bool {
+						return c.Branch == pos && c.Misses == cum && ckpred.RestoreState(c.State) == nil
+					})
+				}
+				if !restored {
 					fail(errStaleState)
 					return
 				}
@@ -405,15 +423,13 @@ func streamProduce(cfg SuiteConfig, spec workload.Spec, predKey string, pred pre
 				ann = annotateBufferInto(buf, pred, spare)
 			})
 			heapwatch.Sample("stream-annotate")
-			putArtifact(artifact.KindAnnotatedStream, annSegKey(spec, budget, predKey, segSize, idx), func() []byte { return marshalAnnotatedStream(ann) })
+			annSegTier.Save(unit.with("", uint64(idx)), ann)
 			streamSegLive.Add(1)
 		}
 		cum += ann.misses
 		pos += uint64(buf.Len())
-		if predValid && canCkpt && pos < budget {
-			putArtifact(artifact.KindCheckpoint, predCkptKey(spec, budget, predKey, segSize, pos), func() []byte {
-				return MarshalCheckpoint(Checkpoint{Branch: pos, Misses: cum, State: ckpred.MarshalState()})
-			})
+		if persist && predValid && canCkpt && pos < unit.n {
+			ckptTier.Save(unit.with("", pos), Checkpoint{Branch: pos, Misses: cum, State: ckpred.MarshalState()})
 		}
 		bytes := int64(buf.Footprint() + ann.Footprint())
 		trackInflight(bytes)
@@ -432,10 +448,10 @@ func streamProduce(cfg SuiteConfig, spec workload.Spec, predKey string, pred pre
 // checkpoint if a warm segment left it stale. cumStart is the unit's
 // cumulative miss count at the segment's first branch, cross-checked
 // against checkpoints and folded into the one written at the exit boundary.
-func consumeSegGeom(g *geomLane, spec workload.Spec, predKey string, budget, segSize uint64, flat *trace.FlatView, msg segMsg, cumStart uint64, forceLive bool) error {
+func consumeSegGeom(g *geomLane, unit segKey, flat *trace.FlatView, msg segMsg, cumStart uint64, forceLive bool) error {
 	segN := flat.Len()
 	if !forceLive {
-		if bs := bucketSegFromDisk(spec, budget, predKey, g.geom, segSize, msg.idx, msg.ann); bs != nil {
+		if bs, ok := bucketSegTier.Load(unit.with(g.geom, uint64(msg.idx)), msg.ann.agrees); ok {
 			g.merger.Merge(bs.Stats())
 			g.st = nil // the walk state did not observe this segment
 			streamSegWarm.Add(1)
@@ -446,7 +462,17 @@ func consumeSegGeom(g *geomLane, spec workload.Spec, predKey string, budget, seg
 		if msg.start == 0 {
 			g.st = g.fm.NewFactorState()
 		} else {
-			st, ok := restoreGeomCkpt(g.fm, spec, budget, predKey, g.geom, segSize, msg.start, cumStart)
+			// Same cross-checks as the predictor's checkpoint, then the
+			// geometry's own codec.
+			var st core.FactorState
+			_, ok := ckptTier.Load(unit.with(g.geom, msg.start), func(c Checkpoint) bool {
+				if c.Branch != msg.start || c.Misses != cumStart {
+					return false
+				}
+				var err error
+				st, err = g.fm.RestoreFactorState(c.State)
+				return err == nil
+			})
 			if !ok {
 				return errStaleState
 			}
@@ -467,6 +493,7 @@ func consumeSegGeom(g *geomLane, spec workload.Spec, predKey string, budget, seg
 	// Folding the running histogram into the merger at unit exit instead of
 	// per segment changes nothing: tallies are exact integer sums, so the
 	// merge is commutative with the warm segments' merges.
+	persist := artifact.Default() != nil
 	var stats analysis.BucketStats
 	if g.width <= fusedTallyLimit {
 		counts := countsPool.Get().([]uint32)
@@ -479,7 +506,7 @@ func consumeSegGeom(g *geomLane, spec workload.Spec, predKey string, budget, seg
 		for i, c := range used {
 			g.counts[i] += uint64(c)
 		}
-		if artifact.Default() != nil {
+		if persist {
 			stats = countsToStats(used)
 		}
 		countsPool.Put(counts)
@@ -490,112 +517,10 @@ func consumeSegGeom(g *geomLane, spec workload.Spec, predKey string, budget, seg
 	}
 	end := msg.start + uint64(segN)
 	g.stAt = end
-	putArtifact(artifact.KindBucketStream, bucketSegKey(spec, budget, predKey, g.geom, segSize, msg.idx), func() []byte {
-		bs := &BucketStream{lane: lane, n: segN, misses: msg.ann.misses, stats: stats}
-		return marshalBucketStream(bs)
-	})
-	if end < budget {
-		putArtifact(artifact.KindCheckpoint, geomCkptKey(spec, budget, predKey, g.geom, segSize, end), func() []byte {
-			return MarshalCheckpoint(Checkpoint{Branch: end, Misses: cumStart + msg.ann.misses, State: g.st.MarshalState()})
-		})
+	bucketSegTier.Save(unit.with(g.geom, uint64(msg.idx)), &BucketStream{lane: lane, n: segN, misses: msg.ann.misses, stats: stats})
+	if persist && end < unit.n {
+		ckptTier.Save(unit.with(g.geom, end), Checkpoint{Branch: end, Misses: cumStart + msg.ann.misses, State: g.st.MarshalState()})
 	}
 	streamSegLive.Add(1)
 	return nil
-}
-
-// putArtifact publishes one payload to the persistent tier, best effort,
-// building the payload only when a store is present.
-func putArtifact(kind uint16, key string, payload func() []byte) {
-	if s := artifact.Default(); s != nil {
-		_ = s.Put(kind, key, payload())
-	}
-}
-
-// annSegFromDisk loads and validates one segment's annotated stream from
-// the artifact tier: exact segment length and the same state-lane presence
-// the live walk would produce. Anything else is dropped as corruption.
-func annSegFromDisk(spec workload.Spec, budget uint64, predKey string, segSize uint64, idx, segN int, wantState bool) *AnnotatedStream {
-	s := artifact.Default()
-	if s == nil {
-		return nil
-	}
-	key := annSegKey(spec, budget, predKey, segSize, idx)
-	payload, ok := s.Get(artifact.KindAnnotatedStream, key)
-	if !ok {
-		return nil
-	}
-	ann, err := unmarshalAnnotatedStream(payload)
-	if err != nil || ann.n != segN || ann.HasState() != wantState {
-		s.Drop(artifact.KindAnnotatedStream, key)
-		return nil
-	}
-	return ann
-}
-
-// bucketSegFromDisk loads and validates one segment's bucket stream for a
-// geometry, cross-checked against the segment's annotated stream exactly
-// like the monolithic disk path.
-func bucketSegFromDisk(spec workload.Spec, budget uint64, predKey, geom string, segSize uint64, idx int, ann *AnnotatedStream) *BucketStream {
-	s := artifact.Default()
-	if s == nil {
-		return nil
-	}
-	key := bucketSegKey(spec, budget, predKey, geom, segSize, idx)
-	payload, ok := s.Get(artifact.KindBucketStream, key)
-	if !ok {
-		return nil
-	}
-	bs, err := unmarshalBucketStream(payload)
-	if err != nil || bs.n != ann.n || bs.misses != ann.misses {
-		s.Drop(artifact.KindBucketStream, key)
-		return nil
-	}
-	return bs
-}
-
-// restorePredCkpt revives the predictor from the boundary checkpoint at
-// branch position pos, validating the checkpoint's position and cumulative
-// miss count against the unit's own running totals before handing the state
-// to the predictor codec. Any mismatch drops the checkpoint.
-func restorePredCkpt(ck predictor.Checkpointer, spec workload.Spec, budget uint64, predKey string, segSize, pos, cum uint64) bool {
-	s := artifact.Default()
-	if s == nil {
-		return false
-	}
-	key := predCkptKey(spec, budget, predKey, segSize, pos)
-	payload, ok := s.Get(artifact.KindCheckpoint, key)
-	if !ok {
-		return false
-	}
-	c, err := UnmarshalCheckpoint(payload)
-	if err != nil || c.Branch != pos || c.Misses != cum || ck.RestoreState(c.State) != nil {
-		s.Drop(artifact.KindCheckpoint, key)
-		return false
-	}
-	return true
-}
-
-// restoreGeomCkpt revives one geometry's factor state from the boundary
-// checkpoint at branch position pos, with the same cross-checks.
-func restoreGeomCkpt(fm core.Resumable, spec workload.Spec, budget uint64, predKey, geom string, segSize, pos, cum uint64) (core.FactorState, bool) {
-	s := artifact.Default()
-	if s == nil {
-		return nil, false
-	}
-	key := geomCkptKey(spec, budget, predKey, geom, segSize, pos)
-	payload, ok := s.Get(artifact.KindCheckpoint, key)
-	if !ok {
-		return nil, false
-	}
-	c, err := UnmarshalCheckpoint(payload)
-	if err != nil || c.Branch != pos || c.Misses != cum {
-		s.Drop(artifact.KindCheckpoint, key)
-		return nil, false
-	}
-	st, err := fm.RestoreFactorState(c.State)
-	if err != nil {
-		s.Drop(artifact.KindCheckpoint, key)
-		return nil, false
-	}
-	return st, true
 }

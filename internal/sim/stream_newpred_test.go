@@ -21,10 +21,10 @@ import (
 func TestStreamingCheckpointResumeTagePerceptron(t *testing.T) {
 	for _, predKey := range []string{"tage", "perceptron"} {
 		t.Run(predKey, func(t *testing.T) {
-			defer ResetAnnotatedCache()
-			defer workload.ResetMaterializeCache()
-			ResetAnnotatedCache()
-			workload.ResetMaterializeCache()
+			defer AnnotatedTier.Reset()
+			defer workload.TraceTier.Reset()
+			AnnotatedTier.Reset()
+			workload.TraceTier.Reset()
 			s, err := artifact.Open(t.TempDir(), 256<<20)
 			if err != nil {
 				t.Fatal(err)

@@ -33,9 +33,9 @@ func streamTestMechs() []func() core.Mechanism {
 // resume at every single branch) and sizes at/past the budget (one segment,
 // exercising the trivial segmentation).
 func TestStreamingMatchesMonolithic(t *testing.T) {
-	defer ResetAnnotatedCache()
-	defer workload.ResetMaterializeCache()
-	ResetAnnotatedCache()
+	defer AnnotatedTier.Reset()
+	defer workload.TraceTier.Reset()
+	AnnotatedTier.Reset()
 	const n = 5000
 	cfg := SuiteConfig{Branches: n, Specs: workload.Suite()[:2]}
 	newPred := func() predictor.Predictor { return predictor.Gshare64K() }
@@ -60,9 +60,9 @@ func TestStreamingMatchesMonolithic(t *testing.T) {
 // streams miss-bits-only segments for uncoupled mechanisms, byte-identical
 // to the monolithic run.
 func TestStreamingNonAnnotatingPredictor(t *testing.T) {
-	defer ResetAnnotatedCache()
-	defer workload.ResetMaterializeCache()
-	ResetAnnotatedCache()
+	defer AnnotatedTier.Reset()
+	defer workload.TraceTier.Reset()
+	AnnotatedTier.Reset()
 	cfg := SuiteConfig{Branches: 4000, Specs: workload.Suite()[:2]}
 	newPred := func() predictor.Predictor {
 		p, err := predictor.Build("gselect-64K")
@@ -107,9 +107,9 @@ func streamStore(t *testing.T) *artifact.Store {
 // dropped, the walk revives predictor and factor state from the boundary
 // checkpoints and rebuilds only that segment, still byte-identically.
 func TestStreamingWarmStart(t *testing.T) {
-	defer ResetAnnotatedCache()
-	defer workload.ResetMaterializeCache()
-	ResetAnnotatedCache()
+	defer AnnotatedTier.Reset()
+	defer workload.TraceTier.Reset()
+	AnnotatedTier.Reset()
 	s := streamStore(t)
 	const (
 		n       = 5000
@@ -183,9 +183,9 @@ func TestStreamingWarmStart(t *testing.T) {
 // every disk read skipped, rebuilds the whole trace live, republishes the
 // missing payloads, and still matches byte-for-byte.
 func TestStreamingForceLiveRetry(t *testing.T) {
-	defer ResetAnnotatedCache()
-	defer workload.ResetMaterializeCache()
-	ResetAnnotatedCache()
+	defer AnnotatedTier.Reset()
+	defer workload.TraceTier.Reset()
+	AnnotatedTier.Reset()
 	s := streamStore(t)
 	const (
 		n       = 5000

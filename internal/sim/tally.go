@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"branchconf/internal/analysis"
 	"branchconf/internal/artifact"
@@ -200,71 +199,39 @@ type bucketKey struct {
 	geom    string
 }
 
-// bucketCache memoizes bucket streams geometry-keyed, as a sibling
-// instance of the annotated cache's memo.ByteLRU. Its resident bound follows
-// -annotate-cache-mb unless -bucket-cache-mb overrides it
-// (SetBucketCacheBound).
-var bucketCache memo.ByteLRU
-
-var bucketHits, bucketMisses atomic.Uint64
-
-// bucketBoundOverridden records an explicit SetBucketCacheBound call, after
-// which SetTallyCacheDefaultBound no longer tracks the annotated bound.
-var bucketBoundOverridden atomic.Bool
-
-// SetBucketCacheBound bounds the resident payload bytes of the
-// bucket-stream cache, overriding the default of following the annotated
-// cache's bound. 0 removes the bound.
-func SetBucketCacheBound(bytes uint64) {
-	bucketBoundOverridden.Store(true)
-	bucketCache.SetBound(bytes)
+// BucketTier memoizes bucket streams geometry-keyed, persisted as
+// KindBucketStream records. Its resident bound follows -annotate-cache-mb
+// (SetTallyCacheDefaultBound).
+var BucketTier = &memo.Tier[bucketKey, *BucketStream]{
+	Name: "bucket-stream",
+	Kind: artifact.KindBucketStream,
+	Key: func(k bucketKey) string {
+		return bucketArtifactKey(k.spec, k.n, k.predKey, k.geom)
+	},
+	Encode: marshalBucketStream,
+	Decode: unmarshalBucketStream,
+	Size:   (*BucketStream).Footprint,
 }
 
-// SetTallyCacheDefaultBound points the bucket-stream cache at the shared
-// -annotate-cache-mb budget figure; an explicit SetBucketCacheBound wins.
-func SetTallyCacheDefaultBound(bytes uint64) {
-	if !bucketBoundOverridden.Load() {
-		bucketCache.SetBound(bytes)
-	}
-}
-
-// BucketCacheReport returns the bucket-stream cache's observability quad.
-func BucketCacheReport() CacheStats {
-	r, e := bucketCache.Usage()
-	return CacheStats{Hits: bucketHits.Load(), Misses: bucketMisses.Load(), Evictions: e, ResidentBytes: r}
-}
-
-// ResetBucketCache drops every cached bucket stream and zeroes the
-// counters. The bound (and whether it was overridden) is retained.
-func ResetBucketCache() {
-	bucketCache.Reset()
-	bucketHits.Store(0)
-	bucketMisses.Store(0)
-}
+// SetTallyCacheDefaultBound bounds the resident payload bytes of the
+// bucket-stream tier. 0 removes the bound.
+func SetTallyCacheDefaultBound(bytes uint64) { BucketTier.SetBound(bytes) }
 
 // bucketStreamFor returns the memoized bucket stream for one (benchmark,
 // predictor config, geometry) triple, building lane and histogram on a
-// cache miss. The caller supplies the benchmark's (flat view, annotated
-// stream) pair it already holds, so the bucket claim never touches the
-// annotated cache. Concurrent claimants of the same key share one build.
-// fm is only read (FillBucketLane replays a private copy of its initial
-// state), so chunk-local mechanism instances are safe to pass from
+// miss in memory and on disk. The caller supplies the benchmark's (flat
+// view, annotated stream) pair it already holds, so the bucket claim never
+// touches the annotated tier. Concurrent claimants of the same key share
+// one build. fm is only read (FillBucketLane replays a private copy of its
+// initial state), so chunk-local mechanism instances are safe to pass from
 // parallel goroutines.
 func bucketStreamFor(cfg SuiteConfig, spec workload.Spec, predKey string, flat *trace.FlatView, ann *AnnotatedStream, fm core.Factorable) (*BucketStream, error) {
 	n := cfg.Branches
 	if n == 0 {
 		n = spec.DefaultBranches
 	}
-	e, owner := bucketCache.Claim(bucketKey{spec: spec, n: n, predKey: predKey, geom: fm.GeometryKey()})
-	if !owner {
-		bucketHits.Add(1)
-		<-e.Done
-		bs, _ := e.Val.(*BucketStream)
-		return bs, e.Err
-	}
-	bucketMisses.Add(1)
-	bs := bucketStreamFromDisk(spec, n, predKey, fm.GeometryKey(), ann)
-	if bs == nil {
+	key := bucketKey{spec: spec, n: n, predKey: predKey, geom: fm.GeometryKey()}
+	return BucketTier.Get(key, ann.agrees, func() (*BucketStream, error) {
 		width := fm.BucketWidth()
 		lane := bitvec.NewDense(width, flat.Len())
 		var stats analysis.BucketStats
@@ -279,17 +246,20 @@ func bucketStreamFor(cfg SuiteConfig, spec workload.Spec, predKey string, flat *
 			fm.FillBucketLane(flat.Records(), ann.MissWords(), lane, nil)
 			stats = tallyLane(lane, ann.MissWords(), ann.n)
 		}
-		bs = &BucketStream{
+		return &BucketStream{
 			lane:   lane,
 			n:      ann.n,
 			misses: ann.misses,
 			stats:  stats,
-		}
-		bucketStreamToDisk(spec, n, predKey, fm.GeometryKey(), bs)
-	}
-	e.Val = bs
-	bucketCache.Finish(e, bs.Footprint())
-	return bs, nil
+		}, nil
+	})
+}
+
+// agrees reports whether a stored bucket stream was tallied from this
+// annotated stream: the same branch and miss counts. Anything else is
+// corruption, and the tier drops it.
+func (a *AnnotatedStream) agrees(bs *BucketStream) bool {
+	return bs.n == a.n && bs.misses == a.misses
 }
 
 // bucketArtifactKey is the canonical disk-store key for one bucket stream:
@@ -297,36 +267,4 @@ func bucketStreamFor(cfg SuiteConfig, spec workload.Spec, predKey string, flat *
 // and table geometry.
 func bucketArtifactKey(spec workload.Spec, n uint64, predKey, geom string) string {
 	return fmt.Sprintf("bucket|v%d|%s|n=%d|pred=%s|geom=%s", artifact.FormatVersion, spec.CacheKey(), n, predKey, geom)
-}
-
-// bucketStreamFromDisk consults the persistent artifact tier on an
-// in-memory miss, returning nil when the tier is disabled, cold, or fails
-// verification (the fill kernel then runs as usual). The decoded stream
-// must agree with the annotated stream on branch and miss counts; anything
-// else is treated as corruption and dropped.
-func bucketStreamFromDisk(spec workload.Spec, n uint64, predKey, geom string, ann *AnnotatedStream) *BucketStream {
-	s := artifact.Default()
-	if s == nil {
-		return nil
-	}
-	key := bucketArtifactKey(spec, n, predKey, geom)
-	payload, ok := s.Get(artifact.KindBucketStream, key)
-	if !ok {
-		return nil
-	}
-	bs, err := unmarshalBucketStream(payload)
-	if err != nil || bs.n != ann.n || bs.misses != ann.misses {
-		s.Drop(artifact.KindBucketStream, key)
-		return nil
-	}
-	return bs
-}
-
-// bucketStreamToDisk publishes a freshly built bucket stream to the
-// persistent tier, best effort; the store owns retry and degradation, so
-// its error is deliberately ignored.
-func bucketStreamToDisk(spec workload.Spec, n uint64, predKey, geom string, bs *BucketStream) {
-	if s := artifact.Default(); s != nil {
-		_ = s.Put(artifact.KindBucketStream, bucketArtifactKey(spec, n, predKey, geom), marshalBucketStream(bs))
-	}
 }

@@ -54,9 +54,9 @@ func factorablePaperMechs() []func() core.Mechanism {
 func resetEngineCaches(t *testing.T) {
 	t.Helper()
 	reset := func() {
-		ResetAnnotatedCache()
-		ResetBucketCache()
-		workload.ResetMaterializeCache()
+		AnnotatedTier.Reset()
+		BucketTier.Reset()
+		workload.TraceTier.Reset()
 	}
 	reset()
 	t.Cleanup(reset)
@@ -81,7 +81,7 @@ func TestTallyMatchesReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep := BucketCacheReport(); rep.Hits != 0 || rep.Misses != 0 {
+	if rep := BucketTier.Stats(); rep.Hits != 0 || rep.Misses != 0 {
 		t.Fatalf("NoTally run touched the bucket cache: %d hits, %d misses", rep.Hits, rep.Misses)
 	}
 
@@ -96,7 +96,7 @@ func TestTallyMatchesReplay(t *testing.T) {
 		}
 	}
 
-	rep := BucketCacheReport()
+	rep := BucketTier.Stats()
 	misses, resident := rep.Misses, rep.ResidentBytes
 	if misses == 0 || resident == 0 {
 		t.Fatalf("tally run built no bucket streams: %d misses, %d resident bytes", misses, resident)
@@ -110,7 +110,7 @@ func TestTallyMatchesReplay(t *testing.T) {
 	}
 
 	// A rerun is served entirely from the cache: hits move, misses do not.
-	rep1 := BucketCacheReport()
+	rep1 := BucketTier.Stats()
 	hits1, misses1 := rep1.Hits, rep1.Misses
 	again, err := RunSuiteAnnotated(cfg, "gshare-64K", newPred, newMechs)
 	if err != nil {
@@ -119,7 +119,7 @@ func TestTallyMatchesReplay(t *testing.T) {
 	if !reflect.DeepEqual(again, want) {
 		t.Error("cached tally rerun diverges from replay path")
 	}
-	rep2 := BucketCacheReport()
+	rep2 := BucketTier.Stats()
 	hits2, misses2 := rep2.Hits, rep2.Misses
 	if hits2 <= hits1 {
 		t.Errorf("tally rerun took no bucket-cache hits (%d -> %d)", hits1, hits2)
@@ -163,8 +163,8 @@ func TestTallyMatchesReplayParallel(t *testing.T) {
 // eviction counter moves.
 func TestBucketCacheBound(t *testing.T) {
 	resetEngineCaches(t)
-	defer SetBucketCacheBound(0)
-	SetBucketCacheBound(1)
+	defer SetTallyCacheDefaultBound(0)
+	SetTallyCacheDefaultBound(1)
 	cfg := SuiteConfig{Branches: 4000, Specs: workload.Suite()[:2]}
 	newPred := func() predictor.Predictor { return predictor.Gshare64K() }
 	newMechs := []func() core.Mechanism{
@@ -184,7 +184,7 @@ func TestBucketCacheBound(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("bound-starved tally run diverges from replay run")
 	}
-	rep := BucketCacheReport()
+	rep := BucketTier.Stats()
 	if rep.Evictions == 0 {
 		t.Fatalf("1-byte bound evicted nothing: %+v", rep)
 	}

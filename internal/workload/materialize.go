@@ -2,14 +2,13 @@ package workload
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"branchconf/internal/artifact"
+	"branchconf/internal/memo"
 	"branchconf/internal/trace"
 )
 
-// Process-wide materialized-trace cache. Every experiment over a given
+// Process-wide materialized-trace tier. Every experiment over a given
 // (benchmark, seed, branch budget) consumes the identical record stream, so
 // the walk is generated once and replayed from a compact ReplayBuffer
 // thereafter. Entries are keyed by the full Spec (which embeds the
@@ -21,30 +20,26 @@ type memoKey struct {
 	n    uint64
 }
 
-type memoEntry struct {
-	once sync.Once
-	buf  *trace.ReplayBuffer
-	err  error
+// TraceTier is the trace memo: replay buffers in memory, persisted as
+// KindReplayBuffer records. It is unbounded — buffers live for the process
+// (about 4-5 bytes per branch; ~5 MB for a default one-million-branch
+// benchmark).
+var TraceTier = &memo.Tier[memoKey, *trace.ReplayBuffer]{
+	Name: "trace-memo",
+	Kind: artifact.KindReplayBuffer,
+	Key:  func(k memoKey) string { return replayArtifactKey(k.spec, k.n) },
+	// MarshalBinary implements encoding.BinaryMarshaler and never fails.
+	Encode: func(b *trace.ReplayBuffer) []byte { p, _ := b.MarshalBinary(); return p },
+	Decode: trace.UnmarshalReplayBuffer,
+	Size:   (*trace.ReplayBuffer).Footprint,
 }
-
-var memo struct {
-	mu sync.Mutex
-	m  map[memoKey]*memoEntry
-}
-
-// Cache observability counters (atomic: bumped on the Materialize fast
-// path).
-var memoHits, memoMisses atomic.Uint64
 
 // Materialize returns the shared replay buffer for spec's finite trace of n
 // records (DefaultBranches when n == 0), generating it on first use. It is
 // safe for concurrent use: callers racing on the same key block on a single
-// generation and share its result, including any error.
-//
-// Buffers stay cached for the life of the process (about 4-5 bytes per
-// branch; ~5 MB for a default one-million-branch benchmark). Callers
-// needing a one-shot materialization without retention should use
-// trace.Materialize directly.
+// generation and share its result. An error is not cached: the next call
+// generates again. Callers needing a one-shot materialization without
+// retention should use trace.Materialize directly.
 func Materialize(spec Spec, n uint64) (*trace.ReplayBuffer, error) {
 	if n == 0 {
 		n = spec.DefaultBranches
@@ -55,52 +50,14 @@ func Materialize(spec Spec, n uint64) (*trace.ReplayBuffer, error) {
 		// agreeing with what the source can actually emit.
 		n = spec.TraceCount
 	}
-	key := memoKey{spec: spec, n: n}
-	memo.mu.Lock()
-	e := memo.m[key]
-	if e == nil {
-		if memo.m == nil {
-			memo.m = make(map[memoKey]*memoEntry)
-		}
-		e = &memoEntry{}
-		memo.m[key] = e
-		memoMisses.Add(1)
-	} else {
-		memoHits.Add(1)
-	}
-	memo.mu.Unlock()
-	e.once.Do(func() {
-		diskKey := replayArtifactKey(spec, n)
-		if s := artifact.Default(); s != nil {
-			if payload, ok := s.Get(artifact.KindReplayBuffer, diskKey); ok {
-				buf, err := trace.UnmarshalReplayBuffer(payload)
-				if err == nil && uint64(buf.Len()) == n {
-					e.buf = buf
-					return
-				}
-				// The record passed checksum verification but its payload
-				// does not decode to this trace; fail closed and regenerate.
-				s.Drop(artifact.KindReplayBuffer, diskKey)
-			}
-		}
+	covers := func(b *trace.ReplayBuffer) bool { return uint64(b.Len()) == n }
+	return TraceTier.Get(memoKey{spec: spec, n: n}, covers, func() (*trace.ReplayBuffer, error) {
 		src, err := spec.FiniteSource(n)
 		if err != nil {
-			e.err = err
-			return
+			return nil, err
 		}
-		e.buf, e.err = trace.Materialize(src, 0)
-		if e.err == nil {
-			if s := artifact.Default(); s != nil {
-				if payload, perr := e.buf.MarshalBinary(); perr == nil {
-					// Best effort: a full disk or unwritable store only
-					// costs the next process a cold start. The store owns
-					// retry and degradation, so the error is ignored here.
-					_ = s.Put(artifact.KindReplayBuffer, diskKey, payload)
-				}
-			}
-		}
+		return trace.Materialize(src, 0)
 	})
-	return e.buf, e.err
 }
 
 // replayArtifactKey is the canonical disk-store key for one materialized
@@ -108,46 +65,4 @@ func Materialize(spec Spec, n uint64) (*trace.ReplayBuffer, error) {
 // resolved branch budget.
 func replayArtifactKey(spec Spec, n uint64) string {
 	return fmt.Sprintf("replay|v%d|%s|n=%d", artifact.FormatVersion, spec.CacheKey(), n)
-}
-
-// MaterializeStats reports cache hits and misses since process start (or
-// the last ResetMaterializeCache).
-func MaterializeStats() (hits, misses uint64) {
-	return memoHits.Load(), memoMisses.Load()
-}
-
-// MaterializeReport returns the memo's counters in the uniform per-tier
-// quad every engine cache reports (see artifact.TierStats). The memo never
-// evicts — buffers live for the process — so evictions are always zero.
-func MaterializeReport() artifact.TierStats {
-	return artifact.TierStats{
-		Hits:          memoHits.Load(),
-		Misses:        memoMisses.Load(),
-		ResidentBytes: MaterializeFootprint(),
-	}
-}
-
-// MaterializeFootprint returns the total payload bytes held by cached
-// replay buffers.
-func MaterializeFootprint() uint64 {
-	memo.mu.Lock()
-	defer memo.mu.Unlock()
-	var total uint64
-	for _, e := range memo.m {
-		if e.buf != nil {
-			total += e.buf.Footprint()
-		}
-	}
-	return total
-}
-
-// ResetMaterializeCache drops every cached buffer and zeroes the counters.
-// Intended for tests and long-lived processes that want to bound memory
-// between experiment batches.
-func ResetMaterializeCache() {
-	memo.mu.Lock()
-	memo.m = nil
-	memo.mu.Unlock()
-	memoHits.Store(0)
-	memoMisses.Store(0)
 }

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"os"
 	"sync"
 	"testing"
 
@@ -8,7 +9,7 @@ import (
 )
 
 func TestMaterializeMatchesFiniteSource(t *testing.T) {
-	defer ResetMaterializeCache()
+	defer TraceTier.Reset()
 	spec, err := ByName("groff")
 	if err != nil {
 		t.Fatal(err)
@@ -43,7 +44,7 @@ func TestMaterializeMatchesFiniteSource(t *testing.T) {
 func TestMaterializeDefaultBudget(t *testing.T) {
 	// n == 0 resolves to the spec's DefaultBranches, so the zero budget
 	// shares a cache entry with the explicit default.
-	defer ResetMaterializeCache()
+	defer TraceTier.Reset()
 	spec, err := ByName("jpeg_play")
 	if err != nil {
 		t.Fatal(err)
@@ -69,8 +70,8 @@ func TestMaterializeDefaultBudget(t *testing.T) {
 // one generation must happen and every caller must see the same buffer.
 // Run under -race this also checks the memo's synchronisation.
 func TestMaterializeConcurrent(t *testing.T) {
-	ResetMaterializeCache()
-	defer ResetMaterializeCache()
+	TraceTier.Reset()
+	defer TraceTier.Reset()
 	spec, err := ByName("gs")
 	if err != nil {
 		t.Fatal(err)
@@ -97,21 +98,21 @@ func TestMaterializeConcurrent(t *testing.T) {
 			t.Fatal("concurrent callers saw different buffers")
 		}
 	}
-	hits, misses := MaterializeStats()
-	if misses != 1 {
-		t.Fatalf("misses = %d, want exactly one generation", misses)
+	st := TraceTier.Stats()
+	if st.Misses != 1 {
+		t.Fatalf("misses = %d, want exactly one generation", st.Misses)
 	}
-	if hits != workers-1 {
-		t.Fatalf("hits = %d, want %d", hits, workers-1)
+	if st.Hits != workers-1 {
+		t.Fatalf("hits = %d, want %d", st.Hits, workers-1)
 	}
-	if MaterializeFootprint() == 0 {
+	if st.ResidentBytes == 0 {
 		t.Fatal("footprint not accounted")
 	}
 }
 
 func TestMaterializeDistinctKeys(t *testing.T) {
-	ResetMaterializeCache()
-	defer ResetMaterializeCache()
+	TraceTier.Reset()
+	defer TraceTier.Reset()
 	spec, err := ByName("nroff")
 	if err != nil {
 		t.Fatal(err)
@@ -129,7 +130,37 @@ func TestMaterializeDistinctKeys(t *testing.T) {
 	if a == b {
 		t.Fatal("different seeds shared a cache entry")
 	}
-	if _, misses := MaterializeStats(); misses != 2 {
+	if misses := TraceTier.Stats().Misses; misses != 2 {
 		t.Fatalf("misses = %d, want 2", misses)
+	}
+}
+
+// TestMaterializeRetriesAfterError: a failed materialization is not
+// cached. A trace file that is briefly unreadable fails the call made
+// meanwhile, and the next call after the file is back succeeds instead of
+// replaying the stale error for the life of the process.
+func TestMaterializeRetriesAfterError(t *testing.T) {
+	const n = 2000
+	path := writeTestTrace(t, t.TempDir(), n)
+	spec, err := TraceSpec("", path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	away := path + ".away"
+	if err := os.Rename(path, away); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Materialize(spec, n); err == nil {
+		t.Fatal("materialized a trace whose file is gone")
+	}
+	if err := os.Rename(away, path); err != nil {
+		t.Fatal(err)
+	}
+	buf, err := Materialize(spec, n)
+	if err != nil {
+		t.Fatalf("materialize after the file came back: %v", err)
+	}
+	if buf.Len() != n {
+		t.Fatalf("materialized %d records, want %d", buf.Len(), n)
 	}
 }
