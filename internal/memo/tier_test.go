@@ -219,7 +219,7 @@ func TestTierBuildErrorNotCached(t *testing.T) {
 	close(release)
 	wg.Wait()
 	for i, err := range errs {
-		if err != boom {
+		if !errors.Is(err, boom) {
 			t.Fatalf("caller %d got err=%v, want the build's error", i, err)
 		}
 	}
