@@ -4,14 +4,16 @@
 // streams and bucket streams (internal/sim), and sorted confidence curves
 // (internal/exp) — across process runs.
 //
-// The in-memory tiers (the materialize memo in internal/workload and the
-// annotated/bucket byteLRUs in internal/sim) make intra-process reuse nearly
-// free, but every process invocation still pays the full cold path before
-// they help: the synthetic walk per benchmark and one predictor pass per
-// (benchmark, predictor config). This package turns that into a warm start:
-// each in-memory miss path consults the store before regenerating, and
-// publishes what it built afterwards, so a second `paperrepro` run against
-// the same artifact directory skips stages 0–2 entirely.
+// The in-memory tiers (memo.Tier values in internal/workload, internal/sim
+// and internal/exp) make intra-process reuse nearly free, but every process
+// invocation still pays the full cold path before they help: the synthetic
+// walk per benchmark and one predictor pass per (benchmark, predictor
+// config). This package turns that into a warm start: every tier's miss
+// path goes through memo.Tier, which consults the store before
+// regenerating and publishes what it built afterwards, so a second
+// `paperrepro` run against the same artifact directory skips stages 0–2
+// entirely. memo.Tier is the only caller of Get, Put and Drop outside this
+// package.
 //
 // Entries are keyed by a canonical string covering everything the payload is
 // a pure function of — the workload spec, the branch budget, the predictor
@@ -31,7 +33,7 @@
 // concurrent processes racing on one key settle on one complete record
 // (both wrote identical bytes anyway — payloads are pure functions of the
 // key). In-process, single-flight dedup is inherited from the in-memory
-// tiers: the store is only consulted from their owner (miss) paths, so
+// tiers: the store is only consulted from a tier's owner (miss) path, so
 // concurrent workers under -parallel generate and persist an artifact once.
 //
 // The tier is fail-soft: it runs on a narrow filesystem seam (FS, production
@@ -82,7 +84,7 @@ const (
 )
 
 // TierStats is the uniform observability quad every cache tier reports
-// (trace memo, annotated LRU, bucket LRU, disk store), plus the disk tier's
+// (each memo.Tier and the disk store), plus the disk tier's
 // health columns — verify failures, operation errors, and the degraded
 // flag — which stay zero for in-memory tiers: they have no payload
 // integrity to check and no disk to fail.

@@ -1,8 +1,13 @@
-// Package memo provides the process-wide cache shape shared by the
-// engine's memoized artifacts (flat views, annotated streams, bucket
-// streams in internal/sim; confidence curves in internal/exp): a
+// Package memo is the engine's cache tier. A Tier is one memoized layer —
+// the trace memo (internal/workload), flat views, annotated and bucket
+// streams (internal/sim), curves and model counts (internal/exp), the
+// daemon's rendered reports (internal/serve) — and its Get is the one
+// implementation of the miss path: claim-or-wait in memory, read and
+// verify the artifact-store record, build, publish. Records that are only
+// ever read once (stream segments, checkpoints, fan-out partials) use a
+// tier's disk half alone. Beneath every tier sits a ByteLRU: a
 // claim-or-wait map with a resident-bytes bound and least-recently-used
-// eviction.
+// eviction, which a session's pass cache (internal/exp) also uses directly.
 package memo
 
 import "sync"
@@ -19,7 +24,7 @@ import "sync"
 //     payload alive.
 //
 // Keys may be any comparable type; one cache can hold several key kinds
-// (the annotated cache keeps flat views and annotated streams in one
+// (the annotated tier keeps flat views and annotated streams in one
 // instance so they share a single budget).
 type ByteLRU struct {
 	mu        sync.Mutex

@@ -89,15 +89,15 @@ func New(cfg Config) *Server {
 		cfg.ReportCacheBytes = DefaultReportCacheBytes
 	}
 	s := &Server{
-		cfg:  cfg,
-		pool: exp.NewSessionPool(cfg.MaxSessions, cfg.PassCacheBytes),
-		adm:  NewAdmission(cfg.MaxInflight, cfg.MaxQueue, cfg.QueueTimeout),
+		cfg:         cfg,
+		pool:        exp.NewSessionPool(cfg.MaxSessions, cfg.PassCacheBytes),
+		adm:         NewAdmission(cfg.MaxInflight, cfg.MaxQueue, cfg.QueueTimeout),
+		janitorStop: make(chan struct{}),
+		janitorDone: make(chan struct{}),
 		reports: &memo.Tier[string, []byte]{
 			Name: "report",
 			Size: func(b []byte) uint64 { return uint64(len(b)) },
 		},
-		janitorStop: make(chan struct{}),
-		janitorDone: make(chan struct{}),
 	}
 	s.reports.SetBound(cfg.ReportCacheBytes)
 	s.mux = http.NewServeMux()
