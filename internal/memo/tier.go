@@ -20,13 +20,16 @@ type Tier[K comparable, V any] struct {
 	// Kind is the artifact kind of the tier's store records; 0 keeps the
 	// tier in memory only.
 	Kind uint16
-	// Key renders a memory key as its store key.
+	// Key renders a memory key as its store key. Key, Encode and Decode
+	// are needed only when Kind is non-zero.
 	Key func(K) string
 	// Encode and Decode are the store payload codec. Decode must fail,
 	// never return a partial value, on a payload it cannot fully parse.
 	Encode func(V) []byte
 	Decode func([]byte) (V, error)
 	// Size is a value's resident payload bytes, charged against the bound.
+	// Only Get needs it: a tier used through Load and Save alone has no
+	// memory.
 	Size func(V) uint64
 	// ShareWith, when set, is a sibling tier whose memory this tier uses
 	// instead of its own: one resident-bytes bound and one LRU order over
