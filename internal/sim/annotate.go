@@ -242,12 +242,19 @@ func replayAnnotated(flat *trace.FlatView, ann *AnnotatedStream, mechs []core.Me
 //
 // predKey must uniquely identify the predictor configuration built by
 // newPred; it keys the annotated cache. An empty predKey disables caching
-// and falls back to the interleaved single-pass engine. Benchmarks whose
-// mechanisms need predictor state the predictor cannot annotate also fall
-// back, per benchmark, to the interleaved engine.
+// and falls back to the interleaved single-pass engine. A mechanism that
+// reads predictor state (core.StateCoupled) the predictor cannot annotate
+// fails the call before any work: no engine pass can feed it.
 func RunSuiteAnnotated(cfg SuiteConfig, predKey string, newPred func() predictor.Predictor, newMechs []func() core.Mechanism) ([]SuiteResult, error) {
 	if predKey == "" {
 		return RunSuiteBatch(cfg, newPred, newMechs)
+	}
+	mechs := make([]core.Mechanism, len(newMechs))
+	for j, nm := range newMechs {
+		mechs[j] = nm()
+	}
+	if err := checkStateLane(predKey, newPred, mechs); err != nil {
+		return nil, err
 	}
 	if cfg.SegmentBranches > 0 {
 		return runSuiteStreaming(cfg, predKey, newPred, newMechs)
@@ -268,7 +275,7 @@ func RunSuiteAnnotated(cfg SuiteConfig, predKey string, newPred func() predictor
 			defer wg.Done()
 			release := acquireSlot()
 			defer release()
-			errs[c] = runMechChunk(cfg, specs, shared, predKey, newPred, newMechs, chunk, perSpec)
+			errs[c] = runMechChunk(cfg, specs, shared, predKey, newPred, mechs, chunk, perSpec)
 		}()
 	}
 	wg.Wait()
@@ -307,9 +314,27 @@ func (s *sharedAnnotation) get(cfg SuiteConfig, spec workload.Spec, predKey stri
 	return s.flat, s.ann, s.err
 }
 
+// checkStateLane fails if a mechanism reads predictor state
+// (core.StateCoupled) that the predictor built by newPred does not annotate
+// (predictor.StateAnnotator). Such a mechanism cannot run under a suite
+// engine: the engine builds its own predictor, so even a live-coupled
+// mechanism would read a predictor nobody trains.
+func checkStateLane(predKey string, newPred func() predictor.Predictor, mechs []core.Mechanism) error {
+	for _, m := range mechs {
+		if _, sc := m.(core.StateCoupled); !sc {
+			continue
+		}
+		if _, ok := newPred().(predictor.StateAnnotator); !ok {
+			return fmt.Errorf("sim: mechanism %s needs predictor state but predictor %s annotates none", m.Name(), predKey)
+		}
+		return nil
+	}
+	return nil
+}
+
 // runMechChunk replays every benchmark through one chunk of mechanisms,
 // writing results into perSpec[spec][mech]. The chunk's mechanism instances
-// are built once and Reset between benchmarks. Stage labels "annotate",
+// are Reset between benchmarks. Stage labels "annotate",
 // "tally" and "replay" mark the work for CPU profiles; the first chunk to
 // reach a benchmark claims its cache entry (paying the annotation walk on
 // a miss) through shared[spec], later chunks wait on that claim and go
@@ -320,10 +345,10 @@ func (s *sharedAnnotation) get(cfg SuiteConfig, spec workload.Spec, predKey stri
 // result shares the geometry's immutable base histogram, and the per-branch
 // walk happens at most once per geometry process-wide. The rest replay on
 // the stage-2 path.
-func runMechChunk(cfg SuiteConfig, specs []workload.Spec, shared []sharedAnnotation, predKey string, newPred func() predictor.Predictor, newMechs []func() core.Mechanism, chunk []int, perSpec [][]Result) error {
+func runMechChunk(cfg SuiteConfig, specs []workload.Spec, shared []sharedAnnotation, predKey string, newPred func() predictor.Predictor, all []core.Mechanism, chunk []int, perSpec [][]Result) error {
 	mechs := make([]core.Mechanism, len(chunk))
 	for k, j := range chunk {
-		mechs[k] = newMechs[j]()
+		mechs[k] = all[j]
 	}
 	accums := make([]*bucketAccum, len(chunk))
 	for i, spec := range specs {
@@ -340,27 +365,6 @@ func runMechChunk(cfg SuiteConfig, specs []workload.Spec, shared []sharedAnnotat
 
 		for _, m := range mechs {
 			m.Reset()
-		}
-		if !ann.HasState() {
-			needsState := false
-			for _, m := range mechs {
-				if _, sc := m.(core.StateCoupled); sc {
-					needsState = true
-					break
-				}
-			}
-			if needsState {
-				// The predictor cannot annotate the state a mechanism in
-				// this chunk reads; run this benchmark interleaved instead.
-				rs, err := runInterleavedUnit(cfg, spec, newPred, mechs)
-				if err != nil {
-					return err
-				}
-				for k, j := range chunk {
-					perSpec[i][j] = rs[k]
-				}
-				continue
-			}
 		}
 
 		// Stage 3: serve factorable mechanisms from geometry-keyed bucket
@@ -452,21 +456,4 @@ func chunkIndices(n, k int) [][]int {
 		chunks[c] = idx
 	}
 	return chunks
-}
-
-// runInterleavedUnit is the per-benchmark fallback to the single-pass
-// interleaved engine, for mechanisms the annotated stream cannot serve.
-func runInterleavedUnit(cfg SuiteConfig, spec workload.Spec, newPred func() predictor.Predictor, mechs []core.Mechanism) ([]Result, error) {
-	src, err := cfg.source(spec)
-	if err != nil {
-		return nil, fmt.Errorf("sim: building %s: %w", spec.Name, err)
-	}
-	rs, err := RunBatch(src, newPred(), mechs)
-	if err != nil {
-		return nil, fmt.Errorf("sim: running %s: %w", spec.Name, err)
-	}
-	for j := range rs {
-		rs[j].Benchmark = spec.Name
-	}
-	return rs, nil
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"branchconf/internal/core"
@@ -275,5 +276,39 @@ func TestRunBatchAnnotatedStrength(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got[0], want) {
 		t.Errorf("annotated strength under RunBatch diverges from live coupling\n got %+v\nwant %+v", got[0], want)
+	}
+}
+
+// TestRunSuiteAnnotatedRejectsUnannotatedState: a state-coupled mechanism
+// on a predictor with no state lane fails the call with an error naming
+// both, in either engine, before any trace is built or annotated. It used
+// to panic inside an engine goroutine, where no caller could recover it.
+func TestRunSuiteAnnotatedRejectsUnannotatedState(t *testing.T) {
+	resetEngineCaches(t)
+	newPred := func() predictor.Predictor {
+		p, err := predictor.Build("gselect-64K")
+		if err != nil {
+			panic(err)
+		}
+		return p
+	}
+	newMechs := []func() core.Mechanism{
+		func() core.Mechanism { return core.PaperResetting() },
+		func() core.Mechanism { return core.NewAnnotatedStrength() },
+	}
+	for _, seg := range []uint64{0, 777} {
+		cfg := SuiteConfig{Branches: 4000, Specs: workload.Suite()[:2], SegmentBranches: seg}
+		_, err := RunSuiteAnnotated(cfg, "gselect-64K", newPred, newMechs)
+		if err == nil {
+			t.Fatalf("segment %d: a coupled mechanism without a state lane must fail", seg)
+		}
+		for _, want := range []string{"counter-strength", "gselect-64K"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("segment %d: error %q does not name %s", seg, err, want)
+			}
+		}
+	}
+	if ann, tr := AnnotatedTier.Stats(), workload.TraceTier.Stats(); ann.Misses != 0 || tr.Misses != 0 {
+		t.Errorf("rejected calls did work: %d annotations, %d traces", ann.Misses, tr.Misses)
 	}
 }

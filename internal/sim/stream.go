@@ -202,19 +202,6 @@ func streamUnitOnce(cfg SuiteConfig, spec workload.Spec, predKey string, newPred
 	}
 	pred := newPred()
 	_, wantState := pred.(predictor.StateAnnotator)
-	needsState := false
-	for _, m := range mechs {
-		if _, sc := m.(core.StateCoupled); sc {
-			needsState = true
-			break
-		}
-	}
-	if needsState && !wantState {
-		// The predictor cannot annotate the state a mechanism reads; the
-		// whole unit falls back to the interleaved single-pass engine, which
-		// streams record-by-record and is bounded-memory by construction.
-		return runInterleavedUnit(cfg, spec, newPred, mechs)
-	}
 
 	// Partition mechanisms: resumable factorable geometries tally per
 	// segment through a shared lane walk; everything else (StateCoupled,
