@@ -116,10 +116,7 @@ func (r ReportRequest) Validate() (filter map[string]bool, segment uint64, err e
 // ceiling stream automatically, and refusing to stream above the ceiling
 // is an error (a monolithic run there would not fit).
 func ResolveSegment(branches, segment uint64, noStream bool) (uint64, error) {
-	eff := branches
-	if eff == 0 {
-		eff = workload.DefaultBranches
-	}
+	eff := effectiveBudget(branches)
 	switch {
 	case noStream && segment > 0:
 		return 0, fmt.Errorf("no-stream conflicts with segment-branches %d", segment)
@@ -134,6 +131,15 @@ func ResolveSegment(branches, segment uint64, noStream bool) (uint64, error) {
 		return AutoSegmentBranches, nil
 	}
 	return 0, nil
+}
+
+// effectiveBudget is the per-benchmark budget a request's branches field
+// runs at: the field itself, or the benchmark default when it is zero.
+func effectiveBudget(branches uint64) uint64 {
+	if branches == 0 {
+		return workload.DefaultBranches
+	}
+	return branches
 }
 
 // Key returns the request's canonical identity for coalescing and

@@ -196,8 +196,10 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
-	if s.cfg.MaxBranches > 0 && req.Branches > s.cfg.MaxBranches {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("branches %d exceeds the server's per-request cap (%d)", req.Branches, s.cfg.MaxBranches))
+	// The cap applies to the budget the request runs at: an omitted
+	// branches field means the benchmark default, not zero.
+	if budget := effectiveBudget(req.Branches); s.cfg.MaxBranches > 0 && budget > s.cfg.MaxBranches {
+		s.fail(w, http.StatusBadRequest, fmt.Errorf("branches %d exceeds the server's per-request cap (%d)", budget, s.cfg.MaxBranches))
 		return
 	}
 

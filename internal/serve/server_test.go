@@ -155,6 +155,10 @@ func TestServerRejectsBadRequests(t *testing.T) {
 	if resp := post(`{"branches":100000}`); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("budget over cap: status %d, want 400", resp.StatusCode)
 	}
+	// An omitted budget runs at the benchmark default, 20x this cap.
+	if resp := post(`{"only":["fig2"],"no_timings":true}`); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("default budget over cap: status %d, want 400", resp.StatusCode)
+	}
 	if resp := post(`{"branches":`); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("malformed JSON: status %d, want 400", resp.StatusCode)
 	}
