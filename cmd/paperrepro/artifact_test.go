@@ -103,7 +103,7 @@ func TestArtifactWarmStart(t *testing.T) {
 
 	noStore, _ := run("")
 	if noStore != cold {
-		t.Error("-no-artifact report differs from cold report")
+		t.Error("storeless report differs from cold report")
 	}
 
 	// Flip one bit in the middle of every record: the third run must
@@ -151,23 +151,5 @@ func TestArtifactDirAuto(t *testing.T) {
 	entries, err := filepath.Glob(filepath.Join(cacheRoot, "branchconf", "artifacts", "*.art"))
 	if err != nil || len(entries) == 0 {
 		t.Fatalf("auto dir persisted no artifacts under %s (err=%v)", cacheRoot, err)
-	}
-}
-
-// TestNoArtifactFlag: -no-artifact wins over -artifact-dir.
-func TestNoArtifactFlag(t *testing.T) {
-	stubClock(t)
-	dir := t.TempDir()
-	var out, errW strings.Builder
-	err := appMain([]string{"-artifact-dir", dir, "-no-artifact", "-only", "fig2", "-branches", "5000"}, &out, &errW)
-	if err != nil {
-		t.Fatal(err)
-	}
-	entries, err := filepath.Glob(filepath.Join(dir, "*.art"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 0 {
-		t.Fatalf("-no-artifact still persisted %d artifacts", len(entries))
 	}
 }

@@ -15,7 +15,7 @@ import (
 // under every injected fault class — ENOSPC, EIO, EACCES, partial writes,
 // crashes on either side of the publishing rename, and a seeded random
 // storm — a report produced through the artifact store is byte-identical
-// to a -no-artifact run, and after the outage ends the next Open leaves no
+// to a run without a store, and after the outage ends the next Open leaves no
 // .tmp-* file in the directory. Faults change cost and health counters,
 // never report bytes; -artifact-strict (exercised separately below) is the
 // only way a store fault becomes a run failure.

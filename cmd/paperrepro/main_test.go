@@ -140,20 +140,15 @@ func TestSkipAblations(t *testing.T) {
 	}
 }
 
-// TestFlagConflictsRejected: mutually exclusive flag combinations fail up
-// front with an error naming both flags — silent precedence (one flag
-// quietly winning) is a bug. Exercised for the one-shot CLI here and for
-// the serve subcommand's shared pairs below.
+// TestFlagConflictsRejected: a flag that needs another fails up front
+// with an error naming both — silently ignoring it is a bug. Exercised for
+// the one-shot CLI here and for the serve subcommand below.
 func TestFlagConflictsRejected(t *testing.T) {
 	cases := []struct {
 		name string
 		args []string
 		want []string // substrings the error must contain
 	}{
-		{"no-stream+segment-branches", []string{"-no-stream", "-segment-branches", "4096"},
-			[]string{"-no-stream conflicts", "-segment-branches"}},
-		{"no-artifact+artifact-strict", []string{"-no-artifact", "-artifact-strict", "-artifact-dir", "x"},
-			[]string{"-no-artifact conflicts", "-artifact-strict"}},
 		{"artifact-strict-without-dir", []string{"-artifact-strict"},
 			[]string{"-artifact-strict requires", "-artifact-dir"}},
 	}
@@ -180,8 +175,8 @@ func TestFlagConflictsRejected(t *testing.T) {
 // store flag pairs before binding a listener.
 func TestServeFlagConflictsRejected(t *testing.T) {
 	cases := [][]string{
-		{"-no-artifact", "-artifact-strict", "-artifact-dir", "x"},
 		{"-artifact-strict"},
+		{"-artifact-remote", "http://x"},
 	}
 	for _, args := range cases {
 		var out, errW strings.Builder

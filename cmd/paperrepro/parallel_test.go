@@ -51,43 +51,6 @@ func TestParallelReportMatchesSerial(t *testing.T) {
 			t.Errorf("report at -parallel=%d differs from serial output", parallel)
 		}
 	}
-
-	// The annotated two-stage engine and the interleaved engine must also
-	// agree byte for byte, at any worker count.
-	renderNoAnnotate := func(parallel int) string {
-		var out, errW strings.Builder
-		c := cfg
-		c.parallel = parallel
-		c.noAnnotate = true
-		if err := writeReport(&out, &errW, c); err != nil {
-			t.Fatalf("no-annotate parallel=%d: %v", parallel, err)
-		}
-		return out.String()
-	}
-	for _, parallel := range []int{1, 2, 8} {
-		if got := renderNoAnnotate(parallel); got != serial {
-			t.Errorf("interleaved-engine report at -parallel=%d differs from annotated serial output", parallel)
-		}
-	}
-
-	// And the stage-3 tally engine must change nothing: a -no-tally report
-	// is byte-identical to the default (tally-enabled) report at any worker
-	// count.
-	renderNoTally := func(parallel int) string {
-		var out, errW strings.Builder
-		c := cfg
-		c.parallel = parallel
-		c.noTally = true
-		if err := writeReport(&out, &errW, c); err != nil {
-			t.Fatalf("no-tally parallel=%d: %v", parallel, err)
-		}
-		return out.String()
-	}
-	for _, parallel := range []int{1, 2, 8} {
-		if got := renderNoTally(parallel); got != serial {
-			t.Errorf("replay-path report at -parallel=%d differs from tally-path serial output", parallel)
-		}
-	}
 }
 
 // TestReportCacheStats checks the progress stream reports the session's

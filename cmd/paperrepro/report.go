@@ -22,8 +22,6 @@ type reportConfig struct {
 	progress        bool            // emit per-experiment progress to errW
 	parallel        int             // max concurrent experiments (<=1 = serial)
 	annCacheBytes   uint64          // resident bound of each memory tier (0 = unbounded)
-	noAnnotate      bool            // force the interleaved single-pass engine
-	noTally         bool            // disable the stage-3 tally engine
 	segmentBranches uint64          // stream traces in segments of this many branches (0 = monolithic)
 	cacheStats      bool            // print per-cache counters to errW at exit
 	cacheStatsJSON  bool            // print the same counters as JSON to errW at exit
@@ -76,8 +74,6 @@ func writeReport(w, errW io.Writer, cfg reportConfig) error {
 	}
 	session := exp.NewSession(exp.Config{
 		Branches:        cfg.branches,
-		NoAnnotate:      cfg.noAnnotate,
-		NoTally:         cfg.noTally,
 		SegmentBranches: cfg.segmentBranches,
 		TraceFile:       cfg.traceFile,
 	})

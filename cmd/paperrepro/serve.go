@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"branchconf/internal/artifact"
-	"branchconf/internal/exp"
 	"branchconf/internal/heapwatch"
 	"branchconf/internal/serve"
 	"branchconf/internal/sim"
@@ -35,11 +34,8 @@ func serveMain(args []string, stdout, errW io.Writer) error {
 		listen        = fs.String("listen", "127.0.0.1:8091", "listen address (host:port; port 0 picks a free port, printed on stderr)")
 		parallel      = fs.Int("parallel", runtime.NumCPU(), "max concurrent experiments within one request, and the process-wide simulation-unit bound")
 		annCacheMB    = fs.Uint64("annotate-cache-mb", 256, tierBoundUsage)
-		noAnnotate    = fs.Bool("no-annotate", false, "disable the two-stage annotated engine (byte-identical, for benchmarking)")
-		noTally       = fs.Bool("no-tally", false, "disable the stage-3 tally engine (byte-identical, for benchmarking)")
 		artifactDir   = fs.String("artifact-dir", "", "persist engine artifacts in this directory for warm starts across restarts (\"auto\" = user cache dir; empty = disabled)")
 		artifactMB    = fs.Uint64("artifact-disk-mb", 1024, "disk budget for -artifact-dir in MiB, LRU-evicted by access time (0 = unbounded)")
-		noArtifact    = fs.Bool("no-artifact", false, "ignore -artifact-dir (byte-identical, for A/B benchmarking)")
 		strictStore   = fs.Bool("artifact-strict", false, "fail requests on any artifact-store I/O error instead of degrading to in-memory-only")
 		remoteURL     = fs.String("artifact-remote", "", "layer a remote artifact store (a paperrepro artifactd base URL) under the local disk store: read-through on local misses, write-behind on publishes")
 		cacheStats    = fs.Bool("cache-stats", false, "sample per-stage peak heap and include the rows in stats snapshots")
@@ -62,23 +58,14 @@ func serveMain(args []string, stdout, errW io.Writer) error {
 	if *parallel < 1 {
 		return fmt.Errorf("-parallel must be at least 1, got %d", *parallel)
 	}
-	if *noArtifact && *strictStore {
-		return fmt.Errorf("-no-artifact conflicts with -artifact-strict: a disabled store cannot fail hard")
-	}
 	if *strictStore && *artifactDir == "" {
 		return fmt.Errorf("-artifact-strict requires -artifact-dir: there is no store to hold to strict errors")
-	}
-	if *remoteURL != "" && *noArtifact {
-		return fmt.Errorf("-artifact-remote conflicts with -no-artifact: a disabled store cannot layer a remote tier")
 	}
 	if *remoteURL != "" && *artifactDir == "" {
 		return fmt.Errorf("-artifact-remote requires -artifact-dir: the remote tier layers under the local disk store")
 	}
 
 	dir := *artifactDir
-	if *noArtifact {
-		dir = ""
-	}
 	if dir == "auto" {
 		base, err := os.UserCacheDir()
 		if err != nil {
@@ -109,10 +96,6 @@ func serveMain(args []string, stdout, errW io.Writer) error {
 	}
 
 	srv := serve.New(serve.Config{
-		Defaults: exp.Config{
-			NoAnnotate: *noAnnotate,
-			NoTally:    *noTally,
-		},
 		Parallel:          *parallel,
 		MaxSessions:       *maxSessions,
 		PassCacheBytes:    *passCacheMB << 20,

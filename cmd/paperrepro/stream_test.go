@@ -14,9 +14,7 @@ import (
 )
 
 // TestSegmentBranchesFlagValidation: -segment-branches must be >= 1 (or -1
-// for auto), -no-stream conflicts with an explicit segment size, and
-// -no-stream is rejected outright for budgets above the materialization
-// ceiling — a monolithic run there would not fit.
+// for auto).
 func TestSegmentBranchesFlagValidation(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -25,13 +23,7 @@ func TestSegmentBranchesFlagValidation(t *testing.T) {
 	}{
 		{"zero", []string{"-segment-branches", "0"}, "-segment-branches"},
 		{"negative", []string{"-segment-branches", "-2"}, "-segment-branches"},
-		{"conflict", []string{"-no-stream", "-segment-branches", "4096"}, "-no-stream conflicts"},
-		{"ceiling", []string{"-no-stream", "-branches", "100000000"}, "materialization ceiling"},
-		{"ceiling-default-budget", nil, ""}, // placeholder, replaced below
 	} {
-		if tc.name == "ceiling-default-budget" {
-			continue
-		}
 		var out, errW strings.Builder
 		err := appMain(tc.args, &out, &errW)
 		if err == nil {
@@ -40,11 +32,6 @@ func TestSegmentBranchesFlagValidation(t *testing.T) {
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %q does not contain %q", tc.name, err, tc.want)
 		}
-	}
-	// A small -no-stream run is fine: the budget materializes comfortably.
-	var out, errW strings.Builder
-	if err := appMain([]string{"-no-stream", "-branches", "10000", "-only", "fig2"}, &out, &errW); err != nil {
-		t.Fatalf("-no-stream at a small budget rejected: %v", err)
 	}
 }
 

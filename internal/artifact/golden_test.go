@@ -69,8 +69,8 @@ var goldenRecords = []goldenRecord{
 		"model|v1|gating|suite=groff+gs+jpeg_play+mpeg_play+nroff+real_gcc+sdet+verilog+video_play|n=2000|pred=gshare4k|est=paper8|resolve=4|thrs=[0 4 2 1]",
 		"f7a7788aae2124e10521f2989dce459f19561cdecaeff7bcc58149895ee7edff"},
 	{"fan-out partial", artifact.KindPartial,
-		"partial|fmt=1|req{b=2000|only=gating|ablations=true|timings=false|seg=0|nostream=false|trace=:0}|shard=0/1",
-		"a6d811c9fc8626ccd2bb7538248915c442c3922349b530dd3bfad3f2e311862f"},
+		"partial|fmt=2|req{b=2000|only=gating|ablations=true|timings=false|seg=0|trace=:0}|shard=0/1",
+		"0cbed81dce1f50a1b39087469ba215e38a05d0958ec85a3c33695e2c28e8060f"},
 }
 
 // fillGoldenStore runs the fixed input through the engine's public entry

@@ -129,40 +129,3 @@ func TestSharedSessionMatchesIsolatedRuns(t *testing.T) {
 		t.Errorf("pass cache did not both hit and miss (hits=%d misses=%d)", hits, misses)
 	}
 }
-
-// TestTallyMatchesReplayArtefacts is the stage-3 engine's artefact-level
-// byte-identity guarantee: every figure whose mechanisms ride the
-// geometry-keyed tally path — the one-level scheme sweep (fig5), the
-// two-level variants (fig6), the reduction/threshold family derived from a
-// shared geometry (fig7/fig8), and the init-policy sweep (fig11) — must
-// render byte-identical with the stage disabled (Config.NoTally, the
-// PR 2 replay engine).
-func TestTallyMatchesReplayArtefacts(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs a registry slice twice")
-	}
-	ids := []string{"fig5", "fig6", "fig7", "fig8", "fig11"}
-	render := func(cfg Config) map[string][]byte {
-		session := NewSession(cfg)
-		out := make(map[string][]byte)
-		for _, id := range ids {
-			e, err := ByID(id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			o, err := e.Run(session)
-			if err != nil {
-				t.Fatalf("%s (noTally=%v): %v", id, cfg.NoTally, err)
-			}
-			out[id] = artefactBytes(t, o)
-		}
-		return out
-	}
-	want := render(Config{Branches: 30000, NoTally: true})
-	got := render(Config{Branches: 30000})
-	for _, id := range ids {
-		if !bytes.Equal(got[id], want[id]) {
-			t.Errorf("%s: tally-path artefact differs from replay-path artefact", id)
-		}
-	}
-}

@@ -18,19 +18,20 @@ import (
 //
 //   - replays benchmarks from the process-wide materialized-trace cache
 //     (workload.Materialize) instead of regenerating the synthetic walk,
-//   - routes suite passes through the two-stage annotated engine
-//     (sim.RunSuiteAnnotated): the predictor walks each benchmark once per
-//     predictor config — memoized process-wide as a compact annotated
-//     stream — and mechanisms train by replaying the stream with no
-//     predictor in the loop (Config.NoAnnotate falls back to the
-//     interleaved sim.RunSuiteBatch engine), and
+//   - routes suite passes through the suite engine (sim.RunSuiteAnnotated):
+//     the predictor walks each benchmark once per predictor config —
+//     memoized process-wide as a compact annotated stream — and mechanisms
+//     train by replaying the stream with no predictor in the loop, or, under
+//     Config.SegmentBranches, by the segmented streaming form of the same
+//     engine, and
 //   - memoizes every (predictor, mechanism) suite pass, so experiments
 //     sharing a configuration — concurrent or sequential — reuse results
 //     instead of resimulating.
 //
-// All sharing is exact: replay, batching and result derivation are
-// bit-identical to the direct streaming path (see internal/sim tests and
-// determinism_test.go), so a report produced through a shared Session is
+// All sharing is exact: the engine's results equal the straight-line
+// sim.Run over each benchmark's streaming walk (internal/sim's
+// TestSuiteMatchesRunOracle), and result derivation is pinned by
+// determinism_test.go, so a report produced through a shared Session is
 // byte-identical to one produced by isolated per-experiment runs.
 
 // PredSpec names a predictor configuration and how to build fresh
@@ -107,49 +108,18 @@ func (s *Session) Source(spec workload.Spec) (trace.Source, error) {
 	return buf.Source(), nil
 }
 
-// suiteConfig is the session's whole-suite run configuration: the
-// session budget with benchmarks fed from the materialized-trace cache,
-// for both the interleaved engine (Source) and the annotated two-stage
-// engine (Buffer). Under Config.SegmentBranches the materialized-trace
-// cache is bypassed entirely — benchmarks stream straight from their
-// generators (the sim default Source), so a long-horizon run never holds
-// a whole trace in memory.
+// suiteConfig is the session's whole-suite run configuration. Monolithic
+// passes replay the process-wide materialized-trace cache; under
+// Config.SegmentBranches benchmarks stream straight from their generators,
+// so a long-horizon run never holds a whole trace in memory.
 func (s *Session) suiteConfig() sim.SuiteConfig {
-	if s.cfg.SegmentBranches > 0 {
-		return sim.SuiteConfig{
-			Branches:        s.cfg.Branches,
-			NoTally:         s.cfg.NoTally,
-			SegmentBranches: s.cfg.SegmentBranches,
-		}
-	}
-	return sim.SuiteConfig{
-		Branches: s.cfg.Branches,
-		Source: func(spec workload.Spec, branches uint64) (trace.Source, error) {
-			buf, err := workload.Materialize(spec, branches)
-			if err != nil {
-				return nil, err
-			}
-			return buf.Source(), nil
-		},
-		Buffer:  workload.Materialize,
-		NoTally: s.cfg.NoTally,
-	}
-}
-
-// runSuite dispatches a suite pass to the configured engine: the annotated
-// two-stage engine by default, the interleaved single-pass engine under
-// Config.NoAnnotate. Both produce byte-identical results.
-func (s *Session) runSuite(pred PredSpec, newMechs []func() core.Mechanism) ([]sim.SuiteResult, error) {
-	if s.cfg.NoAnnotate {
-		return sim.RunSuiteBatch(s.suiteConfig(), pred.New, newMechs)
-	}
-	return sim.RunSuiteAnnotated(s.suiteConfig(), pred.Key, pred.New, newMechs)
+	return sim.SuiteConfig{Branches: s.cfg.Branches, SegmentBranches: s.cfg.SegmentBranches}
 }
 
 // Suite returns one whole-suite result per mechanism, all simulated under
 // pred, batching every mechanism not already cached into a single
 // predictor pass per benchmark. Results are index-aligned with mechs and
-// identical to per-mechanism sim.RunSuite calls.
+// identical to per-mechanism sim.RunSuiteAnnotated calls.
 //
 // Concurrent callers requesting overlapping sets never duplicate a pass:
 // the first claimant of a (predictor, mechanism) key simulates it, later
@@ -177,7 +147,7 @@ func (s *Session) Suite(pred PredSpec, mechs ...MechSpec) ([]sim.SuiteResult, er
 		for j, i := range missing {
 			newMechs[j] = mechs[i].New
 		}
-		res, err := s.runSuite(pred, newMechs)
+		res, err := sim.RunSuiteAnnotated(s.suiteConfig(), pred.Key, pred.New, newMechs)
 		for j, i := range missing {
 			e := entries[i]
 			if err != nil {

@@ -68,26 +68,17 @@ func runLongHorizon(s *Session) (*Output, error) {
 	for _, h := range horizons {
 		// Per-horizon budgets differ from the session's, so these passes
 		// bypass the session pass cache and hit the sim engine directly —
-		// streaming when the session streams. Nil Source/Buffer pick the sim
-		// defaults: generator sources under streaming, the process-wide
-		// materialize cache otherwise.
+		// streaming when the session streams.
 		scfg := sim.SuiteConfig{
 			Branches:        h,
 			Specs:           []workload.Spec{spec},
-			NoTally:         cfg.NoTally,
 			SegmentBranches: cfg.SegmentBranches,
 		}
 		newMechs := make([]func() core.Mechanism, len(mechs))
 		for i, m := range mechs {
 			newMechs[i] = m.spec.New
 		}
-		var rs []sim.SuiteResult
-		var err error
-		if cfg.NoAnnotate {
-			rs, err = sim.RunSuiteBatch(scfg, predGshare64K.New, newMechs)
-		} else {
-			rs, err = sim.RunSuiteAnnotated(scfg, predGshare64K.Key, predGshare64K.New, newMechs)
-		}
+		rs, err := sim.RunSuiteAnnotated(scfg, predGshare64K.Key, predGshare64K.New, newMechs)
 		if err != nil {
 			return nil, err
 		}

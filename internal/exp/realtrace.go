@@ -63,9 +63,9 @@ func runRealTrace(s *Session) (*Output, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Resolve the budget against the recording up front so every engine —
-	// monolithic, streaming, annotated or batched — keys its artifacts on
-	// the same branch count.
+	// Resolve the budget against the recording up front so both engine
+	// forms — monolithic and streaming — key their artifacts on the same
+	// branch count.
 	n := cfg.Branches
 	if n == 0 || n > spec.TraceCount {
 		n = spec.TraceCount
@@ -117,21 +117,13 @@ func runRealTrace(s *Session) (*Output, error) {
 		}
 		// The budget differs from the session's, so these passes bypass the
 		// session pass cache and hit the sim engine directly — streaming
-		// when the session streams, with nil Source/Buffer picking the sim
-		// defaults (the spec's own trace-file source).
+		// when the session streams.
 		scfg := sim.SuiteConfig{
 			Branches:        n,
 			Specs:           []workload.Spec{spec},
-			NoTally:         cfg.NoTally,
 			SegmentBranches: cfg.SegmentBranches,
 		}
-		var rs []sim.SuiteResult
-		var err error
-		if cfg.NoAnnotate {
-			rs, err = sim.RunSuiteBatch(scfg, leg.pred.New, newMechs)
-		} else {
-			rs, err = sim.RunSuiteAnnotated(scfg, leg.pred.Key, leg.pred.New, newMechs)
-		}
+		rs, err := sim.RunSuiteAnnotated(scfg, leg.pred.Key, leg.pred.New, newMechs)
 		if err != nil {
 			return nil, fmt.Errorf("realtrace %s: %w", leg.pred.Key, err)
 		}

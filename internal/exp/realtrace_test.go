@@ -3,9 +3,13 @@ package exp
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
+	"branchconf/internal/core"
+	"branchconf/internal/predictor"
+	"branchconf/internal/sim"
 	"branchconf/internal/trace"
 	"branchconf/internal/workload"
 )
@@ -46,9 +50,9 @@ func TestRealTraceNeedsAFile(t *testing.T) {
 }
 
 // TestRealTraceEnginesAgree pins the tentpole contract: the experiment
-// renders native TAGE/perceptron confidence next to the CIR tables, and
-// its bytes are identical across the annotated, batched, streaming, and
-// artifact-free engine configurations.
+// renders native TAGE/perceptron confidence next to the CIR tables, its
+// bytes are identical across the monolithic and streaming engine forms,
+// and every engine pass over the recorded trace equals sim.Run.
 func TestRealTraceEnginesAgree(t *testing.T) {
 	path := writeRealTrace(t, 4000)
 	e, err := ByID("realtrace")
@@ -76,8 +80,6 @@ func TestRealTraceEnginesAgree(t *testing.T) {
 		}
 	}
 	variants := map[string]Config{
-		"batched":   {TraceFile: path, NoAnnotate: true},
-		"no-tally":  {TraceFile: path, NoTally: true},
 		"streaming": {TraceFile: path, SegmentBranches: 512},
 	}
 	for name, cfg := range variants {
@@ -89,6 +91,7 @@ func TestRealTraceEnginesAgree(t *testing.T) {
 			t.Fatalf("%s engine diverges:\n--- annotated ---\n%s--- %s ---\n%s", name, ref.Text, name, out.Text)
 		}
 	}
+	checkRealTraceOracle(t, path)
 
 	// A copy of the same bytes at a different path is the same trace: the
 	// identity is the content digest, not the location.
@@ -106,6 +109,70 @@ func TestRealTraceEnginesAgree(t *testing.T) {
 	}
 	if out.Text != ref.Text {
 		t.Fatal("same trace bytes at a different path changed the report")
+	}
+}
+
+// checkRealTraceOracle requires the suite engine's passes over the
+// recorded trace to equal the straight-line sim.Run, for every predictor
+// and mechanism the realtrace experiment runs. The native-confidence
+// mechanism runs in its annotated form in the engine and bound to the
+// oracle's own predictor in Run.
+func checkRealTraceOracle(t *testing.T, path string) {
+	t.Helper()
+	spec, err := workload.TraceSpec("", path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type mech struct {
+		engine func() core.Mechanism
+		live   func(predictor.Predictor) core.Mechanism
+	}
+	cir := []mech{
+		{engine: func() core.Mechanism { return core.PaperResetting() }},
+		{engine: func() core.Mechanism { return core.PaperOneLevel(core.IndexPCxorBHR) }},
+	}
+	native := mech{
+		engine: func() core.Mechanism { return core.NewAnnotatedConfidence() },
+		live: func(p predictor.Predictor) core.Mechanism {
+			return core.NewNativeConfidence(p.(core.Confidencer))
+		},
+	}
+	for _, leg := range []struct {
+		pred  PredSpec
+		mechs []mech
+	}{
+		{predGshare64K, cir},
+		{predFromRegistry("tage"), append([]mech{native}, cir...)},
+		{predFromRegistry("perceptron"), append([]mech{native}, cir...)},
+	} {
+		newMechs := make([]func() core.Mechanism, len(leg.mechs))
+		for j, m := range leg.mechs {
+			newMechs[j] = m.engine
+		}
+		cfg := sim.SuiteConfig{Branches: spec.TraceCount, Specs: []workload.Spec{spec}}
+		got, err := sim.RunSuiteAnnotated(cfg, leg.pred.Key, leg.pred.New, newMechs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j, m := range leg.mechs {
+			src, err := spec.FiniteSource(spec.TraceCount)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pred := leg.pred.New()
+			mm := m.engine()
+			if m.live != nil {
+				mm = m.live(pred)
+			}
+			want, err := sim.Run(src, pred, mm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want.Benchmark = spec.Name
+			if !reflect.DeepEqual(got[j].Runs[0], want) {
+				t.Errorf("%s/%s: engine pass over the recorded trace diverges from sim.Run", leg.pred.Key, mm.Name())
+			}
+		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"bytes"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -257,43 +256,5 @@ func TestSessionPoolEviction(t *testing.T) {
 	pool.Trim()
 	if pool.Len() != 0 {
 		t.Fatalf("Trim left %d sessions", pool.Len())
-	}
-}
-
-// TestAnnotatedMatchesInterleavedArtefacts pins the engine switch: a report
-// artefact produced through the annotated two-stage engine must be
-// byte-identical to the interleaved single-pass engine's output for the
-// same configuration.
-func TestAnnotatedMatchesInterleavedArtefacts(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs a registry slice twice")
-	}
-	sim.AnnotatedTier.Reset()
-	defer sim.AnnotatedTier.Reset()
-	defer workload.TraceTier.Reset()
-
-	// baseline matters here: it sweeps every registered predictor,
-	// including the target-reading BTFN and agree predictors.
-	ids := []string{"fig2", "fig5", "table1", "strength", "thresholds", "baseline"}
-	for _, id := range ids {
-		e, err := ByID(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		run := func(cfg Config) []byte {
-			o, err := e.RunOnce(cfg)
-			if err != nil {
-				t.Fatalf("%s: %v", id, err)
-			}
-			return artefactBytes(t, o)
-		}
-		annotated := run(Config{Branches: 30000})
-		interleaved := run(Config{Branches: 30000, NoAnnotate: true})
-		if !bytes.Equal(annotated, interleaved) {
-			t.Errorf("%s: annotated-engine artefact differs from interleaved engine", id)
-		}
-	}
-	if rep := sim.AnnotatedTier.Stats(); rep.Hits == 0 && rep.Misses == 0 {
-		t.Error("annotated engine did not touch the annotated cache")
 	}
 }

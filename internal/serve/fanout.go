@@ -68,7 +68,7 @@ func (s Shard) String() string { return fmt.Sprintf("%d/%d", s.Index, s.Count) }
 // PartialFormatVersion is the partial-report codec version; it participates
 // in the artifact key, so a codec change can never deserialize stale
 // partials.
-const PartialFormatVersion = 1
+const PartialFormatVersion = 2
 
 // PartialReport is one shard's share of a report: enough to merge without
 // re-running anything, and enough to verify it belongs to the merge it is

@@ -19,9 +19,7 @@ import (
 // MaterializeCeiling is the largest per-benchmark branch budget the engine
 // will hold as a whole materialized trace (~2 bytes/branch in the replay
 // buffer, plus the flattened and annotated forms on top). Budgets above it
-// stream in segments unless the request overrides the segment size;
-// refusing to stream is rejected there, because a monolithic run at such a
-// budget would not fit.
+// stream in segments unless the request sets the segment size itself.
 const MaterializeCeiling = 8 << 20
 
 // AutoSegmentBranches is the segment size auto-streaming picks: large
@@ -49,9 +47,6 @@ type ReportRequest struct {
 	// SegmentBranches streams traces in segments of this many branches
 	// (0 = automatic: segment only above the materialization ceiling).
 	SegmentBranches uint64 `json:"segment_branches,omitempty"`
-	// NoStream refuses streaming: traces materialize whole, and budgets
-	// above the materialization ceiling are rejected.
-	NoStream bool `json:"no_stream,omitempty"`
 	// TraceFile points the realtrace experiment at a recorded ChampSim
 	// trace on the serving machine (empty = no recorded trace). The path
 	// never enters the request's cache identity — see ResolveTrace.
@@ -104,33 +99,21 @@ func (r ReportRequest) Validate() (filter map[string]bool, segment uint64, err e
 			filter[id] = true
 		}
 	}
-	segment, err = ResolveSegment(r.Branches, r.SegmentBranches, r.NoStream)
-	if err != nil {
-		return nil, 0, err
-	}
-	return filter, segment, nil
+	return filter, ResolveSegment(r.Branches, r.SegmentBranches), nil
 }
 
-// ResolveSegment applies the streaming rules shared by the CLI and the
+// ResolveSegment applies the streaming rule shared by the CLI and the
 // daemon: an explicit segment size wins, budgets above the materialization
-// ceiling stream automatically, and refusing to stream above the ceiling
-// is an error (a monolithic run there would not fit).
-func ResolveSegment(branches, segment uint64, noStream bool) (uint64, error) {
-	eff := effectiveBudget(branches)
+// ceiling stream automatically, and every other budget runs monolithic
+// (segment 0).
+func ResolveSegment(branches, segment uint64) uint64 {
 	switch {
-	case noStream && segment > 0:
-		return 0, fmt.Errorf("no-stream conflicts with segment-branches %d", segment)
-	case noStream:
-		if eff > MaterializeCeiling {
-			return 0, fmt.Errorf("no-stream: budget %d exceeds the materialization ceiling (%d branches); allow streaming or set a segment size", eff, uint64(MaterializeCeiling))
-		}
-		return 0, nil
 	case segment > 0:
-		return segment, nil
-	case eff > MaterializeCeiling:
-		return AutoSegmentBranches, nil
+		return segment
+	case effectiveBudget(branches) > MaterializeCeiling:
+		return AutoSegmentBranches
 	}
-	return 0, nil
+	return 0
 }
 
 // effectiveBudget is the per-benchmark budget a request's branches field
@@ -154,8 +137,8 @@ func (r ReportRequest) Key() string {
 	}
 	sort.Strings(only)
 	only = uniq(only)
-	return fmt.Sprintf("b=%d|only=%s|ablations=%t|timings=%t|seg=%d|nostream=%t|trace=%s:%d",
-		r.Branches, strings.Join(only, ","), !r.SkipAblations, !r.NoTimings, r.SegmentBranches, r.NoStream,
+	return fmt.Sprintf("b=%d|only=%s|ablations=%t|timings=%t|seg=%d|trace=%s:%d",
+		r.Branches, strings.Join(only, ","), !r.SkipAblations, !r.NoTimings, r.SegmentBranches,
 		r.TraceDigest, r.TraceCount)
 }
 
@@ -170,12 +153,7 @@ func uniq(sorted []string) []string {
 }
 
 // SessionConfig maps the request onto the session configuration it runs
-// under, overlaying the per-request budget and segmenting onto the
-// process-wide engine defaults (the daemon's startup switches).
-func (r ReportRequest) SessionConfig(defaults exp.Config, segment uint64) exp.Config {
-	cfg := defaults
-	cfg.Branches = r.Branches
-	cfg.SegmentBranches = segment
-	cfg.TraceFile = r.TraceFile
-	return cfg
+// under, given its resolved segment size.
+func (r ReportRequest) SessionConfig(segment uint64) exp.Config {
+	return exp.Config{Branches: r.Branches, SegmentBranches: segment, TraceFile: r.TraceFile}
 }

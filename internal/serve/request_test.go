@@ -64,30 +64,15 @@ func TestResolveSegment(t *testing.T) {
 	cases := []struct {
 		name              string
 		branches, segment uint64
-		noStream          bool
 		want              uint64
-		wantErr           string
 	}{
 		{name: "default-budget-monolithic", branches: 0, want: 0},
 		{name: "explicit-segment", branches: 0, segment: 4096, want: 4096},
 		{name: "auto-above-ceiling", branches: MaterializeCeiling + 1, want: AutoSegmentBranches},
-		{name: "no-stream-small", branches: 10000, noStream: true, want: 0},
-		{name: "no-stream-above-ceiling", branches: MaterializeCeiling + 1, noStream: true, wantErr: "materialization ceiling"},
-		{name: "no-stream-with-segment", segment: 4096, noStream: true, wantErr: "conflicts"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got, err := ResolveSegment(tc.branches, tc.segment, tc.noStream)
-			if tc.wantErr != "" {
-				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-					t.Fatalf("err = %v, want substring %q", err, tc.wantErr)
-				}
-				return
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != tc.want {
+			if got := ResolveSegment(tc.branches, tc.segment); got != tc.want {
 				t.Fatalf("segment = %d, want %d", got, tc.want)
 			}
 		})

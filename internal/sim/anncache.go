@@ -77,7 +77,7 @@ func annotatedFor(cfg SuiteConfig, spec workload.Spec, predKey string, newPred f
 		n = spec.DefaultBranches
 	}
 	flat, err := flatTier.Get(flatKey{spec: spec, n: n}, nil, func() (*trace.FlatView, error) {
-		buf, err := cfg.buffer(spec)
+		buf, err := workload.Materialize(spec, cfg.Branches)
 		if err != nil {
 			return nil, err
 		}
@@ -105,8 +105,7 @@ func annArtifactKey(spec workload.Spec, n uint64, predKey string) string {
 // pred's mispredict bits and, when fm is non-nil, the bucket stream of fm's
 // table geometry trained on those bits. Each comes from its process-wide
 // memo and disk tier and is built only on a miss, exactly as a suite pass
-// would build it — whatever cfg.NoTally says, since the lanes are the same
-// either way. Consumers that need only "did it miss" and "what bucket was
+// would build it. Consumers that need only "did it miss" and "what bucket was
 // it in" per branch (the cycle models) read these instead of re-walking
 // the predictor and the table. cfg must not be segmented: the lanes are
 // whole-trace.

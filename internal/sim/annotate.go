@@ -226,28 +226,35 @@ func replayAnnotated(flat *trace.FlatView, ann *AnnotatedStream, mechs []core.Me
 	}
 }
 
-// RunSuiteAnnotated is the two-stage form of RunSuiteBatch: per benchmark it
-// obtains the (flat view, annotated stream) pair from the process-wide
-// annotated cache — walking the predictor only on a cache miss — and then
-// trains every mechanism by replaying the stream. The fan-out is
-// mechanism-major: mechanisms are partitioned into up to parallelism
-// chunks, and each chunk builds its mechanism instances once and walks
-// every benchmark sequentially, resetting them between benchmarks. That
-// reuse matters — CIR-table mechanisms carry megabyte tables, and building
-// them per (benchmark, mechanism) dominated the engine's allocation
-// profile. Reset restores exactly the constructed state, and the replayed
-// streams are immutable, so results are index-aligned with newMechs and
-// byte-identical to RunSuiteBatch (and hence to per-mechanism RunSuite
-// calls) for the same configuration.
+// RunSuiteAnnotated is the suite engine: it replays every benchmark through
+// a fresh predictor and a fresh instance of each mechanism, and returns one
+// SuiteResult per mechanism, index-aligned with newMechs, each holding the
+// per-benchmark runs in suite order. Every result equals what Run produces
+// for that (benchmark, mechanism) pair over the benchmark's streaming walk
+// (pinned by TestSuiteMatchesRunOracle); caching, factoring, segmenting
+// and parallelism change only the cost.
 //
-// predKey must uniquely identify the predictor configuration built by
-// newPred; it keys the annotated cache. An empty predKey disables caching
-// and falls back to the interleaved single-pass engine. A mechanism that
-// reads predictor state (core.StateCoupled) the predictor cannot annotate
-// fails the call before any work: no engine pass can feed it.
+// The monolithic form obtains each benchmark's (flat view, annotated
+// stream) pair from the process-wide annotated cache — walking the
+// predictor only on a cache miss — and then trains every mechanism by
+// replaying the stream. The fan-out is mechanism-major: mechanisms are
+// partitioned into up to parallelism chunks, and each chunk walks every
+// benchmark sequentially with its mechanism instances, resetting them
+// between benchmarks. That reuse matters — CIR-table mechanisms carry
+// megabyte tables, and building them per (benchmark, mechanism) dominated
+// the engine's allocation profile. Reset restores exactly the constructed
+// state, and the replayed streams are immutable. A non-zero
+// cfg.SegmentBranches selects the segmented streaming form instead.
+//
+// predKey must be non-empty and uniquely identify the predictor
+// configuration built by newPred; it keys the annotated cache. A mechanism
+// that reads predictor state (core.StateCoupled) the predictor cannot
+// annotate fails the call before any work: no engine pass can feed it.
+// newPred and newMechs are invoked from multiple goroutines and must be
+// pure constructors.
 func RunSuiteAnnotated(cfg SuiteConfig, predKey string, newPred func() predictor.Predictor, newMechs []func() core.Mechanism) ([]SuiteResult, error) {
 	if predKey == "" {
-		return RunSuiteBatch(cfg, newPred, newMechs)
+		return nil, errors.New("sim: empty predictor key")
 	}
 	mechs := make([]core.Mechanism, len(newMechs))
 	for j, nm := range newMechs {
@@ -340,8 +347,8 @@ func checkStateLane(predKey string, newPred func() predictor.Predictor, mechs []
 // a miss) through shared[spec], later chunks wait on that claim and go
 // straight to tally/replay.
 //
-// Factorable mechanisms (unless cfg.NoTally, or the mechanism also reads
-// predictor state) are served by the stage-3 bucket-stream cache: their
+// Factorable mechanisms (unless the mechanism also reads predictor state)
+// are served by the stage-3 bucket-stream cache: their
 // result shares the geometry's immutable base histogram, and the per-branch
 // walk happens at most once per geometry process-wide. The rest replay on
 // the stage-2 path.
@@ -372,35 +379,33 @@ func runMechChunk(cfg SuiteConfig, specs []workload.Spec, shared []sharedAnnotat
 		// they claim factorability — their bucket reads predictor state the
 		// geometry alone cannot reproduce.
 		tallied := make([]bool, len(chunk))
-		if !cfg.NoTally {
-			var terr error
-			pprof.Do(context.Background(), pprof.Labels("benchmark", spec.Name, "stage", "tally"), func(context.Context) {
-				for k, j := range chunk {
-					fm, ok := mechs[k].(core.Factorable)
-					if !ok {
-						continue
-					}
-					if _, sc := mechs[k].(core.StateCoupled); sc {
-						continue
-					}
-					bs, err := bucketStreamFor(cfg, spec, predKey, flat, ann, fm)
-					if err != nil {
-						terr = fmt.Errorf("sim: tallying %s: %w", spec.Name, err)
-						return
-					}
-					perSpec[i][j] = Result{
-						Benchmark: spec.Name,
-						Branches:  uint64(bs.n),
-						Misses:    bs.misses,
-						Buckets:   bs.Stats(),
-					}
-					tallied[k] = true
+		var terr error
+		pprof.Do(context.Background(), pprof.Labels("benchmark", spec.Name, "stage", "tally"), func(context.Context) {
+			for k, j := range chunk {
+				fm, ok := mechs[k].(core.Factorable)
+				if !ok {
+					continue
 				}
-			})
-			heapwatch.Sample("tally")
-			if terr != nil {
-				return terr
+				if _, sc := mechs[k].(core.StateCoupled); sc {
+					continue
+				}
+				bs, err := bucketStreamFor(cfg, spec, predKey, flat, ann, fm)
+				if err != nil {
+					terr = fmt.Errorf("sim: tallying %s: %w", spec.Name, err)
+					return
+				}
+				perSpec[i][j] = Result{
+					Benchmark: spec.Name,
+					Branches:  uint64(bs.n),
+					Misses:    bs.misses,
+					Buckets:   bs.Stats(),
+				}
+				tallied[k] = true
 			}
+		})
+		heapwatch.Sample("tally")
+		if terr != nil {
+			return terr
 		}
 
 		var replayMechs []core.Mechanism

@@ -140,30 +140,37 @@ func TestAnnotateWithoutStateLane(t *testing.T) {
 	}
 }
 
-// TestRunSuiteAnnotatedMatchesBatch: the full two-stage suite engine must
-// be byte-identical to the interleaved suite engine, and a second run must
-// be served from the annotated cache.
+// TestRunSuiteAnnotatedMatchesBatch: the two-stage suite engine, batching
+// several mechanisms (one of them state-coupled) into one call, must equal
+// the Run oracle, and a second run must be served from the annotated
+// cache.
 func TestRunSuiteAnnotatedMatchesBatch(t *testing.T) {
 	defer AnnotatedTier.Reset()
 	defer workload.TraceTier.Reset()
 	AnnotatedTier.Reset()
 	cfg := SuiteConfig{Branches: 8000}
 	newPred := func() predictor.Predictor { return predictor.Gshare64K() }
-	newMechs := []func() core.Mechanism{
-		func() core.Mechanism { return core.PaperResetting() },
-		func() core.Mechanism { return core.PaperOneLevel(core.IndexPCxorBHR) },
-		func() core.Mechanism { return core.NewAnnotatedStrength() },
+	mechs := []oracleMech{
+		{engine: func() core.Mechanism { return core.PaperResetting() }},
+		{engine: func() core.Mechanism { return core.PaperOneLevel(core.IndexPCxorBHR) }},
+		{
+			engine: func() core.Mechanism { return core.NewAnnotatedStrength() },
+			live: func(p predictor.Predictor) core.Mechanism {
+				return core.NewCounterStrength(p.(*predictor.Gshare))
+			},
+		},
 	}
-	want, err := RunSuiteBatch(cfg, newPred, newMechs)
-	if err != nil {
-		t.Fatal(err)
+	newMechs := make([]func() core.Mechanism, len(mechs))
+	for j, m := range mechs {
+		newMechs[j] = m.engine
 	}
+	want := oracleSuite(t, workload.Suite(), cfg.Branches, "gshare-64K", mechs)
 	got, err := RunSuiteAnnotated(cfg, "gshare-64K", newPred, newMechs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatal("annotated suite diverges from batched suite")
+		t.Fatal("annotated suite diverges from the Run oracle")
 	}
 	rep := AnnotatedTier.Stats()
 	hits, misses, resident := rep.Hits, rep.Misses, rep.ResidentBytes
@@ -192,8 +199,8 @@ func TestRunSuiteAnnotatedMatchesBatch(t *testing.T) {
 
 // TestRunSuiteAnnotatedUncoupledNonAnnotatingPredictor: a predictor with
 // no annotation hook still runs through the two-stage engine (miss bits
-// only) as long as no mechanism needs predictor state, matching the
-// interleaved engine exactly.
+// only) as long as no mechanism needs predictor state, matching the Run
+// oracle exactly.
 func TestRunSuiteAnnotatedUncoupledNonAnnotatingPredictor(t *testing.T) {
 	defer AnnotatedTier.Reset()
 	defer workload.TraceTier.Reset()
@@ -209,16 +216,13 @@ func TestRunSuiteAnnotatedUncoupledNonAnnotatingPredictor(t *testing.T) {
 	newMechs := []func() core.Mechanism{
 		func() core.Mechanism { return core.PaperResetting() },
 	}
-	want, err := RunSuiteBatch(cfg, newPred, newMechs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := oracleSuite(t, cfg.Specs, cfg.Branches, "gselect-64K", uncoupled(newMechs))
 	got, err := RunSuiteAnnotated(cfg, "gselect-64K", newPred, newMechs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatal("annotated suite under gselect diverges from batched suite")
+		t.Fatal("annotated suite under gselect diverges from the Run oracle")
 	}
 }
 
@@ -235,16 +239,13 @@ func TestAnnotatedCacheBound(t *testing.T) {
 	newMechs := []func() core.Mechanism{
 		func() core.Mechanism { return core.PaperResetting() },
 	}
-	want, err := RunSuiteBatch(cfg, newPred, newMechs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := oracleSuite(t, cfg.Specs, cfg.Branches, "gshare-64K", uncoupled(newMechs))
 	got, err := RunSuiteAnnotated(cfg, "gshare-64K", newPred, newMechs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatal("bounded annotated suite diverges from batched suite")
+		t.Fatal("bounded annotated suite diverges from the Run oracle")
 	}
 	if resident := AnnotatedTier.Stats().ResidentBytes; resident > 1 {
 		t.Fatalf("bound 1 byte: resident %d bytes after run", resident)

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"runtime"
@@ -97,10 +96,11 @@ var (
 	simSlots      chan struct{}
 )
 
-// SetParallelism bounds the number of benchmark-level simulation units
-// running at once across every RunSuite/RunSuiteBatch call. n < 1 resets to
-// runtime.NumCPU(). Parallelism never affects results — each unit owns its
-// source, predictor and mechanisms — only wall-clock time.
+// SetParallelism bounds the number of simulation units — a monolithic
+// suite call's mechanism chunks, a segmented call's per-benchmark
+// pipelines — running at once across every RunSuiteAnnotated call. n < 1
+// resets to runtime.NumCPU(). Parallelism never affects results, only
+// wall-clock time.
 //
 // Resizing is safe mid-suite: the channel is rebuilt eagerly under the lock,
 // so units acquired before the resize release into the channel they drew
@@ -142,65 +142,6 @@ func acquireSlot() func() {
 	slots := slotChan()
 	slots <- struct{}{}
 	return func() { <-slots }
-}
-
-// RunSuiteBatch replays every benchmark through a fresh predictor and a
-// fresh instance of each mechanism constructor, in one predictor pass per
-// benchmark. It returns one SuiteResult per mechanism constructor,
-// index-aligned with newMechs, each holding per-benchmark runs in suite
-// order — exactly what len(newMechs) RunSuite calls would produce, for one
-// predictor simulation per benchmark.
-//
-// Benchmarks run concurrently under the process-wide parallelism bound (see
-// SetParallelism); determinism is unaffected. Per-benchmark failures are
-// aggregated with errors.Join so a multi-benchmark failure reports every
-// cause. newPred and newMechs are invoked from multiple goroutines and must
-// be pure constructors.
-func RunSuiteBatch(cfg SuiteConfig, newPred func() predictor.Predictor, newMechs []func() core.Mechanism) ([]SuiteResult, error) {
-	specs := cfg.specs()
-	perSpec := make([][]Result, len(specs))
-	errs := make([]error, len(specs))
-	var wg sync.WaitGroup
-	for i, spec := range specs {
-		i, spec := i, spec
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			release := acquireSlot()
-			defer release()
-			src, err := cfg.source(spec)
-			if err != nil {
-				errs[i] = fmt.Errorf("sim: building %s: %w", spec.Name, err)
-				return
-			}
-			mechs := make([]core.Mechanism, len(newMechs))
-			for j, nm := range newMechs {
-				mechs[j] = nm()
-			}
-			rs, err := RunBatch(src, newPred(), mechs)
-			if err != nil {
-				errs[i] = fmt.Errorf("sim: running %s: %w", spec.Name, err)
-				return
-			}
-			for j := range rs {
-				rs[j].Benchmark = spec.Name
-			}
-			perSpec[i] = rs
-		}()
-	}
-	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
-		return nil, err
-	}
-	out := make([]SuiteResult, len(newMechs))
-	for j := range newMechs {
-		runs := make([]Result, len(specs))
-		for i := range specs {
-			runs[i] = perSpec[i][j]
-		}
-		out[j] = SuiteResult{Runs: runs}
-	}
-	return out, nil
 }
 
 // DeriveEstimator reconstructs the confusion summary an online RunEstimator

@@ -1,9 +1,7 @@
 package sim
 
 import (
-	"errors"
 	"reflect"
-	"strings"
 	"testing"
 
 	"branchconf/internal/core"
@@ -68,79 +66,34 @@ func TestRunBatchMatchesRun(t *testing.T) {
 	}
 }
 
-func TestRunSuiteBatchMatchesRunSuite(t *testing.T) {
+// uncoupled wraps plain mechanism constructors for the Run oracle: none of
+// them reads predictor state, so the oracle runs the engine's own form.
+func uncoupled(newMechs []func() core.Mechanism) []oracleMech {
+	ms := make([]oracleMech, len(newMechs))
+	for j, nm := range newMechs {
+		ms[j].engine = nm
+	}
+	return ms
+}
+
+// TestSuiteMechanismBatchMatchesOracle: several mechanisms sharing one
+// suite call each get exactly the result a solo Run gives them.
+func TestSuiteMechanismBatchMatchesOracle(t *testing.T) {
+	resetEngineCaches(t)
 	cfg := SuiteConfig{Branches: 8000}
 	newPred := func() predictor.Predictor { return predictor.Gshare64K() }
 	newMechs := []func() core.Mechanism{
 		func() core.Mechanism { return core.PaperResetting() },
 		func() core.Mechanism { return core.PaperOneLevel(core.IndexPCxorBHR) },
 	}
-	batched, err := RunSuiteBatch(cfg, newPred, newMechs)
+	batched, err := RunSuiteAnnotated(cfg, "gshare-64K", newPred, newMechs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, nm := range newMechs {
-		want, err := RunSuite(cfg, newPred, nm)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(batched[i], want) {
-			t.Errorf("mechanism %d: suite batch diverges from RunSuite", i)
-		}
-	}
-}
-
-func TestRunSuiteBatchCachedSource(t *testing.T) {
-	// A Source hook feeding materialized replays must reproduce the
-	// streaming walk exactly.
-	cfg := SuiteConfig{Branches: 8000}
-	cached := cfg
-	cached.Source = func(spec workload.Spec, branches uint64) (trace.Source, error) {
-		buf, err := workload.Materialize(spec, branches)
-		if err != nil {
-			return nil, err
-		}
-		return buf.Source(), nil
-	}
-	defer workload.TraceTier.Reset()
-	newPred := func() predictor.Predictor { return predictor.Gshare64K() }
-	newMech := func() core.Mechanism { return core.PaperResetting() }
-	want, err := RunSuite(cfg, newPred, newMech)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := RunSuite(cached, newPred, newMech)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("cached-source suite diverges from streaming suite")
-	}
-}
-
-// TestRunSuiteErrorsJoined checks that a multi-benchmark failure reports
-// every failing benchmark, not just the first.
-func TestRunSuiteErrorsJoined(t *testing.T) {
-	boom := errors.New("boom")
-	cfg := SuiteConfig{
-		Branches: 100,
-		Specs:    workload.Suite()[:3],
-		Source: func(spec workload.Spec, branches uint64) (trace.Source, error) {
-			if spec.Name == "groff" || spec.Name == "jpeg_play" {
-				return nil, boom
-			}
-			return spec.FiniteSource(branches)
-		},
-	}
-	_, err := RunSuite(cfg,
-		func() predictor.Predictor { return predictor.Gshare64K() },
-		func() core.Mechanism { return core.PaperResetting() })
-	if err == nil {
-		t.Fatal("want error")
-	}
-	for _, name := range []string{"groff", "jpeg_play"} {
-		if !strings.Contains(err.Error(), name) {
-			t.Errorf("joined error missing benchmark %s: %v", name, err)
+	want := oracleSuite(t, workload.Suite(), cfg.Branches, "gshare-64K", uncoupled(newMechs))
+	for i := range newMechs {
+		if !reflect.DeepEqual(batched[i], want[i]) {
+			t.Errorf("mechanism %d: suite batch diverges from the Run oracle", i)
 		}
 	}
 }
@@ -183,23 +136,25 @@ func TestDeriveMultiMatchesRunMulti(t *testing.T) {
 }
 
 func TestSetParallelism(t *testing.T) {
+	resetEngineCaches(t)
 	SetParallelism(1)
 	defer SetParallelism(0)
 	cfg := SuiteConfig{Branches: 4000, Specs: workload.Suite()[:4]}
-	a, err := RunSuite(cfg,
-		func() predictor.Predictor { return predictor.Gshare64K() },
-		func() core.Mechanism { return core.PaperResetting() })
+	newPred := func() predictor.Predictor { return predictor.Gshare64K() }
+	newMechs := []func() core.Mechanism{func() core.Mechanism { return core.PaperResetting() }}
+	want := oracleSuite(t, cfg.Specs, cfg.Branches, "gshare-64K", uncoupled(newMechs))
+	a, err := RunSuiteAnnotated(cfg, "gshare-64K", newPred, newMechs)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Drop the memory tiers so the second run walks again, wider.
+	resetMemoryTiers()
 	SetParallelism(8)
-	b, err := RunSuite(cfg,
-		func() predictor.Predictor { return predictor.Gshare64K() },
-		func() core.Mechanism { return core.PaperResetting() })
+	b, err := RunSuiteAnnotated(cfg, "gshare-64K", newPred, newMechs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(a, b) {
+	if !reflect.DeepEqual(a, want) || !reflect.DeepEqual(b, want) {
 		t.Fatal("parallelism changed suite results")
 	}
 }

@@ -11,7 +11,8 @@ import (
 )
 
 // TestSetParallelismResizeMidSuite hammers SetParallelism while suites are
-// in flight, in both engines. Under -race this checks the eager channel
+// in flight, in both engine forms (monolithic and segmented), against the
+// Run oracle. Under -race this checks the eager channel
 // rebuild: units acquired before a resize must release into the channel
 // they drew from while new acquisitions see the new width, with no data
 // race on the pool and no lost slots (a lost slot would deadlock a later
@@ -29,11 +30,10 @@ func TestSetParallelismResizeMidSuite(t *testing.T) {
 		func() core.Mechanism { return core.PaperOneLevel(core.IndexPCxorBHR) },
 	}
 
+	segCfg := cfg
+	segCfg.SegmentBranches = 1000
+	want := oracleSuite(t, cfg.Specs, cfg.Branches, "gshare-64K", uncoupled(newMechs))
 	SetParallelism(2)
-	want, err := RunSuiteBatch(cfg, newPred, newMechs)
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	stop := make(chan struct{})
 	var resizer sync.WaitGroup
@@ -61,7 +61,7 @@ func TestSetParallelismResizeMidSuite(t *testing.T) {
 				var got []SuiteResult
 				var err error
 				if (g+iter)%2 == 0 {
-					got, err = RunSuiteBatch(cfg, newPred, newMechs)
+					got, err = RunSuiteAnnotated(segCfg, "gshare-64K", newPred, newMechs)
 				} else {
 					got, err = RunSuiteAnnotated(cfg, "gshare-64K", newPred, newMechs)
 				}
@@ -81,7 +81,7 @@ func TestSetParallelismResizeMidSuite(t *testing.T) {
 	resizer.Wait()
 
 	// The pool must still be functional at whatever width won the race.
-	after, err := RunSuiteBatch(cfg, newPred, newMechs)
+	after, err := RunSuiteAnnotated(segCfg, "gshare-64K", newPred, newMechs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -202,27 +202,13 @@ type SuiteConfig struct {
 	Branches uint64
 	// Specs selects the benchmarks (default: the standard suite).
 	Specs []workload.Spec
-	// Source, when non-nil, supplies the trace for each benchmark instead
-	// of spec.FiniteSource — typically a materialized-trace cache. It must
-	// produce a stream identical to the streaming walk for the same
-	// (spec, branches) and be safe for concurrent calls.
-	Source func(spec workload.Spec, branches uint64) (trace.Source, error)
-	// Buffer, when non-nil, supplies the materialized replay buffer the
-	// two-stage engine (RunSuiteAnnotated) annotates and flattens. Nil
-	// falls back to the process-wide workload.Materialize cache. It must be
-	// deterministic per (spec, branches) and safe for concurrent calls.
-	Buffer func(spec workload.Spec, branches uint64) (*trace.ReplayBuffer, error)
-	// NoTally disables the stage-3 tally engine: factorable mechanisms are
-	// replayed per-variant on the stage-2 path instead of being served from
-	// geometry-keyed bucket streams. Results are byte-identical either way;
-	// the switch exists for A/B benchmarking and fault isolation.
-	NoTally bool
 	// SegmentBranches, when non-zero, switches RunSuiteAnnotated to the
-	// segmented streaming engine: each benchmark's trace is walked in
-	// segments of this many branches with annotation of the next segment
-	// overlapping tallying of the current one, keeping resident memory flat
-	// at any horizon. Results are byte-identical to the monolithic engine.
-	// Zero (the default) keeps the monolithic materialize-whole path.
+	// segmented streaming engine: each benchmark's trace is walked straight
+	// from its generator in segments of this many branches, with annotation
+	// of the next segment overlapping tallying of the current one, keeping
+	// resident memory flat at any horizon. Results are byte-identical to
+	// the monolithic engine. Zero (the default) keeps the monolithic path,
+	// which replays the process-wide workload.Materialize cache.
 	SegmentBranches uint64
 }
 
@@ -231,20 +217,6 @@ func (c SuiteConfig) specs() []workload.Spec {
 		return c.Specs
 	}
 	return workload.Suite()
-}
-
-func (c SuiteConfig) source(spec workload.Spec) (trace.Source, error) {
-	if c.Source != nil {
-		return c.Source(spec, c.Branches)
-	}
-	return spec.FiniteSource(c.Branches)
-}
-
-func (c SuiteConfig) buffer(spec workload.Spec) (*trace.ReplayBuffer, error) {
-	if c.Buffer != nil {
-		return c.Buffer(spec, c.Branches)
-	}
-	return workload.Materialize(spec, c.Branches)
 }
 
 // SuiteResult aggregates per-benchmark results in suite order.
@@ -294,23 +266,4 @@ func (s SuiteResult) ByName(name string) (Result, error) {
 		}
 	}
 	return Result{}, fmt.Errorf("sim: no run for benchmark %q", name)
-}
-
-// RunSuite replays every benchmark through fresh predictor and mechanism
-// instances (tables are rebuilt per benchmark, as in the paper's per-trace
-// simulations) and collects per-benchmark results in suite order.
-//
-// Benchmarks run concurrently: each run owns its source, predictor and
-// mechanism, so parallelism cannot perturb results — the output is
-// byte-identical to a serial sweep, just several times faster on the
-// multi-run experiments. newPred and newMech are invoked from multiple
-// goroutines and must be safe for concurrent calls (pure constructors
-// returning fresh instances are; closures over shared mutable state are
-// not). Per-benchmark failures are aggregated with errors.Join.
-func RunSuite(cfg SuiteConfig, newPred func() predictor.Predictor, newMech func() core.Mechanism) (SuiteResult, error) {
-	res, err := RunSuiteBatch(cfg, newPred, []func() core.Mechanism{newMech})
-	if err != nil {
-		return SuiteResult{}, err
-	}
-	return res[0], nil
 }

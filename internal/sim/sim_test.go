@@ -155,9 +155,19 @@ func TestEstimatorConfusionQuadrant(t *testing.T) {
 	}
 }
 
+// runSuiteOne is a single-mechanism RunSuiteAnnotated call.
+func runSuiteOne(cfg SuiteConfig, predKey string, newPred func() predictor.Predictor, newMech func() core.Mechanism) (SuiteResult, error) {
+	rs, err := RunSuiteAnnotated(cfg, predKey, newPred, []func() core.Mechanism{newMech})
+	if err != nil {
+		return SuiteResult{}, err
+	}
+	return rs[0], nil
+}
+
 func TestRunSuite(t *testing.T) {
+	resetEngineCaches(t)
 	cfg := SuiteConfig{Branches: 20000}
-	sr, err := RunSuite(cfg,
+	sr, err := runSuiteOne(cfg, "gshare-4K",
 		func() predictor.Predictor { return predictor.Gshare4K() },
 		func() core.Mechanism { return core.SmallResetting(12) })
 	if err != nil {
@@ -190,8 +200,9 @@ func TestRunSuiteSubset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	resetEngineCaches(t)
 	cfg := SuiteConfig{Branches: 5000, Specs: []workload.Spec{spec}}
-	sr, err := RunSuite(cfg,
+	sr, err := runSuiteOne(cfg, predictor.NewBimodal(10).Name(),
 		func() predictor.Predictor { return predictor.NewBimodal(10) },
 		func() core.Mechanism { return core.NewStaticProfile() })
 	if err != nil {
@@ -203,10 +214,11 @@ func TestRunSuiteSubset(t *testing.T) {
 }
 
 func TestRunSuiteParallelMatchesSerial(t *testing.T) {
-	// RunSuite executes benchmarks concurrently; results must be identical
-	// to independent serial runs (each run is self-contained).
+	// The suite engine runs benchmarks concurrently; results must be
+	// identical to independent serial runs (each run is self-contained).
+	resetEngineCaches(t)
 	cfg := SuiteConfig{Branches: 15000}
-	sr, err := RunSuite(cfg,
+	sr, err := runSuiteOne(cfg, "gshare-4K",
 		func() predictor.Predictor { return predictor.Gshare4K() },
 		func() core.Mechanism { return core.SmallResetting(12) })
 	if err != nil {

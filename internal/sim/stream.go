@@ -204,9 +204,9 @@ func streamUnitOnce(cfg SuiteConfig, spec workload.Spec, predKey string, newPred
 	_, wantState := pred.(predictor.StateAnnotator)
 
 	// Partition mechanisms: resumable factorable geometries tally per
-	// segment through a shared lane walk; everything else (StateCoupled,
-	// non-factorable, or all of them under NoTally) replays per segment
-	// with accumulators persisting across segments.
+	// segment through a shared lane walk; everything else (StateCoupled or
+	// non-factorable) replays per segment with accumulators persisting
+	// across segments.
 	var lanes []*geomLane
 	laneByGeom := map[string]*geomLane{}
 	laneOf := make([]*geomLane, len(mechs))
@@ -215,7 +215,7 @@ func streamUnitOnce(cfg SuiteConfig, spec workload.Spec, predKey string, newPred
 	for j, m := range mechs {
 		fm, resumable := m.(core.Resumable)
 		_, sc := m.(core.StateCoupled)
-		if !cfg.NoTally && resumable && !sc {
+		if resumable && !sc {
 			key := fm.GeometryKey()
 			g := laneByGeom[key]
 			if g == nil {
@@ -343,7 +343,7 @@ func streamProduce(cfg SuiteConfig, unit segKey, pred predictor.Predictor, wantS
 		}
 	}
 	spec := unit.spec
-	src, err := cfg.source(spec)
+	src, err := spec.FiniteSource(cfg.Branches)
 	if err != nil {
 		fail(err)
 		return

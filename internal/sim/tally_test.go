@@ -64,9 +64,9 @@ func resetEngineCaches(t *testing.T) {
 
 // TestTallyMatchesReplay is the stage-3 property test: for every factorable
 // paper geometry, the suite results served from geometry-keyed bucket
-// streams must equal — integer for integer — the stage-2 replay results on
-// the same seeded workload prefix. The non-factorable mechanisms ride along
-// to check the partition leaves the replay path untouched.
+// streams must equal — integer for integer — the Run oracle on the same
+// seeded workload prefix. The non-factorable mechanisms ride along to check
+// the partition leaves the replay path untouched.
 func TestTallyMatchesReplay(t *testing.T) {
 	resetEngineCaches(t)
 	cfg := SuiteConfig{Branches: 8000, Specs: workload.Suite()[:4]}
@@ -74,16 +74,7 @@ func TestTallyMatchesReplay(t *testing.T) {
 	newMechs := append(factorablePaperMechs(),
 		func() core.Mechanism { return core.NewStaticProfile() },
 	)
-
-	replayCfg := cfg
-	replayCfg.NoTally = true
-	want, err := RunSuiteAnnotated(replayCfg, "gshare-64K", newPred, newMechs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep := BucketTier.Stats(); rep.Hits != 0 || rep.Misses != 0 {
-		t.Fatalf("NoTally run touched the bucket cache: %d hits, %d misses", rep.Hits, rep.Misses)
-	}
+	want := oracleSuite(t, cfg.Specs, cfg.Branches, "gshare-64K", uncoupled(newMechs))
 
 	got, err := RunSuiteAnnotated(cfg, "gshare-64K", newPred, newMechs)
 	if err != nil {
@@ -91,7 +82,7 @@ func TestTallyMatchesReplay(t *testing.T) {
 	}
 	for i := range want {
 		if !reflect.DeepEqual(got[i], want[i]) {
-			t.Errorf("mechanism %d (%s): tally path diverges from replay path",
+			t.Errorf("mechanism %d (%s): tally path diverges from the Run oracle",
 				i, newMechs[i]().Name())
 		}
 	}
@@ -117,7 +108,7 @@ func TestTallyMatchesReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(again, want) {
-		t.Error("cached tally rerun diverges from replay path")
+		t.Error("cached tally rerun diverges from the Run oracle")
 	}
 	rep2 := BucketTier.Stats()
 	hits2, misses2 := rep2.Hits, rep2.Misses
@@ -139,14 +130,7 @@ func TestTallyMatchesReplayParallel(t *testing.T) {
 	cfg := SuiteConfig{Branches: 6000, Specs: workload.Suite()[:3]}
 	newPred := func() predictor.Predictor { return predictor.Gshare64K() }
 	newMechs := factorablePaperMechs()
-
-	SetParallelism(1)
-	replayCfg := cfg
-	replayCfg.NoTally = true
-	want, err := RunSuiteAnnotated(replayCfg, "gshare-64K", newPred, newMechs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := oracleSuite(t, cfg.Specs, cfg.Branches, "gshare-64K", uncoupled(newMechs))
 
 	SetParallelism(8)
 	got, err := RunSuiteAnnotated(cfg, "gshare-64K", newPred, newMechs)
@@ -154,7 +138,7 @@ func TestTallyMatchesReplayParallel(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Error("parallel tally run diverges from serial replay run")
+		t.Error("parallel tally run diverges from the Run oracle")
 	}
 }
 
@@ -171,18 +155,13 @@ func TestBucketCacheBound(t *testing.T) {
 		func() core.Mechanism { return core.PaperOneLevel(core.IndexPCxorBHR) },
 		func() core.Mechanism { return core.PaperOneLevel(core.IndexPC) },
 	}
-	replayCfg := cfg
-	replayCfg.NoTally = true
-	want, err := RunSuiteAnnotated(replayCfg, "gshare-64K", newPred, newMechs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := oracleSuite(t, cfg.Specs, cfg.Branches, "gshare-64K", uncoupled(newMechs))
 	got, err := RunSuiteAnnotated(cfg, "gshare-64K", newPred, newMechs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatal("bound-starved tally run diverges from replay run")
+		t.Fatal("bound-starved tally run diverges from the Run oracle")
 	}
 	rep := BucketTier.Stats()
 	if rep.Evictions == 0 {
