@@ -36,19 +36,29 @@ func TestParallelReportMatchesSerial(t *testing.T) {
 			"thresholds": true, "multilevel": true, "fig9": true,
 		},
 	}
-	render := func(parallel int) string {
+	render := func(parallel int, segment uint64) string {
 		var out, errW strings.Builder
 		c := cfg
 		c.parallel = parallel
+		c.segmentBranches = segment
 		if err := writeReport(&out, &errW, c); err != nil {
-			t.Fatalf("parallel=%d: %v", parallel, err)
+			t.Fatalf("parallel=%d segment=%d: %v", parallel, segment, err)
 		}
 		return out.String()
 	}
-	serial := render(1)
+	serial := render(1, 0)
 	for _, parallel := range []int{2, 8} {
-		if got := render(parallel); got != serial {
+		if got := render(parallel, 0); got != serial {
 			t.Errorf("report at -parallel=%d differs from serial output", parallel)
+		}
+	}
+
+	// The segmented form of the engine must also agree byte for byte, at
+	// any worker count. (The Run oracle in internal/sim checks both forms
+	// below the report.)
+	for _, parallel := range []int{1, 2, 8} {
+		if got := render(parallel, 4096); got != serial {
+			t.Errorf("segmented report at -parallel=%d differs from monolithic serial output", parallel)
 		}
 	}
 }

@@ -340,18 +340,18 @@ func checkStateLane(predKey string, newPred func() predictor.Predictor, mechs []
 }
 
 // runMechChunk replays every benchmark through one chunk of mechanisms,
-// writing results into perSpec[spec][mech]. The chunk's mechanism instances
-// are Reset between benchmarks. Stage labels "annotate",
-// "tally" and "replay" mark the work for CPU profiles; the first chunk to
-// reach a benchmark claims its cache entry (paying the annotation walk on
-// a miss) through shared[spec], later chunks wait on that claim and go
-// straight to tally/replay.
+// writing results into perSpec[spec][mech]. The chunk's mechanism
+// instances are Reset between benchmarks. Stage labels "annotate", "tally"
+// and "replay" mark the work for CPU profiles; the first chunk to reach a
+// benchmark claims its cache entry (paying the annotation walk on a miss)
+// through shared[spec], later chunks wait on that claim and go straight to
+// tally/replay.
 //
 // Factorable mechanisms (unless the mechanism also reads predictor state)
-// are served by the stage-3 bucket-stream cache: their
-// result shares the geometry's immutable base histogram, and the per-branch
-// walk happens at most once per geometry process-wide. The rest replay on
-// the stage-2 path.
+// are served by the stage-3 bucket-stream cache: their result shares the
+// geometry's immutable base histogram, and the per-branch walk happens at
+// most once per geometry process-wide. The rest replay on the stage-2
+// path.
 func runMechChunk(cfg SuiteConfig, specs []workload.Spec, shared []sharedAnnotation, predKey string, newPred func() predictor.Predictor, all []core.Mechanism, chunk []int, perSpec [][]Result) error {
 	mechs := make([]core.Mechanism, len(chunk))
 	for k, j := range chunk {
