@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"strings"
 	"testing"
 )
@@ -274,6 +276,26 @@ func TestCtxSwitchExperiment(t *testing.T) {
 	}
 	if zeros >= keep {
 		t.Fatalf("flush-to-zeros (%.1f) not worse than keep (%.1f)", zeros, keep)
+	}
+}
+
+// TestCtxSwitchFlushes runs ctxswitch past its 64,000-branch switch
+// interval, two switches per benchmark. fastCfg ends before the first
+// switch, so only here must a flush policy move the curve away from keep.
+// The rendered text is pinned.
+func TestCtxSwitchFlushes(t *testing.T) {
+	const want = "ea60e0306539a03bc29b0bc22ac7e7be1581abfb46744d306f2e3452fd8476ec"
+	e, _ := ByID("ctxswitch")
+	o, err := e.RunOnce(Config{Branches: 130_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ones, keep := o.Scalars["flush-ones@20%"], o.Scalars["keep@20%"]; ones == keep {
+		t.Fatalf("flush-ones@20%% equals keep@20%% (%v): no flush was applied", keep)
+	}
+	sum := sha256.Sum256([]byte(o.Text))
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Fatalf("rendered ctxswitch text sha256 %s, want %s\n%s", got, want, o.Text)
 	}
 }
 
