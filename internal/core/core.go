@@ -21,7 +21,11 @@
 //
 // Mechanisms follow the same contract as predictors: for each branch call
 // Bucket first, then Update. They are deterministic and not safe for
-// concurrent use.
+// concurrent use. No mechanism holds a predictor. The ones whose signal is
+// predictor state (CounterStrength, NativeConfidence) implement
+// StateCoupled, and the simulation walk passes them the predictor's
+// pre-update state. Switched wraps a one-level table with a §5.4
+// context-switch policy applied every N branches.
 package core
 
 import (

@@ -98,10 +98,9 @@ func registerExtensions() {
 		Run: func(s *Session) (*Output, error) {
 			o := &Output{ID: "strength", Title: "counter-strength baseline", Scalars: map[string]float64{}}
 			// Strength mechanism (2 buckets) per benchmark, pooled. The
-			// mechanism reads the predictor's own counters, but in its
-			// annotated form that read comes from the captured pre-update
-			// state lane, so it shares a session pass with the resetting
-			// table like any independent mechanism.
+			// mechanism reads the predictor's own counters from the
+			// captured pre-update state lane, so it shares a session pass
+			// with the resetting table like any independent mechanism.
 			srs, err := s.Suite(predGshare64K, mechStrength, mechResetting)
 			if err != nil {
 				return nil, err
@@ -361,44 +360,28 @@ func registerExtensions() {
 			o := &Output{ID: "ctxswitch", Title: "context switches", Scalars: map[string]float64{}}
 			// Switch every 64k branches: a few dozen switches per run.
 			const interval = 64_000
-			policies := []struct {
-				label string
-				init  core.InitPolicy
-				apply func(core.Mechanism)
-			}{
-				{"keep", core.InitOnes, nil},
-				{"flush-ones", core.InitOnes, func(m core.Mechanism) { m.Reset() }},
-				{"flush-zeros", core.InitZeros, func(m core.Mechanism) { m.Reset() }},
-				{"mark-oldest", core.InitOnes, func(m core.Mechanism) {
-					m.(*core.OneLevel).MarkOldest()
-				}},
+			switched := func(init core.InitPolicy, policy core.SwitchPolicy) MechSpec {
+				return Mech(func() core.Mechanism {
+					m := core.NewOneLevel(core.OneLevelConfig{Scheme: core.IndexPCxorBHR, Init: init})
+					return core.NewSwitched(m, interval, policy)
+				})
 			}
-			// One batched walk per benchmark: the flush policies only touch
-			// their own mechanism, so all four share the predictor pass.
-			perPolicy := make([][]sim.Result, len(policies))
-			for _, spec := range workload.Suite() {
-				src, err := s.Source(spec)
-				if err != nil {
-					return nil, err
-				}
-				mechs := make([]core.Mechanism, len(policies))
-				flushes := make([]sim.FlushPolicy, len(policies))
-				for i, pol := range policies {
-					mechs[i] = core.NewOneLevel(core.OneLevelConfig{Scheme: core.IndexPCxorBHR, Init: pol.init})
-					flushes[i] = sim.FlushPolicy{Name: pol.label, Apply: pol.apply}
-				}
-				rs, err := sim.RunWithFlushBatch(src, predictor.Gshare64K(), mechs, interval, flushes)
-				if err != nil {
-					return nil, err
-				}
-				for i, r := range rs {
-					perPolicy[i] = append(perPolicy[i], r)
-				}
+			// The policies touch only their own CIR table, never the
+			// predictor, so all four replay the cached gshare-64K pass; keep
+			// is fig5's.
+			labels := []string{"keep", "flush-ones", "flush-zeros", "mark-oldest"}
+			srs, err := s.Suite(predGshare64K,
+				mechOneLevel(core.IndexPCxorBHR),
+				switched(core.InitOnes, core.SwitchReset),
+				switched(core.InitZeros, core.SwitchReset),
+				switched(core.InitOnes, core.SwitchMarkOldest))
+			if err != nil {
+				return nil, err
 			}
-			for i, pol := range policies {
-				c := s.Pooled(perPolicy[i]).Curve()
-				o.Series = append(o.Series, analysis.Series{Label: pol.label, Curve: c})
-				o.Scalars[pol.label+"@20%"] = c.MispredsAt(20)
+			for i, label := range labels {
+				c := s.Pooled(srs[i].Runs).Curve()
+				o.Series = append(o.Series, analysis.Series{Label: label, Curve: c})
+				o.Scalars[label+"@20%"] = c.MispredsAt(20)
 			}
 			renderFigure(o)
 			return o, nil

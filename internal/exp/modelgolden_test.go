@@ -189,12 +189,13 @@ func TestModelLiveFeedMatchesLanes(t *testing.T) {
 	}
 }
 
-// TestWarmSessionWalksNoPredictor: re-running the model experiments and
-// baseline on a warm session walks no predictor and builds no model
-// vector — every lane and every count comes from a memo.
+// TestWarmSessionWalksNoPredictor: re-running the model experiments,
+// baseline, ctxswitch and strength on a warm session walks no predictor,
+// replays no trace and builds no model vector — every lane and every count
+// comes from a memo.
 func TestWarmSessionWalksNoPredictor(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs six experiments twice")
+		t.Skip("runs eight experiments twice")
 	}
 	sim.AnnotatedTier.Reset()
 	sim.BucketTier.Reset()
@@ -204,7 +205,7 @@ func TestWarmSessionWalksNoPredictor(t *testing.T) {
 	defer ModelTier.Reset()
 	defer workload.TraceTier.Reset()
 
-	ids := []string{"pipeline", "dualpath-ipc", "apps", "gating", "ablation-costsplit", "baseline"}
+	ids := []string{"pipeline", "dualpath-ipc", "apps", "gating", "ablation-costsplit", "baseline", "ctxswitch", "strength"}
 	s := NewSession(Config{Branches: 3000})
 	run := func() map[string]string {
 		out := map[string]string{}
@@ -222,7 +223,7 @@ func TestWarmSessionWalksNoPredictor(t *testing.T) {
 		return out
 	}
 	cold := run()
-	ann, buckets, models := sim.AnnotatedTier.Stats(), sim.BucketTier.Stats(), ModelTier.Stats()
+	ann, buckets, models, traces := sim.AnnotatedTier.Stats(), sim.BucketTier.Stats(), ModelTier.Stats(), workload.TraceTier.Stats()
 	if models.Misses == 0 {
 		t.Fatal("cold run built no model vectors")
 	}
@@ -238,5 +239,8 @@ func TestWarmSessionWalksNoPredictor(t *testing.T) {
 	}
 	if got := ModelTier.Stats().Misses; got != models.Misses {
 		t.Errorf("warm rerun built model vectors: model misses %d -> %d", models.Misses, got)
+	}
+	if got := workload.TraceTier.Stats(); got.Hits+got.Misses != traces.Hits+traces.Misses {
+		t.Errorf("warm rerun claimed traces: trace-memo claims %d -> %d", traces.Hits+traces.Misses, got.Hits+got.Misses)
 	}
 }

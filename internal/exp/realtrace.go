@@ -79,7 +79,7 @@ func runRealTrace(s *Session) (*Output, error) {
 		label string
 		newM  func() core.Mechanism
 	}{
-		{"native", func() core.Mechanism { return core.NewAnnotatedConfidence() }},
+		{"native", func() core.Mechanism { return core.NewNativeConfidence() }},
 		{"resetting", func() core.Mechanism { return core.PaperResetting() }},
 		{"onelevel-pc^bhr", func() core.Mechanism { return core.PaperOneLevel(core.IndexPCxorBHR) }},
 	}

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"branchconf/internal/core"
-	"branchconf/internal/predictor"
 	"branchconf/internal/sim"
 	"branchconf/internal/trace"
 	"branchconf/internal/workload"
@@ -114,57 +113,39 @@ func TestRealTraceEnginesAgree(t *testing.T) {
 
 // checkRealTraceOracle requires the suite engine's passes over the
 // recorded trace to equal the straight-line sim.Run, for every predictor
-// and mechanism the realtrace experiment runs. The native-confidence
-// mechanism runs in its annotated form in the engine and bound to the
-// oracle's own predictor in Run.
+// and mechanism the realtrace experiment runs, the state-coupled
+// native-confidence mechanism included.
 func checkRealTraceOracle(t *testing.T, path string) {
 	t.Helper()
 	spec, err := workload.TraceSpec("", path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	type mech struct {
-		engine func() core.Mechanism
-		live   func(predictor.Predictor) core.Mechanism
+	cir := []func() core.Mechanism{
+		func() core.Mechanism { return core.PaperResetting() },
+		func() core.Mechanism { return core.PaperOneLevel(core.IndexPCxorBHR) },
 	}
-	cir := []mech{
-		{engine: func() core.Mechanism { return core.PaperResetting() }},
-		{engine: func() core.Mechanism { return core.PaperOneLevel(core.IndexPCxorBHR) }},
-	}
-	native := mech{
-		engine: func() core.Mechanism { return core.NewAnnotatedConfidence() },
-		live: func(p predictor.Predictor) core.Mechanism {
-			return core.NewNativeConfidence(p.(core.Confidencer))
-		},
-	}
+	native := func() core.Mechanism { return core.NewNativeConfidence() }
 	for _, leg := range []struct {
-		pred  PredSpec
-		mechs []mech
+		pred     PredSpec
+		newMechs []func() core.Mechanism
 	}{
 		{predGshare64K, cir},
-		{predFromRegistry("tage"), append([]mech{native}, cir...)},
-		{predFromRegistry("perceptron"), append([]mech{native}, cir...)},
+		{predFromRegistry("tage"), append([]func() core.Mechanism{native}, cir...)},
+		{predFromRegistry("perceptron"), append([]func() core.Mechanism{native}, cir...)},
 	} {
-		newMechs := make([]func() core.Mechanism, len(leg.mechs))
-		for j, m := range leg.mechs {
-			newMechs[j] = m.engine
-		}
 		cfg := sim.SuiteConfig{Branches: spec.TraceCount, Specs: []workload.Spec{spec}}
-		got, err := sim.RunSuiteAnnotated(cfg, leg.pred.Key, leg.pred.New, newMechs)
+		got, err := sim.RunSuiteAnnotated(cfg, leg.pred.Key, leg.pred.New, leg.newMechs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for j, m := range leg.mechs {
+		for j, nm := range leg.newMechs {
 			src, err := spec.FiniteSource(spec.TraceCount)
 			if err != nil {
 				t.Fatal(err)
 			}
-			pred := leg.pred.New()
-			mm := m.engine()
-			if m.live != nil {
-				mm = m.live(pred)
-			}
-			want, err := sim.Run(src, pred, mm)
+			mm := nm()
+			want, err := sim.Run(src, leg.pred.New(), mm)
 			if err != nil {
 				t.Fatal(err)
 			}

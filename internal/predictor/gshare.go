@@ -100,22 +100,13 @@ func (g *Gshare) Reset() {
 // share the BHR with the predictor when indexing their own tables.
 func (g *Gshare) History() uint64 { return g.bhr.Bits() }
 
-// CounterState returns the raw 2-bit counter state (0..3) the predictor
-// would consult for this branch. Strength-based confidence estimation
-// (Smith '81, the paper's §1.1 precursor) reads confidence directly from
-// how saturated this counter is.
-func (g *Gshare) CounterState(pc uint64) uint8 {
-	return g.table[g.index(pc)].Value()
+// AnnotationState implements StateAnnotator: the raw 2-bit counter state
+// (0..3) the prediction for this branch reads. Strength-based confidence
+// estimation (Smith '81, the paper's §1.1 precursor) reads confidence
+// directly from how saturated this counter is.
+func (g *Gshare) AnnotationState(r trace.Record) uint8 {
+	return g.table[g.index(r.PC)].Value()
 }
-
-// AnnotationState implements StateAnnotator: the pre-update 2-bit counter
-// value the prediction for this branch reads, the state counter-strength
-// confidence estimation consumes.
-func (g *Gshare) AnnotationState(r trace.Record) uint8 { return g.CounterState(r.PC) }
-
-// AnnotationBits implements StateAnnotator: gshare annotations are the
-// 2-bit counter value.
-func (g *Gshare) AnnotationBits() uint { return 2 }
 
 // TableBits returns log2 of the table size.
 func (g *Gshare) TableBits() uint { return g.tableBits }

@@ -169,13 +169,14 @@ func (p *Perceptron) Reset() {
 	p.cacheOK = false
 }
 
-// Confidence quantizes the native margin |sum| against the training
-// threshold θ into the 2-bit confidence lane: min(3, 4·|sum|/(θ+1)).
+// AnnotationState implements StateAnnotator: the pre-update native
+// confidence level for this branch, the margin |sum| quantized against the
+// training threshold θ into the 2-bit lane: min(3, 4·|sum|/(θ+1)).
 // Training stops reinforcing once the margin clears θ, so margins live in
 // [0, θ+ε] — quartering that range uses all four levels, with 3 meaning
 // "the perceptron stopped needing to learn this branch".
-func (p *Perceptron) Confidence(pc uint64) uint8 {
-	s := p.sum(pc)
+func (p *Perceptron) AnnotationState(r trace.Record) uint8 {
+	s := p.sum(r.PC)
 	if s < 0 {
 		s = -s
 	}
@@ -185,13 +186,6 @@ func (p *Perceptron) Confidence(pc uint64) uint8 {
 	}
 	return uint8(level)
 }
-
-// AnnotationState implements StateAnnotator: the pre-update native
-// confidence level for this branch.
-func (p *Perceptron) AnnotationState(r trace.Record) uint8 { return p.Confidence(r.PC) }
-
-// AnnotationBits implements StateAnnotator: a 2-bit confidence lane.
-func (p *Perceptron) AnnotationBits() uint { return 2 }
 
 // Name implements Predictor.
 func (p *Perceptron) Name() string { return "perceptron" }

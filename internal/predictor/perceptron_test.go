@@ -26,7 +26,7 @@ func TestPerceptronLearnsAlternation(t *testing.T) {
 func TestPerceptronConfidenceTracksMargin(t *testing.T) {
 	p := NewPerceptron(8, 4, 4)
 	r := trace.Record{PC: 0x3000, Target: 0x3040, Taken: true}
-	if c := p.Confidence(r.PC); c != 0 {
+	if c := p.AnnotationState(r); c != 0 {
 		t.Fatalf("untrained confidence = %d, want 0", c)
 	}
 	// Train far past theta: every contributing weight rails at +127, so
@@ -35,14 +35,8 @@ func TestPerceptronConfidenceTracksMargin(t *testing.T) {
 		p.Predict(r)
 		p.Update(r)
 	}
-	if c := p.Confidence(r.PC); c != 3 {
+	if c := p.AnnotationState(r); c != 3 {
 		t.Fatalf("saturated confidence = %d, want 3", c)
-	}
-	if p.AnnotationState(r) != p.Confidence(r.PC) {
-		t.Fatal("AnnotationState disagrees with Confidence")
-	}
-	if p.AnnotationBits() != 2 {
-		t.Fatalf("AnnotationBits = %d, want 2", p.AnnotationBits())
 	}
 }
 
@@ -84,7 +78,7 @@ func TestPerceptronCheckpointRoundTrip(t *testing.T) {
 				t.Fatalf("t%d/n%d/s%d cut %d: restored state re-serializes differently", g.table, g.tables, g.seg, cut)
 			}
 			for i, r := range tr[cut:] {
-				if live.Predict(r) != revived.Predict(r) || live.Confidence(r.PC) != revived.Confidence(r.PC) {
+				if live.Predict(r) != revived.Predict(r) || live.AnnotationState(r) != revived.AnnotationState(r) {
 					t.Fatalf("t%d/n%d/s%d cut %d: branch %d diverged", g.table, g.tables, g.seg, cut, cut+i)
 				}
 				live.Update(r)

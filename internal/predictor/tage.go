@@ -240,13 +240,14 @@ func (t *Tage) Reset() {
 	t.cacheOK = false
 }
 
-// Confidence returns the native 2-bit confidence level for this branch:
-// the providing counter's distance from its weak midpoint. A tagged
-// provider's 3-bit counter gives the full 0..3 scale; a base-table
-// prediction reports 3 when the 2-bit counter is saturated and 0 when
-// weak — the bimodal table has no middle grades to offer.
-func (t *Tage) Confidence(pc uint64) uint8 {
-	lk := t.lookup(pc)
+// AnnotationState implements StateAnnotator: the pre-update native 2-bit
+// confidence level the prediction for this branch carries, the providing
+// counter's distance from its weak midpoint. A tagged provider's 3-bit
+// counter gives the full 0..3 scale; a base-table prediction reports 3
+// when the 2-bit counter is saturated and 0 when weak — the bimodal table
+// has no middle grades to offer.
+func (t *Tage) AnnotationState(r trace.Record) uint8 {
+	lk := t.lookup(r.PC)
 	if lk.provider >= 0 {
 		c := t.banks[lk.provider].ctrs[lk.idx[lk.provider]].Value()
 		if c >= 4 {
@@ -259,13 +260,6 @@ func (t *Tage) Confidence(pc uint64) uint8 {
 	}
 	return 0
 }
-
-// AnnotationState implements StateAnnotator: the pre-update native
-// confidence level the prediction for this branch carries.
-func (t *Tage) AnnotationState(r trace.Record) uint8 { return t.Confidence(r.PC) }
-
-// AnnotationBits implements StateAnnotator: a 2-bit confidence lane.
-func (t *Tage) AnnotationBits() uint { return 2 }
 
 // Name implements Predictor.
 func (t *Tage) Name() string { return "tage" }

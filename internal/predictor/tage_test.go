@@ -32,7 +32,7 @@ func TestTageConfidenceTracksTraining(t *testing.T) {
 	p := NewTage(8, 6, 7, []uint{4, 9})
 	r := trace.Record{PC: 0x3000, Target: 0x3040, Taken: true}
 	// Untrained: weakly-taken base, confidence 0.
-	if c := p.Confidence(r.PC); c != 0 {
+	if c := p.AnnotationState(r); c != 0 {
 		t.Fatalf("untrained confidence = %d, want 0", c)
 	}
 	for i := 0; i < 64; i++ {
@@ -40,14 +40,8 @@ func TestTageConfidenceTracksTraining(t *testing.T) {
 		p.Update(r)
 	}
 	// A long monotone run saturates whichever counter provides.
-	if c := p.Confidence(r.PC); c != 3 {
+	if c := p.AnnotationState(r); c != 3 {
 		t.Fatalf("saturated confidence = %d, want 3", c)
-	}
-	if p.AnnotationState(r) != p.Confidence(r.PC) {
-		t.Fatal("AnnotationState disagrees with Confidence")
-	}
-	if p.AnnotationBits() != 2 {
-		t.Fatalf("AnnotationBits = %d, want 2", p.AnnotationBits())
 	}
 }
 
@@ -95,7 +89,7 @@ func TestTageCheckpointRoundTrip(t *testing.T) {
 				t.Fatalf("%v cut %d: restored state re-serializes differently", g.lengths, cut)
 			}
 			for i, r := range tr[cut:] {
-				if live.Predict(r) != revived.Predict(r) || live.Confidence(r.PC) != revived.Confidence(r.PC) {
+				if live.Predict(r) != revived.Predict(r) || live.AnnotationState(r) != revived.AnnotationState(r) {
 					t.Fatalf("%v cut %d: branch %d diverged", g.lengths, cut, cut+i)
 				}
 				live.Update(r)

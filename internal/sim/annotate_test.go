@@ -35,15 +35,14 @@ func annotateBuffer(t *testing.T, n uint64) *trace.ReplayBuffer {
 // the captured state lane instead of live counters.
 func TestReplayAnnotatedMatchesRun(t *testing.T) {
 	buf := annotateBuffer(t, 30000)
-	newMechs := []func(pred *predictor.Gshare) core.Mechanism{
-		func(*predictor.Gshare) core.Mechanism { return core.PaperResetting() },
-		func(*predictor.Gshare) core.Mechanism {
+	newMechs := []func() core.Mechanism{
+		func() core.Mechanism { return core.PaperResetting() },
+		func() core.Mechanism {
 			return core.NewCounterTable(core.CounterConfig{Kind: core.Saturating, Scheme: core.IndexPCxorBHR})
 		},
-		func(*predictor.Gshare) core.Mechanism { return core.PaperOneLevel(core.IndexPCxorBHR) },
-		func(*predictor.Gshare) core.Mechanism { return core.NewStaticProfile() },
-		// Annotated form: no live predictor reference at all.
-		func(*predictor.Gshare) core.Mechanism { return core.NewAnnotatedStrength() },
+		func() core.Mechanism { return core.PaperOneLevel(core.IndexPCxorBHR) },
+		func() core.Mechanism { return core.NewStaticProfile() },
+		func() core.Mechanism { return core.NewCounterStrength() },
 	}
 
 	flat := buf.Flatten()
@@ -53,21 +52,14 @@ func TestReplayAnnotatedMatchesRun(t *testing.T) {
 	}
 	mechs := make([]core.Mechanism, len(newMechs))
 	for i, nm := range newMechs {
-		mechs[i] = nm(nil)
+		mechs[i] = nm()
 	}
 	got, err := ReplayAnnotated(flat, ann, mechs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, nm := range newMechs {
-		solo := predictor.Gshare64K().(*predictor.Gshare)
-		m := nm(solo)
-		// The annotated strength mechanism cannot run interleaved; compare
-		// against the live-coupled equivalent.
-		if _, sc := m.(core.StateCoupled); sc && i == len(newMechs)-1 {
-			m = core.NewCounterStrength(solo)
-		}
-		want, err := Run(buf.Source(), solo, m)
+		want, err := Run(buf.Source(), predictor.Gshare64K(), nm())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,7 +127,7 @@ func TestAnnotateWithoutStateLane(t *testing.T) {
 	if !reflect.DeepEqual(got[0], want) {
 		t.Errorf("annotated replay diverges from Run\n got %+v\nwant %+v", got[0], want)
 	}
-	if _, err := ReplayAnnotated(flat, ann, []core.Mechanism{core.NewAnnotatedStrength()}); err == nil {
+	if _, err := ReplayAnnotated(flat, ann, []core.Mechanism{core.NewCounterStrength()}); err == nil {
 		t.Fatal("replaying a coupled mechanism without a state lane must fail")
 	}
 }
@@ -150,21 +142,12 @@ func TestRunSuiteAnnotatedMatchesBatch(t *testing.T) {
 	AnnotatedTier.Reset()
 	cfg := SuiteConfig{Branches: 8000}
 	newPred := func() predictor.Predictor { return predictor.Gshare64K() }
-	mechs := []oracleMech{
-		{engine: func() core.Mechanism { return core.PaperResetting() }},
-		{engine: func() core.Mechanism { return core.PaperOneLevel(core.IndexPCxorBHR) }},
-		{
-			engine: func() core.Mechanism { return core.NewAnnotatedStrength() },
-			live: func(p predictor.Predictor) core.Mechanism {
-				return core.NewCounterStrength(p.(*predictor.Gshare))
-			},
-		},
+	newMechs := []func() core.Mechanism{
+		func() core.Mechanism { return core.PaperResetting() },
+		func() core.Mechanism { return core.PaperOneLevel(core.IndexPCxorBHR) },
+		func() core.Mechanism { return core.NewCounterStrength() },
 	}
-	newMechs := make([]func() core.Mechanism, len(mechs))
-	for j, m := range mechs {
-		newMechs[j] = m.engine
-	}
-	want := oracleSuite(t, workload.Suite(), cfg.Branches, "gshare-64K", mechs)
+	want := oracleSuite(t, workload.Suite(), cfg.Branches, "gshare-64K", newMechs)
 	got, err := RunSuiteAnnotated(cfg, "gshare-64K", newPred, newMechs)
 	if err != nil {
 		t.Fatal(err)
@@ -216,7 +199,7 @@ func TestRunSuiteAnnotatedUncoupledNonAnnotatingPredictor(t *testing.T) {
 	newMechs := []func() core.Mechanism{
 		func() core.Mechanism { return core.PaperResetting() },
 	}
-	want := oracleSuite(t, cfg.Specs, cfg.Branches, "gselect-64K", uncoupled(newMechs))
+	want := oracleSuite(t, cfg.Specs, cfg.Branches, "gselect-64K", newMechs)
 	got, err := RunSuiteAnnotated(cfg, "gselect-64K", newPred, newMechs)
 	if err != nil {
 		t.Fatal(err)
@@ -239,7 +222,7 @@ func TestAnnotatedCacheBound(t *testing.T) {
 	newMechs := []func() core.Mechanism{
 		func() core.Mechanism { return core.PaperResetting() },
 	}
-	want := oracleSuite(t, cfg.Specs, cfg.Branches, "gshare-64K", uncoupled(newMechs))
+	want := oracleSuite(t, cfg.Specs, cfg.Branches, "gshare-64K", newMechs)
 	got, err := RunSuiteAnnotated(cfg, "gshare-64K", newPred, newMechs)
 	if err != nil {
 		t.Fatal(err)
@@ -260,18 +243,17 @@ func TestAnnotatedCacheBound(t *testing.T) {
 	}
 }
 
-// TestRunBatchAnnotatedStrength: the interleaved batch engine feeds
-// captured annotation state to coupled mechanisms, so the reference-free
-// strength mechanism matches the live-coupled one exactly.
+// TestRunBatchAnnotatedStrength: the batch walk feeds the predictor's
+// pre-update state to coupled mechanisms, so the predictor-free strength
+// mechanism matches a reader of the live predictor's counters exactly.
 func TestRunBatchAnnotatedStrength(t *testing.T) {
 	buf := annotateBuffer(t, 20000)
-	pred := predictor.Gshare64K().(*predictor.Gshare)
-	got, err := RunBatch(buf.Source(), pred, []core.Mechanism{core.NewAnnotatedStrength()})
+	got, err := RunBatch(buf.Source(), predictor.Gshare64K(), []core.Mechanism{core.NewCounterStrength()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	live := predictor.Gshare64K().(*predictor.Gshare)
-	want, err := Run(buf.Source(), live, core.NewCounterStrength(live))
+	want, err := Run(buf.Source(), live, liveStrength{live})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,6 +261,18 @@ func TestRunBatchAnnotatedStrength(t *testing.T) {
 		t.Errorf("annotated strength under RunBatch diverges from live coupling\n got %+v\nwant %+v", got[0], want)
 	}
 }
+
+// liveStrength reads counter strength from a live predictor in Bucket. It
+// is not StateCoupled, so a walk calls its Bucket after Predict and before
+// Update, where the counter it reads is the pre-update state.
+type liveStrength struct{ g *predictor.Gshare }
+
+func (l liveStrength) Bucket(r trace.Record) uint64 {
+	return core.NewCounterStrength().BucketWithState(r, l.g.AnnotationState(r))
+}
+func (liveStrength) Update(trace.Record, bool) {}
+func (liveStrength) Reset()                    {}
+func (liveStrength) Name() string              { return "live-strength" }
 
 // TestRunSuiteAnnotatedRejectsUnannotatedState: a state-coupled mechanism
 // on a predictor with no state lane fails the call with an error naming
@@ -295,7 +289,7 @@ func TestRunSuiteAnnotatedRejectsUnannotatedState(t *testing.T) {
 	}
 	newMechs := []func() core.Mechanism{
 		func() core.Mechanism { return core.PaperResetting() },
-		func() core.Mechanism { return core.NewAnnotatedStrength() },
+		func() core.Mechanism { return core.NewCounterStrength() },
 	}
 	for _, seg := range []uint64{0, 777} {
 		cfg := SuiteConfig{Branches: 4000, Specs: workload.Suite()[:2], SegmentBranches: seg}

@@ -30,32 +30,29 @@ func batchTrace(t *testing.T, n uint64) trace.Trace {
 // TestRunBatchMatchesRun is the core single-pass equivalence check: one
 // RunBatch over N mechanisms must reproduce N independent Run passes
 // exactly, including the predictor-coupled counter-strength mechanism
-// (which reads the live predictor's counters in Bucket, so it is sensitive
-// to the Bucket-before-Update ordering).
+// (which reads the predictor's pre-update counter, so it is sensitive to
+// the Bucket-before-Update ordering).
 func TestRunBatchMatchesRun(t *testing.T) {
 	tr := batchTrace(t, 30000)
-	// Each constructor receives the predictor instance driving its pass.
-	newMechs := []func(pred *predictor.Gshare) core.Mechanism{
-		func(*predictor.Gshare) core.Mechanism { return core.PaperResetting() },
-		func(*predictor.Gshare) core.Mechanism {
+	newMechs := []func() core.Mechanism{
+		func() core.Mechanism { return core.PaperResetting() },
+		func() core.Mechanism {
 			return core.NewCounterTable(core.CounterConfig{Kind: core.Saturating, Scheme: core.IndexPCxorBHR})
 		},
-		func(*predictor.Gshare) core.Mechanism { return core.PaperOneLevel(core.IndexPCxorBHR) },
-		func(pred *predictor.Gshare) core.Mechanism { return core.NewCounterStrength(pred) },
+		func() core.Mechanism { return core.PaperOneLevel(core.IndexPCxorBHR) },
+		func() core.Mechanism { return core.NewCounterStrength() },
 	}
 
-	pred := predictor.Gshare64K().(*predictor.Gshare)
 	mechs := make([]core.Mechanism, len(newMechs))
 	for i, nm := range newMechs {
-		mechs[i] = nm(pred)
+		mechs[i] = nm()
 	}
-	got, err := RunBatch(tr.Source(), pred, mechs)
+	got, err := RunBatch(tr.Source(), predictor.Gshare64K(), mechs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, nm := range newMechs {
-		solo := predictor.Gshare64K().(*predictor.Gshare)
-		want, err := Run(tr.Source(), solo, nm(solo))
+		want, err := Run(tr.Source(), predictor.Gshare64K(), nm())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,16 +61,6 @@ func TestRunBatchMatchesRun(t *testing.T) {
 				i, mechs[i].Name(), got[i], want)
 		}
 	}
-}
-
-// uncoupled wraps plain mechanism constructors for the Run oracle: none of
-// them reads predictor state, so the oracle runs the engine's own form.
-func uncoupled(newMechs []func() core.Mechanism) []oracleMech {
-	ms := make([]oracleMech, len(newMechs))
-	for j, nm := range newMechs {
-		ms[j].engine = nm
-	}
-	return ms
 }
 
 // TestSuiteMechanismBatchMatchesOracle: several mechanisms sharing one
@@ -90,7 +77,7 @@ func TestSuiteMechanismBatchMatchesOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := oracleSuite(t, workload.Suite(), cfg.Branches, "gshare-64K", uncoupled(newMechs))
+	want := oracleSuite(t, workload.Suite(), cfg.Branches, "gshare-64K", newMechs)
 	for i := range newMechs {
 		if !reflect.DeepEqual(batched[i], want[i]) {
 			t.Errorf("mechanism %d: suite batch diverges from the Run oracle", i)
@@ -142,7 +129,7 @@ func TestSetParallelism(t *testing.T) {
 	cfg := SuiteConfig{Branches: 4000, Specs: workload.Suite()[:4]}
 	newPred := func() predictor.Predictor { return predictor.Gshare64K() }
 	newMechs := []func() core.Mechanism{func() core.Mechanism { return core.PaperResetting() }}
-	want := oracleSuite(t, cfg.Specs, cfg.Branches, "gshare-64K", uncoupled(newMechs))
+	want := oracleSuite(t, cfg.Specs, cfg.Branches, "gshare-64K", newMechs)
 	a, err := RunSuiteAnnotated(cfg, "gshare-64K", newPred, newMechs)
 	if err != nil {
 		t.Fatal(err)

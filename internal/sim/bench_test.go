@@ -80,7 +80,7 @@ func BenchmarkReplayStageCoupled(b *testing.B) {
 	ann := Annotate(flat, predictor.Gshare64K())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ReplayAnnotated(flat, ann, []core.Mechanism{core.NewAnnotatedStrength()}); err != nil {
+		if _, err := ReplayAnnotated(flat, ann, []core.Mechanism{core.NewCounterStrength()}); err != nil {
 			b.Fatal(err)
 		}
 	}

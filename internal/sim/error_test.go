@@ -58,8 +58,8 @@ func TestRunMultiPropagatesSourceError(t *testing.T) {
 
 func TestRunWithFlushPropagatesSourceError(t *testing.T) {
 	boom := errors.New("truncated trace")
-	_, err := RunWithFlush(&failingSource{n: 3, err: boom}, predictor.NewBimodal(8),
-		core.PaperOneLevel(core.IndexPCxorBHR), 100, FlushPolicy{})
+	_, err := Run(&failingSource{n: 3, err: boom}, predictor.NewBimodal(8),
+		core.NewSwitched(core.PaperOneLevel(core.IndexPCxorBHR), 100, core.SwitchReset))
 	if !errors.Is(err, boom) {
 		t.Fatalf("error %v does not wrap source error", err)
 	}
@@ -80,5 +80,32 @@ func TestRunCleanEOF(t *testing.T) {
 	src := trace.FuncSource(func() (trace.Record, error) { return trace.Record{}, io.EOF })
 	if _, err := Run(src, predictor.AlwaysTaken{}, core.NewStaticProfile()); err != nil {
 		t.Fatalf("EOF treated as error: %v", err)
+	}
+}
+
+// TestRunRejectsStateCoupledWithoutStateLane: Run and RunBatch fail with an
+// error naming the mechanism and the predictor when a state-coupled
+// mechanism meets a predictor with no state lane, before reading the
+// source.
+func TestRunRejectsStateCoupledWithoutStateLane(t *testing.T) {
+	pred, err := predictor.Build("bimodal-4K")
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := &failingSource{n: 5, err: errors.New("source read")}
+	_, runErr := Run(src, pred, core.NewCounterStrength())
+	_, batchErr := RunBatch(src, pred, []core.Mechanism{core.PaperResetting(), core.NewCounterStrength()})
+	for name, err := range map[string]error{"Run": runErr, "RunBatch": batchErr} {
+		if err == nil {
+			t.Fatalf("%s accepted a state-coupled mechanism on bimodal-4K", name)
+		}
+		for _, want := range []string{"counter-strength", "bimodal-4K"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: error %q does not name %s", name, err, want)
+			}
+		}
+	}
+	if src.n != 5 {
+		t.Errorf("rejected walks read %d records", 5-src.n)
 	}
 }

@@ -1,14 +1,5 @@
 package sim
 
-import (
-	"fmt"
-	"io"
-
-	"branchconf/internal/core"
-	"branchconf/internal/predictor"
-	"branchconf/internal/trace"
-)
-
 // LevelTally summarises one confidence level of a multi-level run.
 type LevelTally struct {
 	Branches uint64
@@ -46,131 +37,4 @@ func (m MultiResult) Misses() uint64 {
 		n += l.Misses
 	}
 	return n
-}
-
-// RunMulti replays src through pred and the multi-level estimator.
-func RunMulti(src trace.Source, pred predictor.Predictor, est *core.MultiEstimator) (MultiResult, error) {
-	res := MultiResult{Levels: make([]LevelTally, est.Levels())}
-	for {
-		r, err := src.Next()
-		if err == io.EOF {
-			return res, nil
-		}
-		if err != nil {
-			return res, fmt.Errorf("sim: reading trace: %w", err)
-		}
-		level := est.Level(r)
-		incorrect := pred.Predict(r) != r.Taken
-		pred.Update(r)
-		est.Update(r, incorrect)
-		res.Levels[level].Branches++
-		if incorrect {
-			res.Levels[level].Misses++
-		}
-	}
-}
-
-// FlushPolicy mutates a confidence mechanism at a context-switch boundary
-// (§5.4). Policies that fully reinitialise can call Reset; cheaper
-// hardware may only age entries (core.OneLevel.MarkOldest) or do nothing.
-type FlushPolicy struct {
-	Name  string
-	Apply func(core.Mechanism)
-}
-
-// RunWithFlush replays src through pred and mech, applying flush at every
-// interval branches — modelling periodic context switches that disturb
-// only the confidence tables (the §5.4 study holds the predictor fixed to
-// isolate CT initialisation effects). interval must be positive.
-func RunWithFlush(src trace.Source, pred predictor.Predictor, mech core.Mechanism, interval uint64, flush FlushPolicy) (Result, error) {
-	if interval == 0 {
-		return Result{}, fmt.Errorf("sim: flush interval must be positive")
-	}
-	var res Result
-	acc := newBucketAccum()
-	sinceFlush := uint64(0)
-	for {
-		r, err := src.Next()
-		if err == io.EOF {
-			res.Buckets = acc.stats()
-			return res, nil
-		}
-		if err != nil {
-			res.Buckets = acc.stats()
-			return res, fmt.Errorf("sim: reading trace: %w", err)
-		}
-		if sinceFlush == interval {
-			if flush.Apply != nil {
-				flush.Apply(mech)
-			}
-			sinceFlush = 0
-		}
-		incorrect := pred.Predict(r) != r.Taken
-		acc.add(mech.Bucket(r), incorrect)
-		pred.Update(r)
-		mech.Update(r, incorrect)
-		res.Branches++
-		sinceFlush++
-		if incorrect {
-			res.Misses++
-		}
-	}
-}
-
-// RunWithFlushBatch is the batched counterpart of RunWithFlush: one trace
-// walk through one predictor, applying flushes[i] to mechs[i] at every
-// interval. Flush policies touch only their mechanism — the predictor is
-// deliberately undisturbed by context switches in the §5.4 study — so each
-// mechanism observes exactly the stream its solo RunWithFlush would, and
-// the results are byte-identical to len(mechs) separate runs.
-func RunWithFlushBatch(src trace.Source, pred predictor.Predictor, mechs []core.Mechanism, interval uint64, flushes []FlushPolicy) ([]Result, error) {
-	if interval == 0 {
-		return nil, fmt.Errorf("sim: flush interval must be positive")
-	}
-	if len(mechs) != len(flushes) {
-		return nil, fmt.Errorf("sim: %d mechanisms but %d flush policies", len(mechs), len(flushes))
-	}
-	results := make([]Result, len(mechs))
-	accums := make([]*bucketAccum, len(mechs))
-	for i := range accums {
-		accums[i] = newBucketAccum()
-	}
-	finish := func() {
-		for i := range results {
-			results[i].Buckets = accums[i].stats()
-		}
-	}
-	sinceFlush := uint64(0)
-	for {
-		r, err := src.Next()
-		if err == io.EOF {
-			finish()
-			return results, nil
-		}
-		if err != nil {
-			finish()
-			return results, fmt.Errorf("sim: reading trace: %w", err)
-		}
-		if sinceFlush == interval {
-			for i, f := range flushes {
-				if f.Apply != nil {
-					f.Apply(mechs[i])
-				}
-			}
-			sinceFlush = 0
-		}
-		incorrect := pred.Predict(r) != r.Taken
-		for i, m := range mechs {
-			accums[i].add(m.Bucket(r), incorrect)
-		}
-		pred.Update(r)
-		for i, m := range mechs {
-			m.Update(r, incorrect)
-			results[i].Branches++
-			if incorrect {
-				results[i].Misses++
-			}
-		}
-		sinceFlush++
-	}
 }

@@ -1,10 +1,13 @@
 package sim
 
 import (
+	"fmt"
+	"io"
 	"testing"
 
 	"branchconf/internal/core"
 	"branchconf/internal/predictor"
+	"branchconf/internal/trace"
 	"branchconf/internal/workload"
 )
 
@@ -42,15 +45,17 @@ func TestRunMultiPartitions(t *testing.T) {
 }
 
 func TestRunWithFlushIntervalValidation(t *testing.T) {
-	spec, _ := workload.ByName("groff")
-	src, _ := spec.FiniteSource(100)
-	_, err := RunWithFlush(src, predictor.Gshare4K(), core.PaperOneLevel(core.IndexPCxorBHR), 0, FlushPolicy{})
-	if err == nil {
-		t.Fatal("zero interval accepted")
-	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("zero interval accepted")
+		}
+	}()
+	core.NewSwitched(core.PaperOneLevel(core.IndexPCxorBHR), 0, core.SwitchReset)
 }
 
-func TestRunWithFlushNilPolicyMatchesPlainRun(t *testing.T) {
+// TestSwitchedBeforeFirstSwitchMatchesPlainRun: a switch interval the
+// trace never completes leaves the wrapped mechanism undisturbed.
+func TestSwitchedBeforeFirstSwitchMatchesPlainRun(t *testing.T) {
 	spec, _ := workload.ByName("groff")
 	mk := func() *core.OneLevel { return core.PaperOneLevel(core.IndexPCxorBHR) }
 	src1, _ := spec.FiniteSource(50000)
@@ -59,7 +64,7 @@ func TestRunWithFlushNilPolicyMatchesPlainRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	src2, _ := spec.FiniteSource(50000)
-	flushed, err := RunWithFlush(src2, predictor.Gshare64K(), mk(), 1000, FlushPolicy{Name: "noop"})
+	flushed, err := Run(src2, predictor.Gshare64K(), core.NewSwitched(mk(), 50000, core.SwitchReset))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,10 +77,13 @@ func TestRunWithFlushZerosHurts(t *testing.T) {
 	// Flushing the CT to zeros at every switch must degrade confidence
 	// quality versus keeping it (the §5.4/Fig. 11 effect at switch time).
 	spec, _ := workload.ByName("groff")
-	curve := func(apply func(core.Mechanism), init core.InitPolicy) float64 {
+	curve := func(flush bool, init core.InitPolicy) float64 {
 		src, _ := spec.FiniteSource(150000)
-		mech := core.NewOneLevel(core.OneLevelConfig{Scheme: core.IndexPCxorBHR, Init: init})
-		res, err := RunWithFlush(src, predictor.Gshare64K(), mech, 10000, FlushPolicy{Apply: apply})
+		var mech core.Mechanism = core.NewOneLevel(core.OneLevelConfig{Scheme: core.IndexPCxorBHR, Init: init})
+		if flush {
+			mech = core.NewSwitched(mech.(*core.OneLevel), 10000, core.SwitchReset)
+		}
+		res, err := Run(src, predictor.Gshare64K(), mech)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,8 +91,8 @@ func TestRunWithFlushZerosHurts(t *testing.T) {
 		// worst 20% of events.
 		return coverageAt20(t, res)
 	}
-	keep := curve(nil, core.InitOnes)
-	zeros := curve(func(m core.Mechanism) { m.Reset() }, core.InitZeros)
+	keep := curve(false, core.InitOnes)
+	zeros := curve(true, core.InitZeros)
 	if zeros >= keep {
 		t.Fatalf("flush-to-zeros (%.1f) not worse than keep (%.1f)", zeros, keep)
 	}
@@ -121,4 +129,26 @@ func coverageAt20(t *testing.T, res Result) float64 {
 		cumM += it.misses
 	}
 	return 100 * float64(cumM) / float64(totalM)
+}
+
+// RunMulti replays src through pred and the multi-level estimator.
+func RunMulti(src trace.Source, pred predictor.Predictor, est *core.MultiEstimator) (MultiResult, error) {
+	res := MultiResult{Levels: make([]LevelTally, est.Levels())}
+	for {
+		r, err := src.Next()
+		if err == io.EOF {
+			return res, nil
+		}
+		if err != nil {
+			return res, fmt.Errorf("sim: reading trace: %w", err)
+		}
+		level := est.Level(r)
+		incorrect := pred.Predict(r) != r.Taken
+		pred.Update(r)
+		est.Update(r, incorrect)
+		res.Levels[level].Branches++
+		if incorrect {
+			res.Levels[level].Misses++
+		}
+	}
 }

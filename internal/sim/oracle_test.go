@@ -21,43 +21,34 @@ import (
 // any of those layers shows up as a divergence here even when every engine
 // shares it.
 
-// oracleMech is one mechanism under test. engine builds the instance the
-// suite engine receives. live, when set, builds the form the oracle runs
-// instead, bound to the oracle's own predictor: a state-coupled mechanism
-// reads the predictor it is bound to, and only the oracle has one.
-type oracleMech struct {
-	engine func() core.Mechanism
-	live   func(predictor.Predictor) core.Mechanism
-}
-
 // oracleMechs is the mechanism set for one predictor: the paper's counter
 // tables (both sizes), a one-level and a two-level CIR table, the static
-// profile, and the state-coupled mechanism the predictor supports, if any.
-func oracleMechs(predName string) []oracleMech {
-	ms := []oracleMech{
-		{engine: func() core.Mechanism { return core.PaperResetting() }},
-		{engine: func() core.Mechanism { return core.SmallResetting(12) }},
-		{engine: func() core.Mechanism { return core.PaperOneLevel(core.IndexPCxorBHR) }},
-		{engine: func() core.Mechanism { return core.PaperTwoLevels()[0] }},
-		{engine: func() core.Mechanism { return core.NewStaticProfile() }},
+// profile, the state-coupled mechanism the predictor supports, if any, and
+// a one-level table under each context-switch policy at a short interval,
+// so segmented and chunked walks must carry the switch count across their
+// boundaries.
+func oracleMechs(predName string) []func() core.Mechanism {
+	ms := []func() core.Mechanism{
+		func() core.Mechanism { return core.PaperResetting() },
+		func() core.Mechanism { return core.SmallResetting(12) },
+		func() core.Mechanism { return core.PaperOneLevel(core.IndexPCxorBHR) },
+		func() core.Mechanism { return core.PaperTwoLevels()[0] },
+		func() core.Mechanism { return core.NewStaticProfile() },
 	}
 	switch oraclePred(predName)().(type) {
 	case *predictor.Gshare:
-		ms = append(ms, oracleMech{
-			engine: func() core.Mechanism { return core.NewAnnotatedStrength() },
-			live: func(p predictor.Predictor) core.Mechanism {
-				return core.NewCounterStrength(p.(*predictor.Gshare))
-			},
-		})
+		ms = append(ms, func() core.Mechanism { return core.NewCounterStrength() })
 	case *predictor.Tage, *predictor.Perceptron:
-		ms = append(ms, oracleMech{
-			engine: func() core.Mechanism { return core.NewAnnotatedConfidence() },
-			live: func(p predictor.Predictor) core.Mechanism {
-				return core.NewNativeConfidence(p.(core.Confidencer))
-			},
-		})
+		ms = append(ms, func() core.Mechanism { return core.NewNativeConfidence() })
 	}
-	return ms
+	return append(ms,
+		func() core.Mechanism {
+			return core.NewSwitched(core.PaperOneLevel(core.IndexPCxorBHR), 97, core.SwitchReset)
+		},
+		func() core.Mechanism {
+			return core.NewSwitched(core.PaperOneLevel(core.IndexPCxorBHR), 97, core.SwitchMarkOldest)
+		},
+	)
 }
 
 // oraclePred returns a constructor for the named registry predictor.
@@ -74,22 +65,17 @@ func oraclePred(name string) func() predictor.Predictor {
 // oracleSuite runs every (spec, mechanism) pair through a fresh predictor
 // with Run over spec.FiniteSource(budget), shaped like a suite engine's
 // result: one SuiteResult per mechanism, runs in spec order.
-func oracleSuite(t testing.TB, specs []workload.Spec, budget uint64, predName string, mechs []oracleMech) []SuiteResult {
+func oracleSuite(t testing.TB, specs []workload.Spec, budget uint64, predName string, newMechs []func() core.Mechanism) []SuiteResult {
 	t.Helper()
-	out := make([]SuiteResult, len(mechs))
-	for j, m := range mechs {
+	out := make([]SuiteResult, len(newMechs))
+	for j, nm := range newMechs {
 		out[j].Runs = make([]Result, len(specs))
 		for i, spec := range specs {
 			src, err := spec.FiniteSource(budget)
 			if err != nil {
 				t.Fatal(err)
 			}
-			pred := oraclePred(predName)()
-			mech := m.engine()
-			if m.live != nil {
-				mech = m.live(pred)
-			}
-			r, err := Run(src, pred, mech)
+			r, err := Run(src, oraclePred(predName)(), nm())
 			if err != nil {
 				t.Fatalf("oracle %s/%s: %v", predName, spec.Name, err)
 			}
@@ -150,12 +136,8 @@ func openOracleStore(t testing.TB, dir string, fsys artifact.FS) *artifact.Store
 // checkOracleCase runs the suite engine under c and requires it to equal
 // want. coldDir carries the last cold store's directory to the warm case
 // that follows it.
-func checkOracleCase(t testing.TB, c oracleCase, specs []workload.Spec, budget uint64, predName string, mechs []oracleMech, want []SuiteResult, coldDir *string) {
+func checkOracleCase(t testing.TB, c oracleCase, specs []workload.Spec, budget uint64, predName string, newMechs []func() core.Mechanism, want []SuiteResult, coldDir *string) {
 	t.Helper()
-	newMechs := make([]func() core.Mechanism, len(mechs))
-	for j, m := range mechs {
-		newMechs[j] = m.engine
-	}
 	cfg := SuiteConfig{Branches: budget, Specs: specs, SegmentBranches: c.seg}
 	SetParallelism(c.parallel)
 	run := func(leg string) {
@@ -171,7 +153,7 @@ func checkOracleCase(t testing.TB, c oracleCase, specs []workload.Spec, budget u
 			for i := range want[j].Runs {
 				if j >= len(got) || i >= len(got[j].Runs) || !reflect.DeepEqual(got[j].Runs[i], want[j].Runs[i]) {
 					t.Fatalf("%s %v %s: mechanism %s on %s diverges from the Run oracle",
-						predName, c, leg, mechs[j].engine().Name(), specs[i].Name)
+						predName, c, leg, newMechs[j]().Name(), specs[i].Name)
 				}
 			}
 		}
@@ -284,6 +266,8 @@ func FuzzSuiteMatchesRun(f *testing.F) {
 	f.Add(uint8(13), uint8(0x3f), uint16(700), uint16(100), uint8(2), uint8(3), int64(7))
 	f.Add(uint8(14), uint8(0x10), uint16(3999), uint16(4000), uint8(3), uint8(3), int64(42))
 	f.Add(uint8(4), uint8(0x24), uint16(2000), uint16(65535), uint8(1), uint8(1), int64(0))
+	f.Add(uint8(8), uint8(0xc0), uint16(1000), uint16(50), uint8(1), uint8(0), int64(0))
+	f.Add(uint8(0), uint8(0x60), uint16(2000), uint16(0), uint8(2), uint8(2), int64(0))
 	f.Fuzz(func(t *testing.T, predIdx, mechMask uint8, budgetRaw, segRaw uint16, parRaw, storeRaw uint8, seed int64) {
 		resetEngineCaches(t)
 		defer SetParallelism(0)
@@ -295,7 +279,7 @@ func FuzzSuiteMatchesRun(f *testing.F) {
 		if segRaw > 0 {
 			seg = max(uint64(segRaw)%(budget+2), (budget+63)/64)
 		}
-		var mechs []oracleMech
+		var mechs []func() core.Mechanism
 		for j, m := range oracleMechs(name) {
 			if mechMask>>j&1 == 1 {
 				mechs = append(mechs, m)

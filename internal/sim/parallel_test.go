@@ -32,7 +32,7 @@ func TestSetParallelismResizeMidSuite(t *testing.T) {
 
 	segCfg := cfg
 	segCfg.SegmentBranches = 1000
-	want := oracleSuite(t, cfg.Specs, cfg.Branches, "gshare-64K", uncoupled(newMechs))
+	want := oracleSuite(t, cfg.Specs, cfg.Branches, "gshare-64K", newMechs)
 	SetParallelism(2)
 
 	stop := make(chan struct{})

@@ -1,12 +1,25 @@
 // Package sim wires the pieces together: it replays branch traces through
 // a predictor and a confidence mechanism, accumulating the per-bucket
 // statistics the analysis layer turns into the paper's curves and tables.
+//
+// There are two ways to do that. RunBatch is the one straight-line walk:
+// one predictor, any number of mechanisms, the paper's per-branch protocol
+// with no caching. Run is RunBatch with one mechanism, and it is the
+// oracle. RunSuiteAnnotated is the suite engine that experiments use: it
+// memoizes the predictor walk as an annotated stream and trains mechanisms
+// by replaying it, whole or in segments, and its results equal Run's.
+//
+// Predictor state reaches a mechanism one way. After Predict and before
+// Update, every walk reads predictor.StateAnnotator.AnnotationState and
+// hands it to each core.StateCoupled mechanism's BucketWithState. The
+// suite engine records the same value in the annotated stream's state
+// lane. A state-coupled mechanism under a predictor with no state is an
+// error naming both.
 package sim
 
 import (
 	"crypto/sha256"
 	"fmt"
-	"io"
 	"sync"
 	"sync/atomic"
 
@@ -72,45 +85,15 @@ func (r Result) MissRate() float64 {
 
 // Run replays src through pred and mech following the paper's per-branch
 // protocol: predict, read the confidence bucket, resolve, then train both
-// structures with the outcome.
+// structures with the outcome. It is RunBatch with one mechanism, and the
+// oracle every suite engine is checked against (TestSuiteMatchesRunOracle).
 func Run(src trace.Source, pred predictor.Predictor, mech core.Mechanism) (Result, error) {
-	var res Result
-	acc := newBucketAccum()
-	for {
-		r, err := src.Next()
-		if err == io.EOF {
-			res.Buckets = acc.stats()
-			return res, nil
-		}
-		if err != nil {
-			res.Buckets = acc.stats()
-			return res, fmt.Errorf("sim: reading trace: %w", err)
-		}
-		incorrect := pred.Predict(r) != r.Taken
-		acc.add(mech.Bucket(r), incorrect)
-		pred.Update(r)
-		mech.Update(r, incorrect)
-		res.Branches++
-		if incorrect {
-			res.Misses++
-		}
+	rs, err := RunBatch(src, pred, []core.Mechanism{mech})
+	if rs == nil {
+		return Result{}, err
 	}
+	return rs[0], err
 }
-
-// PredictOnly measures a predictor's misprediction rate without any
-// confidence mechanism.
-func PredictOnly(src trace.Source, pred predictor.Predictor) (Result, error) {
-	return Run(src, pred, nullMech{})
-}
-
-// nullMech is a single-bucket mechanism used when only predictor accuracy
-// is of interest.
-type nullMech struct{}
-
-func (nullMech) Bucket(trace.Record) uint64 { return 0 }
-func (nullMech) Update(trace.Record, bool)  {}
-func (nullMech) Reset()                     {}
-func (nullMech) Name() string               { return "null" }
 
 // EstimatorResult is the joint confusion summary of an online estimator
 // run: how branches and mispredictions split across the high- and
@@ -163,35 +146,6 @@ func (e EstimatorResult) Confusion() analysis.Confusion {
 		HighIncorrect: e.HighMisses(),
 		LowCorrect:    e.Low - e.LowMisses,
 		LowIncorrect:  e.LowMisses,
-	}
-}
-
-// RunEstimator replays src through pred and the online estimator,
-// recording the confusion summary.
-func RunEstimator(src trace.Source, pred predictor.Predictor, est *core.Estimator) (EstimatorResult, error) {
-	var res EstimatorResult
-	for {
-		r, err := src.Next()
-		if err == io.EOF {
-			return res, nil
-		}
-		if err != nil {
-			return res, fmt.Errorf("sim: reading trace: %w", err)
-		}
-		confident := est.Confident(r)
-		incorrect := pred.Predict(r) != r.Taken
-		pred.Update(r)
-		est.Update(r, incorrect)
-		res.Branches++
-		if !confident {
-			res.Low++
-		}
-		if incorrect {
-			res.Misses++
-			if !confident {
-				res.LowMisses++
-			}
-		}
 	}
 }
 

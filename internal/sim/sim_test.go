@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"io"
 	"testing"
 
 	"branchconf/internal/core"
@@ -51,9 +53,18 @@ func TestRunDeterministic(t *testing.T) {
 	}
 }
 
+// nullMech is a single-bucket mechanism, for when only predictor accuracy
+// is of interest.
+type nullMech struct{}
+
+func (nullMech) Bucket(trace.Record) uint64 { return 0 }
+func (nullMech) Update(trace.Record, bool)  {}
+func (nullMech) Reset()                     {}
+func (nullMech) Name() string               { return "null" }
+
 func TestPredictOnly(t *testing.T) {
 	tr := smallTrace(500)
-	res, err := PredictOnly(tr.Source(), predictor.AlwaysTaken{})
+	res, err := Run(tr.Source(), predictor.AlwaysTaken{}, nullMech{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,6 +254,35 @@ func TestRunSuiteParallelMatchesSerial(t *testing.T) {
 		}
 		if len(got.Buckets) != len(serial.Buckets) {
 			t.Fatalf("%s: bucket count differs", spec.Name)
+		}
+	}
+}
+
+// RunEstimator replays src through pred and the online estimator,
+// recording the confusion summary.
+func RunEstimator(src trace.Source, pred predictor.Predictor, est *core.Estimator) (EstimatorResult, error) {
+	var res EstimatorResult
+	for {
+		r, err := src.Next()
+		if err == io.EOF {
+			return res, nil
+		}
+		if err != nil {
+			return res, fmt.Errorf("sim: reading trace: %w", err)
+		}
+		confident := est.Confident(r)
+		incorrect := pred.Predict(r) != r.Taken
+		pred.Update(r)
+		est.Update(r, incorrect)
+		res.Branches++
+		if !confident {
+			res.Low++
+		}
+		if incorrect {
+			res.Misses++
+			if !confident {
+				res.LowMisses++
+			}
 		}
 	}
 }

@@ -48,7 +48,7 @@ func TestStreamingCheckpointResumeTagePerceptron(t *testing.T) {
 				func() core.Mechanism { return core.PaperResetting() },
 				// State-coupled: consumes the predictor's native-confidence
 				// annotation lane through segmented replay.
-				func() core.Mechanism { return core.NewAnnotatedConfidence() },
+				func() core.Mechanism { return core.NewNativeConfidence() },
 			}
 
 			// Monolithic reference, then a cold streaming run that plants

@@ -22,7 +22,7 @@ func streamTestMechs() []func() core.Mechanism {
 		func() core.Mechanism {
 			return core.NewTwoLevel(core.TwoLevelConfig{L1Bits: 6, L1CIRBits: 5, L2CIRBits: 4, HistoryBits: 7})
 		},
-		func() core.Mechanism { return core.NewAnnotatedStrength() },
+		func() core.Mechanism { return core.NewCounterStrength() },
 		func() core.Mechanism { return core.NewStaticProfile() },
 	}
 }
@@ -122,7 +122,7 @@ func TestStreamingWarmStart(t *testing.T) {
 	mechs := []func() core.Mechanism{
 		func() core.Mechanism { return core.PaperResetting() },
 		func() core.Mechanism { return core.PaperOneLevel(core.IndexPCxorBHR) },
-		func() core.Mechanism { return core.NewAnnotatedStrength() },
+		func() core.Mechanism { return core.NewCounterStrength() },
 	}
 
 	ResetStreamStats()

@@ -74,7 +74,7 @@ func TestTallyMatchesReplay(t *testing.T) {
 	newMechs := append(factorablePaperMechs(),
 		func() core.Mechanism { return core.NewStaticProfile() },
 	)
-	want := oracleSuite(t, cfg.Specs, cfg.Branches, "gshare-64K", uncoupled(newMechs))
+	want := oracleSuite(t, cfg.Specs, cfg.Branches, "gshare-64K", newMechs)
 
 	got, err := RunSuiteAnnotated(cfg, "gshare-64K", newPred, newMechs)
 	if err != nil {
@@ -130,7 +130,7 @@ func TestTallyMatchesReplayParallel(t *testing.T) {
 	cfg := SuiteConfig{Branches: 6000, Specs: workload.Suite()[:3]}
 	newPred := func() predictor.Predictor { return predictor.Gshare64K() }
 	newMechs := factorablePaperMechs()
-	want := oracleSuite(t, cfg.Specs, cfg.Branches, "gshare-64K", uncoupled(newMechs))
+	want := oracleSuite(t, cfg.Specs, cfg.Branches, "gshare-64K", newMechs)
 
 	SetParallelism(8)
 	got, err := RunSuiteAnnotated(cfg, "gshare-64K", newPred, newMechs)
@@ -155,7 +155,7 @@ func TestBucketCacheBound(t *testing.T) {
 		func() core.Mechanism { return core.PaperOneLevel(core.IndexPCxorBHR) },
 		func() core.Mechanism { return core.PaperOneLevel(core.IndexPC) },
 	}
-	want := oracleSuite(t, cfg.Specs, cfg.Branches, "gshare-64K", uncoupled(newMechs))
+	want := oracleSuite(t, cfg.Specs, cfg.Branches, "gshare-64K", newMechs)
 	got, err := RunSuiteAnnotated(cfg, "gshare-64K", newPred, newMechs)
 	if err != nil {
 		t.Fatal(err)
