@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"branchconf/internal/workload"
 )
 
 // TestLongHorizonStreamingMatchesMonolithic: the long-horizon sweep must
@@ -57,5 +59,42 @@ func TestSessionStreamingSuiteMatches(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("streaming session suite diverges from monolithic")
+	}
+}
+
+// TestSegmentedSessionMaterializesNoTrace: a segmented session's sources
+// stream from the generator, so the cycle models and ctxswitch-mix, which
+// read them directly, never put a whole trace in the unbounded trace memo.
+// Their text still equals the monolithic session's.
+func TestSegmentedSessionMaterializesNoTrace(t *testing.T) {
+	ids := []string{"pipeline", "dualpath-ipc", "apps", "gating", "ablation-costsplit", "ctxswitch-mix"}
+	render := func(cfg Config) map[string]string {
+		// Model counts are keyed without the segment size: drop them so
+		// each session computes its own.
+		ModelTier.Reset()
+		s := NewSession(cfg)
+		out := map[string]string{}
+		for _, id := range ids {
+			e, err := ByID(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			o, err := e.Run(s)
+			if err != nil {
+				t.Fatalf("%s: %v", id, err)
+			}
+			out[id] = o.Text
+		}
+		return out
+	}
+	defer ModelTier.Reset()
+	defer workload.TraceTier.Reset()
+	workload.TraceTier.Reset()
+	segmented := render(Config{Branches: 3000, SegmentBranches: 512})
+	if got := workload.TraceTier.Stats().Misses; got != 0 {
+		t.Errorf("segmented session materialized %d traces", got)
+	}
+	if mono := render(Config{Branches: 3000}); !reflect.DeepEqual(segmented, mono) {
+		t.Error("segmented session renders differently from the monolithic one")
 	}
 }

@@ -20,9 +20,9 @@ import (
 // at most once process-wide, shared with every suite pass — instead of
 // re-walking a predictor and an estimator per model run.
 //
-// A segmented session holds no whole-trace lanes (its memory bound is the
-// replay buffer plus a few bits per branch), so there the same machines
-// are fed live (pipeline.LiveLanes), one record at a time.
+// A segmented session holds no whole-trace lanes and no whole traces, so
+// there the same machines are fed live (pipeline.LiveLanes) from the
+// generator (Session.Source), one record at a time.
 
 // laneSignal names the confidence signal a cycle model reads: none (no
 // table), the perfect oracle, or a counter table read against a threshold
