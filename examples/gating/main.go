@@ -12,7 +12,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"branchconf/internal/core"
 	"branchconf/internal/pipeline"
@@ -28,13 +30,20 @@ func (o oracle) Confident(r trace.Record) bool { return o.pred.Predict(r) == r.T
 func (o oracle) Update(trace.Record, bool)     {}
 
 func main() {
-	spec, err := workload.ByName("real_gcc")
-	if err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
+}
+
+// run compares gating policies on real_gcc and writes the table to w.
+func run(w io.Writer) error {
+	spec, err := workload.ByName("real_gcc")
+	if err != nil {
+		return err
+	}
 	mach := pipeline.Default96()
-	fmt.Printf("benchmark %s, %d-wide fetch, depth %d\n\n", spec.Name, mach.FetchWidth, mach.Depth)
-	fmt.Println("policy             IPC    wasted fetch    gate stalls")
+	fmt.Fprintf(w, "benchmark %s, %d-wide fetch, depth %d\n\n", spec.Name, mach.FetchWidth, mach.Depth)
+	fmt.Fprintln(w, "policy             IPC    wasted fetch    gate stalls")
 	type row struct {
 		label  string
 		gate   int
@@ -50,7 +59,7 @@ func main() {
 	} {
 		src, err := spec.FiniteSource(400_000)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		pred := predictor.Gshare4K()
 		var est pipeline.ConfidenceSignal
@@ -64,12 +73,13 @@ func main() {
 		cfg.GateThreshold = p.gate
 		st, err := pipeline.Run(src, pred, est, cfg)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("%-16s %5.2f   %11.1f%%   %10d\n",
+		fmt.Fprintf(w, "%-16s %5.2f   %11.1f%%   %10d\n",
 			p.label, st.IPC(), 100*st.WasteFrac(), st.GateStalls)
 	}
-	fmt.Println("\nTighter gates save more wrong-path work but stall correct-path fetch;")
-	fmt.Println("the oracle shows that a perfect estimator would cut nearly all waste")
-	fmt.Println("for free.")
+	fmt.Fprintln(w, "\nTighter gates save more wrong-path work but stall correct-path fetch;")
+	fmt.Fprintln(w, "the oracle shows that a perfect estimator would cut nearly all waste")
+	fmt.Fprintln(w, "for free.")
+	return nil
 }

@@ -9,7 +9,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"branchconf/internal/apps"
 	"branchconf/internal/predictor"
@@ -17,30 +19,39 @@ import (
 )
 
 func main() {
-	fmt.Println("misprediction % per benchmark (2^12-entry components)")
-	fmt.Printf("%-12s %8s %8s %10s %12s\n", "benchmark", "bimodal", "gshare", "tournament", "conf-hybrid")
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run compares the hybrid selectors per benchmark and writes the table
+// to w.
+func run(w io.Writer) error {
+	fmt.Fprintln(w, "misprediction % per benchmark (2^12-entry components)")
+	fmt.Fprintf(w, "%-12s %8s %8s %10s %12s\n", "benchmark", "bimodal", "gshare", "tournament", "conf-hybrid")
 	var sumConf, sumTour, n float64
 	for _, spec := range workload.Suite() {
 		src, err := spec.FiniteSource(400_000)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		res, err := apps.CompareHybrids(src,
 			func() predictor.Predictor { return predictor.NewBimodal(12) },
 			func() predictor.Predictor { return predictor.NewGshare(12, 12) },
 			12)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("%-12s %7.2f%% %7.2f%% %9.2f%% %11.2f%%\n", spec.Name,
+		fmt.Fprintf(w, "%-12s %7.2f%% %7.2f%% %9.2f%% %11.2f%%\n", spec.Name,
 			100*res.Rate(res.SoloA), 100*res.Rate(res.SoloB),
 			100*res.Rate(res.Tournament), 100*res.Rate(res.ConfHybrid))
 		sumConf += res.Rate(res.ConfHybrid)
 		sumTour += res.Rate(res.Tournament)
 		n++
 	}
-	fmt.Printf("\ncomposite: tournament %.2f%%, confidence-selected %.2f%%\n",
+	fmt.Fprintf(w, "\ncomposite: tournament %.2f%%, confidence-selected %.2f%%\n",
 		100*sumTour/n, 100*sumConf/n)
-	fmt.Println("The confidence-based selector is competitive with (here slightly")
-	fmt.Println("better than) the ad hoc chooser — the paper's §6 conjecture.")
+	fmt.Fprintln(w, "The confidence-based selector is competitive with (here slightly")
+	fmt.Fprintln(w, "better than) the ad hoc chooser — the paper's §6 conjecture.")
+	return nil
 }

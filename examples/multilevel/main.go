@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"os"
 
 	"branchconf/internal/core"
 	"branchconf/internal/predictor"
@@ -19,13 +20,21 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run splits sdet's branches into four confidence classes and writes
+// the table to w.
+func run(w io.Writer) error {
 	spec, err := workload.ByName("sdet")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	src, err := spec.FiniteSource(500_000)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	pred := predictor.Gshare64K()
 	// Four classes over the resetting-counter table: counts {0}, 1-7,
@@ -41,7 +50,7 @@ func main() {
 			break
 		}
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		level := est.Level(r)
 		incorrect := pred.Predict(r) != r.Taken
@@ -67,16 +76,17 @@ func main() {
 		"speculate",
 		"speculate freely",
 	}
-	fmt.Printf("benchmark %s: %d branches, %.2f%% mispredicted\n\n", spec.Name,
+	fmt.Fprintf(w, "benchmark %s: %d branches, %.2f%% mispredicted\n\n", spec.Name,
 		total, 100*float64(totalMiss)/float64(total))
-	fmt.Println("level                        " + "share-branch  share-miss  miss-rate   suggested policy")
+	fmt.Fprintln(w, "level                        "+"share-branch  share-miss  miss-rate   suggested policy")
 	for i, l := range levels {
-		fmt.Printf("%-28s %11.1f%% %9.1f%% %8.2f%%   %s\n", desc[i],
+		fmt.Fprintf(w, "%-28s %11.1f%% %9.1f%% %8.2f%%   %s\n", desc[i],
 			100*float64(l.branches)/float64(total),
 			100*float64(l.misses)/float64(totalMiss),
 			100*float64(l.misses)/float64(l.branches),
 			policy[i])
 	}
-	fmt.Println("\nThe graded signal separates a 7x-enriched fork class from a huge")
-	fmt.Println("nearly-miss-free class, with two intermediate throttling grades.")
+	fmt.Fprintln(w, "\nThe graded signal separates a 7x-enriched fork class from a huge")
+	fmt.Fprintln(w, "nearly-miss-free class, with two intermediate throttling grades.")
+	return nil
 }

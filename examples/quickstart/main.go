@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"os"
 
 	"branchconf/internal/core"
 	"branchconf/internal/predictor"
@@ -18,14 +19,22 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run pairs gshare-64K with the paper's estimator on groff and writes the
+// summary to w.
+func run(w io.Writer) error {
 	// A synthetic benchmark standing in for the paper's IBS traces.
 	spec, err := workload.ByName("groff")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	src, err := spec.FiniteSource(500_000)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// The paper's main predictor (gshare, 2^16 two-bit counters) and its
@@ -41,7 +50,7 @@ func main() {
 			break
 		}
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		confident := conf.Confident(r) // read the signal before training
 		incorrect := pred.Predict(r) != r.Taken
@@ -60,12 +69,13 @@ func main() {
 		}
 	}
 
-	fmt.Printf("benchmark       %s\n", spec.Name)
-	fmt.Printf("branches        %d\n", branches)
-	fmt.Printf("mispredictions  %d (%.2f%%)\n", misses, 100*float64(misses)/float64(branches))
-	fmt.Printf("low-confidence  %.1f%% of branches\n", 100*float64(low)/float64(branches))
-	fmt.Printf("coverage        %.1f%% of mispredictions land in the low set\n",
+	fmt.Fprintf(w, "benchmark       %s\n", spec.Name)
+	fmt.Fprintf(w, "branches        %d\n", branches)
+	fmt.Fprintf(w, "mispredictions  %d (%.2f%%)\n", misses, 100*float64(misses)/float64(branches))
+	fmt.Fprintf(w, "low-confidence  %.1f%% of branches\n", 100*float64(low)/float64(branches))
+	fmt.Fprintf(w, "coverage        %.1f%% of mispredictions land in the low set\n",
 		100*float64(lowMisses)/float64(misses))
-	fmt.Printf("enrichment      low set misprediction rate %.1f%% vs %.2f%% overall\n",
+	fmt.Fprintf(w, "enrichment      low set misprediction rate %.1f%% vs %.2f%% overall\n",
 		100*float64(lowMisses)/float64(low), 100*float64(misses)/float64(branches))
+	return nil
 }

@@ -10,7 +10,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"branchconf/internal/apps"
 	"branchconf/internal/core"
@@ -20,17 +22,17 @@ import (
 
 const perThread = 400_000
 
-func buildThreads() []*apps.SMTThread {
+func buildThreads() ([]*apps.SMTThread, error) {
 	names := []string{"groff", "real_gcc", "jpeg_play", "sdet"}
 	threads := make([]*apps.SMTThread, 0, len(names))
 	for _, name := range names {
 		spec, err := workload.ByName(name)
 		if err != nil {
-			log.Fatal(err)
+			return nil, err
 		}
 		src, err := spec.FiniteSource(perThread)
 		if err != nil {
-			log.Fatal(err)
+			return nil, err
 		}
 		threads = append(threads, &apps.SMTThread{
 			Name: name,
@@ -39,23 +41,36 @@ func buildThreads() []*apps.SMTThread {
 			Est:  core.PaperEstimator(16),
 		})
 	}
-	return threads
+	return threads, nil
 }
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run compares round-robin and confidence-gated SMT fetch and writes the
+// two rows to w.
+func run(w io.Writer) error {
 	for _, gated := range []bool{false, true} {
-		cfg := apps.SMTConfig{ResolveSlots: 6, Gated: gated}
-		res, err := apps.RunSMT(buildThreads(), cfg, 4*perThread)
+		threads, err := buildThreads()
 		if err != nil {
-			log.Fatal(err)
+			return err
+		}
+		cfg := apps.SMTConfig{ResolveSlots: 6, Gated: gated}
+		res, err := apps.RunSMT(threads, cfg, 4*perThread)
+		if err != nil {
+			return err
 		}
 		policy := "round-robin       "
 		if gated {
 			policy = "confidence-gated  "
 		}
-		fmt.Printf("%s useful %9d  wasted %8d  efficiency %.2f%%  (skips %d)\n",
+		fmt.Fprintf(w, "%s useful %9d  wasted %8d  efficiency %.2f%%  (skips %d)\n",
 			policy, res.Useful, res.Wasted, 100*res.Efficiency(), res.GatedSkips)
 	}
-	fmt.Println("\nGating steers fetch slots away from threads about to mispredict,")
-	fmt.Println("recovering part of the bandwidth the baseline burns on wrong paths.")
+	fmt.Fprintln(w, "\nGating steers fetch slots away from threads about to mispredict,")
+	fmt.Fprintln(w, "recovering part of the bandwidth the baseline burns on wrong paths.")
+	return nil
 }
