@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"branchconf/internal/artifact"
 	"branchconf/internal/exp"
 	"branchconf/internal/sim"
 	"branchconf/internal/workload"
@@ -43,6 +44,69 @@ func cacheTier(t *testing.T, errOut, tier string) (hits, misses, verifyFails uin
 func diskTier(t *testing.T, errOut string) (hits, misses, verifyFails uint64) {
 	t.Helper()
 	return cacheTier(t, errOut, "artifact-disk")
+}
+
+// storeRecord is one record's place in a pack of an artifact directory.
+type storeRecord struct {
+	pack   string
+	off, n int64
+}
+
+// storeRecords walks every pack in an artifact directory and returns its
+// records in pack-name and offset order, and the packs' total bytes,
+// failing the test on any file that is not a pack: the one way these tests
+// find records on disk.
+func storeRecords(t *testing.T, dir string) (recs []storeRecord, packBytes uint64) {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		path := filepath.Join(dir, e.Name())
+		if filepath.Ext(path) != ".pack" {
+			t.Errorf("artifact directory holds a non-pack file %s", e.Name())
+			continue
+		}
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		info, err := f.Stat()
+		if err == nil {
+			_, err = artifact.WalkPack(f, 0, info.Size(), func(_ uint16, _ string, off, n int64) {
+				recs = append(recs, storeRecord{path, off, n})
+			})
+		}
+		f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		packBytes += uint64(info.Size())
+	}
+	return recs, packBytes
+}
+
+// flip flips mask into byte i of the record, in place (a negative i counts
+// from the record's end).
+func (r storeRecord) flip(t *testing.T, i int64, mask byte) {
+	t.Helper()
+	if i < 0 {
+		i += r.n
+	}
+	f, err := os.OpenFile(r.pack, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	b := make([]byte, 1)
+	if _, err := f.ReadAt(b, r.off+i); err != nil {
+		t.Fatal(err)
+	}
+	b[0] ^= mask
+	if _, err := f.WriteAt(b, r.off+i); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestArtifactWarmStart is the persistent tier's core guarantee, asserted
@@ -84,9 +148,12 @@ func TestArtifactWarmStart(t *testing.T) {
 	if _, misses, _ := cacheTier(t, coldErr, "model-stats"); misses == 0 {
 		t.Error("cold run ran no cycle models through the model tier")
 	}
-	entries, err := filepath.Glob(filepath.Join(dir, "*.art"))
-	if err != nil || len(entries) == 0 {
-		t.Fatalf("cold run persisted no artifacts (err=%v)", err)
+	records, _ := storeRecords(t, dir)
+	if len(records) == 0 {
+		t.Fatal("cold run persisted no artifacts")
+	}
+	if packs, _ := filepath.Glob(filepath.Join(dir, "*.pack")); len(packs) != 1 {
+		t.Fatalf("cold run left %d packs, want exactly one", len(packs))
 	}
 
 	warm, warmErr := run(dir)
@@ -109,15 +176,8 @@ func TestArtifactWarmStart(t *testing.T) {
 	// Flip one bit in the middle of every record: the third run must
 	// detect every corruption, regenerate, and still produce the same
 	// bytes.
-	for _, path := range entries {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		data[len(data)/2] ^= 0x01
-		if err := os.WriteFile(path, data, 0o666); err != nil {
-			t.Fatal(err)
-		}
+	for _, r := range records {
+		r.flip(t, r.n/2, 0x01)
 	}
 	healed, healedErr := run(dir)
 	if healed != cold {
@@ -148,7 +208,7 @@ func TestArtifactDirAuto(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	entries, err := filepath.Glob(filepath.Join(cacheRoot, "branchconf", "artifacts", "*.art"))
+	entries, err := filepath.Glob(filepath.Join(cacheRoot, "branchconf", "artifacts", "*.pack"))
 	if err != nil || len(entries) == 0 {
 		t.Fatalf("auto dir persisted no artifacts under %s (err=%v)", cacheRoot, err)
 	}

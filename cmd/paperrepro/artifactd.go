@@ -28,7 +28,7 @@ func artifactdMain(args []string, stdout, errW io.Writer) error {
 	var (
 		listen = fs.String("listen", "127.0.0.1:8092", "listen address (host:port; port 0 picks a free port, printed on stderr)")
 		dir    = fs.String("dir", "", "artifact directory to serve (required)")
-		diskMB = fs.Uint64("disk-mb", 1024, "disk budget for -dir in MiB, LRU-evicted by access time (0 = unbounded)")
+		diskMB = fs.Uint64("disk-mb", 1024, "disk budget for -dir in MiB: whole packs are evicted least recently used first, and a pack is split at a sixteenth of the budget (0 = unbounded)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err

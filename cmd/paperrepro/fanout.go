@@ -75,7 +75,7 @@ type storeFlags struct {
 func addStoreFlags(fs *flag.FlagSet) storeFlags {
 	return storeFlags{
 		dir:    fs.String("artifact-dir", "", "persist engine artifacts in this directory (\"auto\" = user cache dir; empty = disabled)"),
-		diskMB: fs.Uint64("artifact-disk-mb", 1024, "disk budget for -artifact-dir in MiB (0 = unbounded)"),
+		diskMB: fs.Uint64("artifact-disk-mb", 1024, "disk budget for -artifact-dir in MiB: whole packs are evicted least recently used first, and a pack is split at a sixteenth of the budget (0 = unbounded)"),
 		remote: fs.String("artifact-remote", "", "layer a remote artifact store (a paperrepro artifactd base URL) under the local disk store"),
 	}
 }

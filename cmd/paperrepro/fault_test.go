@@ -13,12 +13,13 @@ import (
 
 // TestArtifactFaultMatrix is the fail-soft tier's end-to-end invariant:
 // under every injected fault class — ENOSPC, EIO, EACCES, partial writes,
-// crashes on either side of the publishing rename, and a seeded random
+// a writer crashing inside or just after an append, and a seeded random
 // storm — a report produced through the artifact store is byte-identical
-// to a run without a store, and after the outage ends the next Open leaves no
-// .tmp-* file in the directory. Faults change cost and health counters,
-// never report bytes; -artifact-strict (exercised separately below) is the
-// only way a store fault becomes a run failure.
+// to a run without a store, and after the outage ends the directory holds
+// nothing but packs, whose bytes the next Open counts in full. Faults
+// change cost and health counters, never report bytes; -artifact-strict
+// (exercised separately below) is the only way a store fault becomes a run
+// failure.
 func TestArtifactFaultMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the report subset once per fault class")
@@ -65,8 +66,8 @@ func TestArtifactFaultMatrix(t *testing.T) {
 		{"eio-read-persistent", true, func(f *faultfs.FS) {
 			f.Inject(faultfs.Fault{Op: faultfs.OpReadFile, Err: syscall.EIO})
 		}},
-		{"eacces-every-rename", false, func(f *faultfs.FS) {
-			f.Inject(faultfs.Fault{Op: faultfs.OpRename, Err: syscall.EACCES})
+		{"eacces-every-create", false, func(f *faultfs.FS) {
+			f.Inject(faultfs.Fault{Op: faultfs.OpCreateTemp, Err: syscall.EACCES})
 		}},
 		{"eacces-chtimes", true, func(f *faultfs.FS) {
 			f.Inject(faultfs.Fault{Op: faultfs.OpChtimes, Err: syscall.EACCES})
@@ -74,11 +75,11 @@ func TestArtifactFaultMatrix(t *testing.T) {
 		{"partial-write", false, func(f *faultfs.FS) {
 			f.Inject(faultfs.Fault{Op: faultfs.OpWrite, Nth: 1, Err: syscall.EIO, Mode: faultfs.PartialWrite})
 		}},
-		{"crash-before-rename", false, func(f *faultfs.FS) {
-			f.Inject(faultfs.Fault{Op: faultfs.OpRename, Nth: 1, Err: syscall.EIO, Mode: faultfs.CrashBeforeRename})
+		{"crash-mid-append", false, func(f *faultfs.FS) {
+			f.Inject(faultfs.Fault{Op: faultfs.OpWrite, Nth: 1, Err: syscall.EIO, Mode: faultfs.CrashMidAppend})
 		}},
-		{"crash-after-rename", false, func(f *faultfs.FS) {
-			f.Inject(faultfs.Fault{Op: faultfs.OpRename, Nth: 1, Err: syscall.EIO, Mode: faultfs.CrashAfterRename})
+		{"crash-after-append", false, func(f *faultfs.FS) {
+			f.Inject(faultfs.Fault{Op: faultfs.OpWrite, Nth: 1, Err: syscall.EIO, Mode: faultfs.CrashAfterAppend})
 		}},
 		{"open-mkdir-eacces", false, func(f *faultfs.FS) {
 			f.Inject(faultfs.Fault{Op: faultfs.OpMkdirAll, Err: syscall.EACCES})
@@ -111,14 +112,16 @@ func TestArtifactFaultMatrix(t *testing.T) {
 				t.Fatal("scenario injected no faults; the matrix proved nothing")
 			}
 
-			// The outage ends (process restart on healthy media): the next
-			// Open must sweep every orphan the faults left behind.
+			// The outage ends (process restart on healthy media): the
+			// faults left nothing but packs, and the next Open accounts
+			// for every byte of them, torn tails included.
 			ffs.Clear()
-			if _, err := artifact.Open(dir, 0); err != nil {
+			reopened, err := artifact.Open(dir, 0)
+			if err != nil {
 				t.Fatalf("reopen after outage: %v", err)
 			}
-			if temps, _ := filepath.Glob(filepath.Join(dir, ".tmp-*")); len(temps) != 0 {
-				t.Errorf("temp files leaked past recovery: %v", temps)
+			if _, packBytes := storeRecords(t, dir); reopened.Stats().ResidentBytes != packBytes {
+				t.Errorf("reopened store counts %d resident bytes, packs hold %d", reopened.Stats().ResidentBytes, packBytes)
 			}
 
 			// And the store heals: a clean run still matches the baseline.

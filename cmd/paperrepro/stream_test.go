@@ -1,13 +1,9 @@
 package main
 
 import (
-	"os"
-	"path/filepath"
-	"sort"
 	"strings"
 	"syscall"
 	"testing"
-	"time"
 
 	"branchconf/internal/artifact"
 	"branchconf/internal/faultfs"
@@ -88,7 +84,7 @@ func TestStreamingReportMatchesMonolithic(t *testing.T) {
 // must never change report bytes. Checksums reject the damage, the
 // streaming walk rebuilds from the surviving checkpoints (or retries the
 // unit live when a boundary checkpoint itself is gone), republishes, and
-// leaves no staging files behind.
+// leaves nothing but packs behind.
 func TestStreamSegmentCorruptionHeals(t *testing.T) {
 	stubClock(t)
 	dir := t.TempDir()
@@ -111,24 +107,16 @@ func TestStreamSegmentCorruptionHeals(t *testing.T) {
 	}
 	baseline, _ := run(t)
 
-	names, err := filepath.Glob(filepath.Join(dir, "*.art"))
-	if err != nil || len(names) == 0 {
-		t.Fatalf("store holds no artifacts (err %v)", err)
+	records, _ := storeRecords(t, dir)
+	if len(records) == 0 {
+		t.Fatal("store holds no artifacts")
 	}
-	sort.Strings(names)
 	corrupted := 0
-	for i, name := range names {
+	for i, r := range records {
 		if i%3 != 0 {
 			continue
 		}
-		data, err := os.ReadFile(name)
-		if err != nil || len(data) == 0 {
-			t.Fatalf("reading %s: %v", name, err)
-		}
-		data[len(data)-1] ^= 0xFF
-		if err := os.WriteFile(name, data, 0o666); err != nil {
-			t.Fatal(err)
-		}
+		r.flip(t, -1, 0xFF)
 		corrupted++
 	}
 	if corrupted == 0 {
@@ -142,9 +130,7 @@ func TestStreamSegmentCorruptionHeals(t *testing.T) {
 	if _, _, verifyFails := cacheTier(t, errOut, "artifact-disk"); verifyFails == 0 {
 		t.Fatalf("corruption went undetected:\n%s", errOut)
 	}
-	if temps, _ := filepath.Glob(filepath.Join(dir, ".tmp-*")); len(temps) != 0 {
-		t.Errorf("temp files leaked during rebuild: %v", temps)
-	}
+	storeRecords(t, dir) // nothing but packs
 
 	// Fully healed: one more run is warm and identical.
 	again, _ := run(t)
@@ -156,8 +142,8 @@ func TestStreamSegmentCorruptionHeals(t *testing.T) {
 // TestStreamingFaultStorm folds the segment artifacts into the fault
 // matrix: a segmented report under a seeded random I/O fault storm — Puts
 // of segment payloads and checkpoints failing nondeterministically, reads
-// erroring mid-walk — still produces byte-identical output, and recovery
-// sweeps every staging file.
+// erroring mid-walk — still produces byte-identical output, and the store
+// it leaves reopens cleanly.
 func TestStreamingFaultStorm(t *testing.T) {
 	stubClock(t)
 	base := reportConfig{
@@ -202,22 +188,15 @@ func TestStreamingFaultStorm(t *testing.T) {
 		t.Fatal("storm injected no faults")
 	}
 
-	// The storm can strand staging files whose cleanup Remove also faulted;
-	// the store's contract is that the next Open sweeps them once they are
-	// older than the orphan TTL. Backdate any survivors past the TTL and
-	// verify the sweep.
+	// The storm can abandon packs with torn tails, and empty packs whose
+	// cleanup Remove also faulted; the directory still holds nothing but
+	// packs, and the next Open accounts for every byte of them.
 	ffs.Clear()
-	old := time.Now().Add(-2 * time.Hour)
-	temps, _ := filepath.Glob(filepath.Join(dir, ".tmp-*"))
-	for _, name := range temps {
-		if err := os.Chtimes(name, old, old); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := artifact.Open(dir, 0); err != nil {
+	reopened, err := artifact.Open(dir, 0)
+	if err != nil {
 		t.Fatalf("reopen after storm: %v", err)
 	}
-	if temps, _ := filepath.Glob(filepath.Join(dir, ".tmp-*")); len(temps) != 0 {
-		t.Errorf("temp files leaked past recovery: %v", temps)
+	if _, packBytes := storeRecords(t, dir); reopened.Stats().ResidentBytes != packBytes {
+		t.Errorf("reopened store counts %d resident bytes, packs hold %d", reopened.Stats().ResidentBytes, packBytes)
 	}
 }

@@ -17,40 +17,46 @@
 //
 // Entries are keyed by a canonical string covering everything the payload is
 // a pure function of — the workload spec, the branch budget, the predictor
-// key or table geometry key, and the codec format version — and addressed on
-// disk by the SHA-256 of (kind, key). Every record embeds the full key and a
-// checksum, so a hash collision or a corrupted file can never serve a wrong
-// stream: loads verify and, on any mismatch, delete the entry and fall back
-// to regeneration. Corruption costs time, never correctness. The checksum
-// sweep itself is paid once per record per process — the first read verifies
-// in full and marks the index entry; repeat reads re-check only the framing
-// and the embedded key — except on a strict store, or once the store has
-// seen any fault (a failed op or a failed verify), after which every read
-// verifies in full again.
+// key or table geometry key, and the codec format version — and addressed
+// by the SHA-256 of (kind, key). Every record embeds the full key and a
+// checksum, so a hash collision or a corrupted record can never serve a
+// wrong stream: loads verify and, on any mismatch, stop serving that copy
+// and fall back to regeneration. Corruption costs time, never correctness.
+// The checksum sweep itself is paid once per record per process — the
+// first read verifies in full and marks the index entry; repeat reads
+// re-check only the framing and the embedded key — except on a strict
+// store, or once the store has seen any fault (a failed op or a failed
+// verify), after which every read verifies in full again.
 //
-// Consistency relies on the usual POSIX building blocks: writes go through a
-// temp file in the store directory followed by an atomic rename, so
-// concurrent processes racing on one key settle on one complete record
-// (both wrote identical bytes anyway — payloads are pure functions of the
-// key). In-process, single-flight dedup is inherited from the in-memory
-// tiers: the store is only consulted from a tier's owner (miss) path, so
-// concurrent workers under -parallel generate and persist an artifact once.
+// On disk, records live in append-only pack files (see pack.go): each
+// Store appends the records it publishes to one pack of its own, so a cold
+// run creates one file however many records it writes, and an in-memory
+// index, built at Open by walking record headers, maps each address to its
+// pack, offset and length. Concurrent processes sharing a directory each
+// append to their own pack and pick up each other's records on a local
+// miss; racing on one key costs at most a duplicate copy (both wrote
+// identical bytes anyway — payloads are pure functions of the key). The
+// disk budget evicts whole packs, least recently used first. In-process,
+// single-flight dedup is inherited from the in-memory tiers: the store is
+// only consulted from a tier's owner (miss) path, so concurrent workers
+// under -parallel generate and persist an artifact once.
 //
 // The tier is fail-soft: it runs on a narrow filesystem seam (FS, production
 // implementation OSFS, fault-injecting implementation in internal/faultfs),
 // classifies every I/O failure as transient or permanent, retries the
 // transient ones, and trips a health breaker into in-memory-only degraded
 // mode when the disk keeps failing — a flaky or full disk costs warm starts,
-// never correctness and never the run. Crashed writers' temp files are swept
-// at the next Open. Strict stores (Options.Strict, paperrepro
-// -artifact-strict) instead pin the first classified failure for the caller
-// to fail hard on. See health.go.
+// never correctness and never the run. A writer abandons its pack after a
+// failed append, and the next Open serves every record before the pack's
+// torn tail. Strict stores (Options.Strict, paperrepro -artifact-strict)
+// instead pin the first classified failure for the caller to fail hard on.
+// See health.go.
 package artifact
 
 import "sync/atomic"
 
 // Kinds partition the key space per payload codec. The kind is hashed into
-// the on-disk address and checked on load, so two artifact types can never
+// the content address and checked on load, so two artifact types can never
 // alias even if their key strings collide.
 const (
 	// KindReplayBuffer is a materialized trace.ReplayBuffer.

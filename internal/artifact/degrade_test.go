@@ -9,7 +9,6 @@ import (
 	"strings"
 	"syscall"
 	"testing"
-	"time"
 
 	"branchconf/internal/artifact"
 	"branchconf/internal/faultfs"
@@ -105,8 +104,8 @@ func TestStoreBreakerTripsOnReads(t *testing.T) {
 }
 
 // TestStoreBreakerTripsOnWrites: a disk that fails every write (but happily
-// unlinks the staged temp) must still degrade — successful cleanup does not
-// reset the breaker — and must leave no temp files behind.
+// unlinks the empty pack) must still degrade — successful cleanup does not
+// reset the breaker — and must leave no pack behind.
 func TestStoreBreakerTripsOnWrites(t *testing.T) {
 	dir := t.TempDir()
 	s, ffs := openFaulty(t, dir, artifact.Options{})
@@ -120,9 +119,9 @@ func TestStoreBreakerTripsOnWrites(t *testing.T) {
 	if !st.Degraded {
 		t.Fatalf("write-only faults never tripped the breaker: %+v", st)
 	}
-	temps, err := filepath.Glob(filepath.Join(dir, ".tmp-*"))
-	if err != nil || len(temps) != 0 {
-		t.Fatalf("failed Puts leaked temp files: %v (err=%v)", temps, err)
+	packs, err := filepath.Glob(filepath.Join(dir, "*.pack"))
+	if err != nil || len(packs) != 0 {
+		t.Fatalf("failed Puts leaked packs: %v (err=%v)", packs, err)
 	}
 }
 
@@ -181,10 +180,10 @@ func TestStoreOpenFailurePolicy(t *testing.T) {
 	}
 }
 
-// TestStoreOrphanSweep is the regression test for the unbounded temp-file
-// leak: Open must remove stale .tmp-* orphans (crashed writers), keep
-// young ones (possibly a live writer in another process), and count
-// neither against the resident budget.
+// TestStoreOrphanSweep: Open deletes the record files and staged writes of
+// the one-file-per-record layout — a directory that layout filled starts
+// cold once — and counts none of them against the resident budget, while
+// the packs it holds keep serving.
 func TestStoreOrphanSweep(t *testing.T) {
 	dir := t.TempDir()
 	s, err := artifact.Open(dir, 0)
@@ -194,59 +193,49 @@ func TestStoreOrphanSweep(t *testing.T) {
 	if err := s.Put(artifact.KindReplayBuffer, "real", []byte("record")); err != nil {
 		t.Fatal(err)
 	}
+	s.Close()
 	wantResident := s.Stats().ResidentBytes
 
-	stale := time.Now().Add(-2 * time.Hour)
-	for _, name := range []string{".tmp-dead1", ".tmp-dead2"} {
-		path := filepath.Join(dir, name)
-		if err := os.WriteFile(path, []byte("orphaned staging bytes"), 0o666); err != nil {
+	legacy := []string{".tmp-dead", ".tmp-live", artifact.Address(artifact.KindReplayBuffer, "old") + ".art"}
+	for _, name := range legacy {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("one-file-per-record bytes"), 0o666); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.Chtimes(path, stale, stale); err != nil {
-			t.Fatal(err)
-		}
-	}
-	live := filepath.Join(dir, ".tmp-live")
-	if err := os.WriteFile(live, []byte("in-flight staging bytes"), 0o666); err != nil {
-		t.Fatal(err)
 	}
 
 	s2, err := artifact.Open(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{".tmp-dead1", ".tmp-dead2"} {
+	for _, name := range legacy {
 		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
-			t.Errorf("stale orphan %s survived the sweep (err=%v)", name, err)
+			t.Errorf("legacy file %s survived Open (err=%v)", name, err)
 		}
 	}
-	if _, err := os.Stat(live); err != nil {
-		t.Error("young temp file swept out from under a possibly live writer")
-	}
 	if got := s2.Stats().ResidentBytes; got != wantResident {
-		t.Errorf("resident bytes = %d, want %d (temps must not count against the budget)", got, wantResident)
+		t.Errorf("resident bytes = %d, want %d (legacy files must not count against the budget)", got, wantResident)
 	}
 	if got, ok := s2.Get(artifact.KindReplayBuffer, "real"); !ok || string(got) != "record" {
 		t.Errorf("real record lost in the sweep: ok=%v %q", ok, got)
 	}
 }
 
-// TestStoreCrashRecoveryEndToEnd: a writer that "crashes" between staging
-// and publish leaks a pinned temp; once the outage clears, the next Open
-// sweeps it and the slot is fully reusable.
+// TestStoreCrashRecoveryEndToEnd: a writer that "crashes" inside an append
+// leaves its pack with a torn tail it cannot clean up; once the outage
+// clears, the next Open counts the whole pack, serves every record before
+// the tail without a verify failure, and the torn key is fully reusable.
 func TestStoreCrashRecoveryEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	s, ffs := openFaulty(t, dir, artifact.Options{})
-	ffs.Inject(faultfs.Fault{Op: faultfs.OpRename, Nth: 1, Err: syscall.EIO, Mode: faultfs.CrashBeforeRename})
+	if err := s.Put(artifact.KindReplayBuffer, "before", []byte("landed whole")); err != nil {
+		t.Fatal(err)
+	}
+	ffs.Inject(faultfs.Fault{Op: faultfs.OpWrite, Nth: 1, Err: syscall.EIO, Mode: faultfs.CrashMidAppend})
 	if err := s.Put(artifact.KindReplayBuffer, "k", []byte("payload")); err == nil {
 		t.Fatal("crashed Put reported success")
 	}
-	temps, _ := filepath.Glob(filepath.Join(dir, ".tmp-*"))
-	if len(temps) != 1 {
-		t.Fatalf("crash left %d temp files, want exactly the orphan", len(temps))
-	}
 	if _, ok := s.Get(artifact.KindReplayBuffer, "k"); ok {
-		t.Fatal("unpublished record served")
+		t.Fatal("torn record served")
 	}
 
 	ffs.Clear() // the outage ends; a new process opens the directory
@@ -254,14 +243,74 @@ func TestStoreCrashRecoveryEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	temps, _ = filepath.Glob(filepath.Join(dir, ".tmp-*"))
-	if len(temps) != 0 {
-		t.Fatalf("orphan survived recovery: %v", temps)
+	packs, err := filepath.Glob(filepath.Join(dir, "*.pack"))
+	if err != nil || len(packs) != 1 {
+		t.Fatalf("crash left packs %v (err %v), want the one torn pack", packs, err)
+	}
+	info, err := os.Stat(packs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s2.Stats().ResidentBytes; got != uint64(info.Size()) {
+		t.Fatalf("resident = %d, want the torn pack's %d bytes", got, info.Size())
+	}
+	if got, ok := s2.Get(artifact.KindReplayBuffer, "before"); !ok || string(got) != "landed whole" {
+		t.Fatalf("record before the torn tail lost: ok=%v %q", ok, got)
+	}
+	if _, ok := s2.Get(artifact.KindReplayBuffer, "k"); ok {
+		t.Fatal("torn record served after recovery")
 	}
 	if err := s2.Put(artifact.KindReplayBuffer, "k", []byte("payload")); err != nil {
 		t.Fatal(err)
 	}
 	if got, ok := s2.Get(artifact.KindReplayBuffer, "k"); !ok || string(got) != "payload" {
 		t.Fatalf("slot unusable after recovery: ok=%v %q", ok, got)
+	}
+	if st := s2.Stats(); st.VerifyFails != 0 || st.OpErrors != 0 {
+		t.Fatalf("recovered store stats = %+v, want no verify fails or op errors", st)
+	}
+}
+
+// TestStoreWithoutPositionedReads: on an FS without the ReadAtFS extension
+// the store reads a whole pack with ReadFile — once to walk it at Open —
+// and serves records from that buffer until a read needs another pack.
+func TestStoreWithoutPositionedReads(t *testing.T) {
+	dir := t.TempDir()
+	filler, err := artifact.Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"a", "b", "c"} {
+		if err := filler.Put(artifact.KindCurve, k, []byte("payload "+k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	filler.Close()
+
+	ffs := faultfs.New(artifact.OSFS())
+	plain := struct{ artifact.FS }{ffs} // hides OpenReadAt
+	s, err := artifact.OpenStore(dir, artifact.Options{FS: plain})
+	if err != nil {
+		t.Fatal(err)
+	}
+	get := func(k string) {
+		t.Helper()
+		if got, ok := s.Get(artifact.KindCurve, k); !ok || string(got) != "payload "+k {
+			t.Fatalf("Get %s: ok=%v %q", k, ok, got)
+		}
+	}
+	get("a")
+	get("c")
+	get("b")
+	if n := ffs.Calls(faultfs.OpReadFile); n != 1 {
+		t.Fatalf("%d whole-pack reads for three records in one pack, want 1", n)
+	}
+	if err := s.Put(artifact.KindCurve, "d", []byte("payload d")); err != nil {
+		t.Fatal(err)
+	}
+	get("d") // in this store's own pack
+	get("a") // back in the first one
+	if n := ffs.Calls(faultfs.OpReadFile); n != 3 {
+		t.Fatalf("%d whole-pack reads, want 3: one more per change of pack", n)
 	}
 }

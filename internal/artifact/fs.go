@@ -1,17 +1,25 @@
 package artifact
 
 import (
+	"io"
 	"io/fs"
 	"os"
 	"time"
 )
 
-// FS is the narrow filesystem seam the store runs on: exactly the seven
-// operations Open/Get/Put/GC perform, in their os-package shapes. The
-// production implementation is OSFS; internal/faultfs provides a
-// deterministic fault-injecting implementation for exercising the store's
-// degradation paths (retry, breaker, orphan recovery) without a real
-// failing disk.
+// FS is the narrow filesystem seam the store runs on: seven operations in
+// their os-package shapes. The production implementation is OSFS;
+// internal/faultfs provides a deterministic fault-injecting implementation
+// for exercising the store's degradation paths (retry, breaker, torn-pack
+// recovery) without a real failing disk.
+//
+// The pack store creates a pack with CreateTemp and appends to the File it
+// returns, lists packs with ReadDir, evicts them with Remove, stamps their
+// recency with Chtimes, and deletes the record files of the
+// one-file-per-record layout it replaced. It walks packs and reads records
+// through the optional ReadAtFS extension when the FS has it, and
+// otherwise reads a whole pack with ReadFile. Rename is part of the seam
+// but no store path calls it: an append needs no publishing step.
 //
 // Implementations must preserve the os-package error conventions the store
 // classifies on — fs.ErrNotExist from ReadFile/Remove for absent files,
@@ -23,11 +31,11 @@ type FS interface {
 	MkdirAll(dir string, perm os.FileMode) error
 	// ReadDir lists the store directory as os.ReadDir does.
 	ReadDir(dir string) ([]fs.DirEntry, error)
-	// ReadFile reads one record as os.ReadFile does.
+	// ReadFile reads one whole pack as os.ReadFile does.
 	ReadFile(name string) ([]byte, error)
-	// CreateTemp stages a write as os.CreateTemp does.
+	// CreateTemp creates a new pack as os.CreateTemp does.
 	CreateTemp(dir, pattern string) (File, error)
-	// Rename atomically publishes a staged record as os.Rename does.
+	// Rename renames a file as os.Rename does.
 	Rename(oldpath, newpath string) error
 	// Remove deletes one file as os.Remove does.
 	Remove(name string) error
@@ -35,11 +43,25 @@ type FS interface {
 	Chtimes(name string, atime, mtime time.Time) error
 }
 
-// File is the slice of *os.File the store's staged writes use.
+// File is the slice of *os.File a pack writer uses.
 type File interface {
 	Write(p []byte) (int, error)
 	Close() error
 	Name() string
+}
+
+// ReadAtFS is the optional FS extension for positioned reads: with it a
+// Get reads exactly one record's bytes. OSFS and internal/faultfs
+// implement it.
+type ReadAtFS interface {
+	// OpenReadAt opens a pack for positioned reads as os.Open does.
+	OpenReadAt(name string) (ReadAtFile, error)
+}
+
+// ReadAtFile is the slice of *os.File positioned reads use.
+type ReadAtFile interface {
+	io.ReaderAt
+	io.Closer
 }
 
 // OSFS returns the production FS backed directly by the os package.
@@ -62,3 +84,5 @@ func (osFS) Remove(name string) error { return os.Remove(name) }
 func (osFS) Chtimes(name string, atime, mtime time.Time) error {
 	return os.Chtimes(name, atime, mtime)
 }
+
+func (osFS) OpenReadAt(name string) (ReadAtFile, error) { return os.Open(name) }

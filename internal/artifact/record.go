@@ -7,8 +7,9 @@ import (
 	"hash/crc64"
 )
 
-// The on-disk record format, version 1. One artifact file is exactly one
-// record:
+// The on-disk record format, version 1. A pack file (see pack.go) is a
+// sequence of these records, and one record is also the remote protocol's
+// wire unit:
 //
 //	offset  size  field
 //	0       4     magic "BCA1"
@@ -105,19 +106,14 @@ func decodeRecordAny(data []byte, checksum bool) (kind uint16, key string, paylo
 	if len(data) < recordOverhead(0) {
 		return 0, "", nil, fmt.Errorf("%w: %d bytes, below minimum record size", ErrCorrupt, len(data))
 	}
-	if [4]byte(data[0:4]) != recordMagic {
-		return 0, "", nil, fmt.Errorf("%w: bad magic %q", ErrCorrupt, data[0:4])
+	kind, keyLen, payLen, err := parseHeader(data)
+	if err != nil {
+		return 0, "", nil, err
 	}
-	if v := binary.LittleEndian.Uint16(data[4:6]); v != FormatVersion {
-		return 0, "", nil, fmt.Errorf("%w: format version %d, want %d", ErrCorrupt, v, FormatVersion)
-	}
-	kind = binary.LittleEndian.Uint16(data[6:8])
-	keyLen := int(binary.LittleEndian.Uint32(data[8:12]))
-	payLen := binary.LittleEndian.Uint64(data[12:20])
 	// Check the total length with overflow-safe arithmetic: payLen is
 	// attacker- (well, bit-flip-) controlled and must not wrap the sum.
-	rest := uint64(len(data) - recordHeaderLen - 8)
-	if uint64(keyLen) > rest || payLen != rest-uint64(keyLen) {
+	rest := uint64(len(data) - recordOverhead(0))
+	if keyLen > rest || payLen != rest-keyLen {
 		return 0, "", nil, fmt.Errorf("%w: lengths (key %d, payload %d) disagree with record size %d", ErrCorrupt, keyLen, payLen, len(data))
 	}
 	if checksum {
@@ -126,5 +122,20 @@ func decodeRecordAny(data []byte, checksum bool) (kind uint16, key string, paylo
 			return 0, "", nil, fmt.Errorf("%w: checksum %#x, want %#x", ErrCorrupt, got, want)
 		}
 	}
-	return kind, string(data[recordHeaderLen : recordHeaderLen+keyLen]), data[recordHeaderLen+keyLen : len(data)-8], nil
+	k := recordHeaderLen + int(keyLen)
+	return kind, string(data[recordHeaderLen:k]), data[k : len(data)-8], nil
+}
+
+// parseHeader checks the magic and format version of the fixed header at
+// the start of h (at least recordHeaderLen bytes) and returns the record's
+// kind and its declared key and payload lengths, which the caller must
+// check against the bytes it actually has.
+func parseHeader(h []byte) (kind uint16, keyLen, payLen uint64, err error) {
+	if [4]byte(h[0:4]) != recordMagic {
+		return 0, 0, 0, fmt.Errorf("%w: bad magic %q", ErrCorrupt, h[0:4])
+	}
+	if v := binary.LittleEndian.Uint16(h[4:6]); v != FormatVersion {
+		return 0, 0, 0, fmt.Errorf("%w: format version %d, want %d", ErrCorrupt, v, FormatVersion)
+	}
+	return binary.LittleEndian.Uint16(h[6:8]), uint64(binary.LittleEndian.Uint32(h[8:12])), binary.LittleEndian.Uint64(h[12:20]), nil
 }

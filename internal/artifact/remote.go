@@ -19,8 +19,8 @@ import (
 //	HEAD /v1/artifact/{addr}  -> 200 | 404
 //	PUT  /v1/artifact/{addr}  <- record bytes; the server re-derives the
 //	                             address from the record's embedded (kind,
-//	                             key), verifies the checksum, and publishes
-//	                             atomically (temp file + rename); mismatches
+//	                             key), verifies the checksum, and appends
+//	                             it to the server store's pack; mismatches
 //	                             are rejected with 400
 //	GET  /v1/stats            -> server counters (JSON)
 //	GET  /healthz             -> 200 "ok"

@@ -12,15 +12,15 @@ import (
 
 // RemoteServer is the server half of the remote artifact tier: a minimal
 // HTTP object store over a local content-addressed Store (and so over its
-// budget, LRU GC, orphan sweep, and health breaker). One daemon
+// packs, budget, LRU GC, and health breaker). One daemon
 // (`paperrepro artifactd`) serves a whole fleet of workers; the protocol is
 // documented on the Doer seam in remote.go.
 //
 // The server never learns the keyspace: GETs and HEADs address records by
 // content hash, and PUTs carry records that embed and authenticate their
 // own identity — the server re-derives the address from the record, rejects
-// mismatches, and publishes atomically through the store's temp-file +
-// rename path, so a half-written upload can never be served.
+// mismatches, and appends only verified records to its store's pack, so a
+// half-written upload can never be served.
 type RemoteServer struct {
 	store *Store
 	mux   *http.ServeMux
@@ -59,13 +59,13 @@ func (s *RemoteServer) handleObject(w http.ResponseWriter, r *http.Request) {
 		s.gets.Add(1)
 		// Zero-copy path for records the store has already verified this
 		// process: the ResponseWriter is a ReaderFrom, so on the OS
-		// filesystem this Copy is a sendfile — the record never transits
-		// user space. First serves (and any store in doubt) take the
-		// verifying GetRecord path below.
+		// filesystem this Copy of the record's span of its pack is a
+		// sendfile — the record never transits user space. First serves
+		// (and any store in doubt) take the verifying GetRecord path below.
 		if f, size, ok := s.store.OpenRecord(addr); ok {
 			w.Header().Set("Content-Type", "application/octet-stream")
 			w.Header().Set("Content-Length", fmt.Sprint(size))
-			io.Copy(w, f)
+			io.Copy(w, io.LimitReader(f, size))
 			f.Close()
 			s.bytesOut.Add(uint64(size))
 			return

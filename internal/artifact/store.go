@@ -7,24 +7,26 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
-	"path/filepath"
 	"runtime/pprof"
-	"strings"
 	"sync"
 	"time"
 )
 
-// Store is a content-addressed artifact directory. Every entry is one
-// record file named by the SHA-256 of (kind, key); an access-time-tracked
-// index drives LRU garbage collection against a disk budget.
+// Store is a content-addressed artifact directory of append-only packs
+// (see pack.go): an in-memory index maps the SHA-256 address of each
+// (kind, key) to the pack, offset and length of its record, and an
+// access-time-tracked pack list drives LRU garbage collection against a
+// disk budget.
 //
 // A Store is safe for concurrent use by any number of goroutines, and the
-// directory is safe to share between processes: writes are temp-file +
-// atomic-rename, loads verify the record checksum (in full on the first read
-// per process, framing-and-key-only after — see get), and a reader that
-// loses a race with GC simply sees a miss.
+// directory is safe to share between processes: each Store appends only to
+// its own pack, a local miss walks what other processes have appended since,
+// loads verify the record checksum (in full on the first read per process,
+// framing-and-key-only after — see load), and a reader that loses a race
+// with GC simply sees a miss.
 //
 // A Store is also fail-soft (see health.go): filesystem faults are
 // classified and retried, and repeated failures trip a breaker that turns
@@ -44,8 +46,17 @@ type Store struct {
 	// strict flag governs the local disk alone.
 	remote *Remote
 
+	// wmu serializes appends to this store's pack; scanMu serializes
+	// directory rescans. Either may be held while taking mu, never the
+	// reverse.
+	wmu    sync.Mutex
+	scanMu sync.Mutex
+
 	mu       sync.Mutex
-	index    map[string]*storeEntry // file name -> size and last use
+	index    map[string]*loc  // content address -> newest known copy
+	packs    map[string]*pack // pack file name -> pack
+	w        *packWriter      // this store's pack, nil before the first Put
+	buf      *packBuf         // the last pack read whole, on an FS without ReadAtFS
 	resident uint64
 
 	hits, misses, verifyFails, evictions uint64
@@ -59,19 +70,6 @@ type Store struct {
 
 // bump increments one counter under the store mutex.
 func (s *Store) bump(c *uint64) { s.mu.Lock(); *c++; s.mu.Unlock() }
-
-// storeEntry tracks one on-disk record for the LRU index.
-type storeEntry struct {
-	size    uint64
-	lastUse time.Time
-	// verified records that this process has already checksummed the record
-	// (a full-verify Get passed, or this process wrote it). Later Gets skip
-	// the CRC sweep — structural and key checks still run — unless the store
-	// is strict or has seen any fault (see Store.get). Entries indexed from
-	// Open's directory scan start unverified, so the first read per process
-	// always pays the full sweep.
-	verified bool
-}
 
 // Options configures OpenStore beyond the directory path.
 type Options struct {
@@ -95,16 +93,18 @@ func Open(dir string, budgetBytes uint64) (*Store, error) {
 }
 
 // OpenStore opens (creating if necessary) the artifact directory and builds
-// the LRU index from the records already present, seeding each entry's
-// last-use time from the file's modification time — Get refreshes it on
-// every hit, both in the index and on disk, so recency survives process
-// restarts. A nonzero budget bounds the directory's resident bytes; opening
-// an over-budget directory evicts immediately.
+// the index by walking the record headers of every pack already present,
+// seeding each pack's last use from the file's modification time — Get
+// refreshes it on every hit, both in memory and on disk, so recency
+// survives process restarts. A nonzero budget bounds the directory's
+// resident bytes; opening an over-budget directory evicts immediately.
 //
-// Open also recovers from crashed writers: temp files older than orphanTTL
-// are swept, so an interrupted Put can leak disk only until the next open.
+// Open also recovers from crashed writers: a walk stops at a pack's torn
+// tail and serves every record before it. It deletes the record files and
+// staged writes of the one-file-per-record layout, so a directory that
+// layout filled starts cold once.
 //
-// A directory that cannot be created or scanned is not fatal unless
+// A directory that cannot be created or listed is not fatal unless
 // Options.Strict is set: the store opens already degraded (disk untouched,
 // every Get a miss) so the run proceeds on the in-memory tiers alone.
 func OpenStore(dir string, opts Options) (*Store, error) {
@@ -112,48 +112,16 @@ func OpenStore(dir string, opts Options) (*Store, error) {
 	if fsys == nil {
 		fsys = OSFS()
 	}
-	s := &Store{dir: dir, budget: opts.Budget, fs: fsys, strict: opts.Strict, remote: opts.Remote, index: make(map[string]*storeEntry)}
+	s := &Store{
+		dir: dir, budget: opts.Budget, fs: fsys, strict: opts.Strict, remote: opts.Remote,
+		index: make(map[string]*loc), packs: make(map[string]*pack),
+	}
 	if err := s.do("mkdir", func() error { return fsys.MkdirAll(dir, 0o777) }); err != nil {
 		return s.openFailed()
 	}
-	var entries []fs.DirEntry
-	if err := s.do("scan", func() error {
-		var serr error
-		entries, serr = fsys.ReadDir(dir)
-		return serr
-	}); err != nil {
+	if err := s.rescan(true); err != nil {
 		return s.openFailed()
 	}
-	now := time.Now()
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		name := e.Name()
-		if strings.HasPrefix(name, tmpPrefix) {
-			// A crashed writer's staging file. Sweep it once it is old
-			// enough that no live Put in another process can still own it;
-			// younger temps are left for their writer (or the next open).
-			info, err := e.Info()
-			if err != nil || now.Sub(info.ModTime()) < orphanTTL {
-				continue
-			}
-			_ = s.do("sweep", func() error { return fsys.Remove(filepath.Join(dir, name)) })
-			continue
-		}
-		if filepath.Ext(name) != artExt {
-			continue
-		}
-		info, err := e.Info()
-		if err != nil {
-			continue // raced with another process's GC
-		}
-		s.index[name] = &storeEntry{size: uint64(info.Size()), lastUse: info.ModTime()}
-		s.resident += uint64(info.Size())
-	}
-	s.mu.Lock()
-	s.evictLocked()
-	s.mu.Unlock()
 	return s, nil
 }
 
@@ -170,17 +138,6 @@ func (s *Store) openFailed() (*Store, error) {
 	s.degraded = true
 	return s, nil
 }
-
-const (
-	// artExt marks record files; anything else in the directory is ignored.
-	artExt = ".art"
-	// tmpPrefix marks staged writes (os.CreateTemp pattern tmpPrefix+"*").
-	tmpPrefix = ".tmp-"
-	// orphanTTL is how old a temp file must be before Open treats it as a
-	// crashed writer's orphan and sweeps it. Generous against clock skew
-	// and slow writers; a live Put stages and renames in well under this.
-	orphanTTL = time.Hour
-)
 
 // diskOff reports whether the store may no longer touch the filesystem
 // (breaker tripped, or a strict-mode failure recorded).
@@ -265,9 +222,8 @@ func (s *Store) Err() error {
 }
 
 // Address derives the content address for (kind, key): the lowercase hex
-// SHA-256 of the kind (little-endian) followed by the key bytes. It names
-// the record on disk (plus the .art extension) and in the remote object
-// protocol's URL path.
+// SHA-256 of the kind (little-endian) followed by the key bytes. It keys
+// the store's index and the remote object protocol's URL path.
 func Address(kind uint16, key string) string {
 	h := sha256.New()
 	var k [2]byte
@@ -281,7 +237,7 @@ func Address(kind uint16, key string) string {
 const addressLen = sha256.Size * 2
 
 // validAddress reports whether addr is a well-formed content address (the
-// remote server must never touch paths it did not derive itself).
+// remote server must never act on addresses it did not derive itself).
 func validAddress(addr string) bool {
 	if len(addr) != addressLen {
 		return false
@@ -295,14 +251,10 @@ func validAddress(addr string) bool {
 	return true
 }
 
-// fileName derives the record file name for (kind, key).
-func fileName(kind uint16, key string) string {
-	return Address(kind, key) + artExt
-}
-
 // Get returns the payload stored for (kind, key), or ok == false on a miss.
-// A record that fails verification is deleted and reported as a miss (after
-// bumping the verify-fail counter); the caller regenerates and re-Puts. A
+// A record that fails verification is never served again by this store and
+// is reported as a miss (after bumping the verify-fail counter); the caller
+// regenerates and re-Puts, and the rebuilt copy shadows the corrupt one. A
 // read that fails outright (media fault, degraded store) is also a miss:
 // the caller regenerates, and the failure is accounted in OpErrors.
 func (s *Store) Get(kind uint16, key string) (payload []byte, ok bool) {
@@ -317,43 +269,49 @@ func (s *Store) Get(kind uint16, key string) (payload []byte, ok bool) {
 // populates the local tier with the verified record — read-through — so
 // the next process run on this machine hits disk without the network.
 func (s *Store) get(kind uint16, key string) ([]byte, bool) {
-	name := fileName(kind, key)
-	if payload, ok := s.getLocal(name, kind, key); ok {
-		return payload, true
-	}
-	if s.remote == nil {
-		return nil, false
+	addr := Address(kind, key)
+	payload, ok := s.load(addr, func(data []byte, checksum bool) ([]byte, error) {
+		return decodeRecord(data, kind, key, checksum)
+	})
+	if ok || s.remote == nil {
+		return payload, ok
 	}
 	payload, record, ok := s.remote.Get(kind, key)
 	if !ok {
 		return nil, false
 	}
-	s.adopt(name, record)
+	_ = s.publish(addr, record)
 	return payload, true
 }
 
-func (s *Store) getLocal(name string, kind uint16, key string) ([]byte, bool) {
-	path := filepath.Join(s.dir, name)
-	// Decide up front whether this read owes a checksum sweep. The sweep runs
-	// on the first read of each record per process (the index entry is absent
-	// or still unverified), and unconditionally on a strict store or once the
-	// store has seen any fault — a disk that has produced one bad byte or one
-	// failed op has forfeited the benefit of the doubt for the rest of the
-	// process. Repeat reads of a record this process already verified (or
-	// wrote) skip only the CRC; framing and key checks always run.
-	s.mu.Lock()
-	checksum := s.strict || s.opErrors > 0 || s.verifyFails > 0
-	e := s.index[name]
-	if e == nil || !e.verified {
-		checksum = true
+// load reads the record at addr and returns what verify makes of it. The
+// index is consulted first; a miss rescans the directory once, so records
+// another process appended since are found. verify gets the record bytes
+// and whether this read owes a checksum sweep: it does on the first read of
+// each copy per process, and unconditionally on a strict store or once the
+// store has seen any fault — a disk that has produced one bad byte or one
+// failed op has forfeited the benefit of the doubt for the rest of the
+// process. Repeat reads of a copy this process already verified skip only
+// the CRC; framing and key checks always run.
+func (s *Store) load(addr string, verify func(data []byte, checksum bool) ([]byte, error)) ([]byte, bool) {
+	l := s.lookup(addr)
+	if l == nil {
+		s.bump(&s.misses)
+		return nil, false
 	}
+	s.mu.Lock()
+	checksum := s.strict || s.opErrors > 0 || s.verifyFails > 0 || !l.verified
 	s.mu.Unlock()
-	var data []byte
-	if err := s.do("read", func() error {
-		var rerr error
-		data, rerr = s.fs.ReadFile(path)
-		return rerr
-	}); err != nil {
+	data, err := s.readRecord(l)
+	if err != nil {
+		if errors.Is(err, fs.ErrNotExist) {
+			// Another process evicted the pack.
+			s.mu.Lock()
+			if !l.pack.gone {
+				s.dropPackLocked(l.pack)
+			}
+			s.mu.Unlock()
+		}
 		// A clean ErrNotExist miss is neutral for the breaker: it proves
 		// the read path answers, but resetting on it would let a disk that
 		// fails every write evade the trip forever (real workloads
@@ -362,27 +320,41 @@ func (s *Store) getLocal(name string, kind uint16, key string) ([]byte, bool) {
 		return nil, false
 	}
 	s.noteSuccess()
-	payload, err := decodeRecord(data, kind, key, checksum)
+	out, err := verify(data, checksum)
 	if err != nil {
 		s.mu.Lock()
 		s.verifyFails++
 		s.misses++
 		s.mu.Unlock()
-		s.remove(name)
+		s.forget(addr, l)
 		return nil, false
 	}
-	s.touch(name, path, uint64(len(data)), checksum)
-	return payload, true
+	s.touch(l, checksum)
+	return out, true
 }
 
-// Put persists payload for (kind, key) through a temp file and an atomic
-// rename, then applies the disk budget. Races between processes are benign:
-// both writers hold identical bytes (payloads are pure functions of the
-// key), and rename makes whichever lands last the single complete record.
+// lookup returns addr's index entry, rescanning the directory once when it
+// has none.
+func (s *Store) lookup(addr string) *loc {
+	s.mu.Lock()
+	l := s.index[addr]
+	s.mu.Unlock()
+	if l != nil || s.rescan(false) != nil {
+		return l
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.index[addr]
+}
+
+// Put appends payload for (kind, key) to this store's pack, then applies
+// the disk budget. A key the index already holds is not written again.
+// Races between processes are benign: both writers append identical bytes
+// (payloads are pure functions of the key), and either copy serves.
 //
 // Put is best effort by contract — its callers ignore the error and carry
 // on — but the error is still meaningful: ErrDegraded for a tripped store,
-// otherwise the staging or publishing failure, accounted in OpErrors.
+// otherwise the create or append failure, accounted in OpErrors.
 func (s *Store) Put(kind uint16, key string, payload []byte) (err error) {
 	pprof.Do(context.Background(), pprof.Labels("stage", "artifact-store"), func(context.Context) {
 		err = s.put(kind, key, payload)
@@ -398,131 +370,34 @@ func (s *Store) put(kind uint16, key string, payload []byte) error {
 	if s.remote != nil {
 		s.remote.PutAsync(record)
 	}
-	return s.publish(fileName(kind, key), record)
+	return s.publish(Address(kind, key), record)
 }
 
-// adopt is the read-through half of the remote tier: a record fetched (and
-// verified) from the remote store is published into the local disk tier,
-// best effort, so the next run on this machine needs no network.
-func (s *Store) adopt(name string, record []byte) {
-	_ = s.publish(name, record)
-}
-
-// publish stages record through a temp file, atomically renames it to
-// name, and indexes it (shared by local Puts, remote read-through
-// adoption, and the remote object server's PutRecord).
-func (s *Store) publish(name string, record []byte) error {
-	var tmp File
-	if err := s.do("stage", func() error {
-		var terr error
-		tmp, terr = s.fs.CreateTemp(s.dir, tmpPrefix+"*")
-		return terr
-	}); err != nil {
-		if errors.Is(err, ErrDegraded) {
-			return err
-		}
-		return fmt.Errorf("artifact: staging record: %w", err)
+// publish appends record under addr unless the index already holds addr
+// (shared by local Puts, remote read-through adoption, and the remote
+// object server's PutRecord).
+func (s *Store) publish(addr string, record []byte) error {
+	if s.diskOff() {
+		return ErrDegraded
 	}
-	werr := s.doOnce("write", func() error {
-		_, e := tmp.Write(record)
-		return e
-	})
-	cerr := s.doOnce("close", tmp.Close)
-	if werr != nil || cerr != nil {
-		s.cleanTemp(tmp.Name())
-		return fmt.Errorf("artifact: staging record: %w", joinErr(werr, cerr))
-	}
-	if err := s.do("publish", func() error {
-		return s.fs.Rename(tmp.Name(), filepath.Join(s.dir, name))
-	}); err != nil {
-		s.cleanTemp(tmp.Name())
-		return fmt.Errorf("artifact: publishing record: %w", err)
-	}
-	s.noteSuccess() // the record landed; the disk is answering
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
 	s.mu.Lock()
-	if e := s.index[name]; e != nil {
-		s.resident -= e.size
-	}
-	// Deliberately not verified: even a record this process just wrote pays
-	// one checksum sweep on its first read back, so anything that reached the
-	// disk between rename and read (partial write, flipped bit) is caught
-	// where it matters. In practice the in-memory tiers serve re-reads of
-	// fresh writes, so this costs nothing on the warm path.
-	s.index[name] = &storeEntry{size: uint64(len(record)), lastUse: time.Now()}
-	s.resident += uint64(len(record))
-	s.evictLocked()
+	_, have := s.index[addr]
 	s.mu.Unlock()
-	return nil
+	if have {
+		return nil
+	}
+	return s.append(addr, record)
 }
 
-// cleanTemp best-effort unlinks a temp file this Put staged and can no
-// longer publish. It bypasses the breaker gate deliberately: even a store
-// tripping into degraded mode on this very Put owes the directory one last
-// unlink attempt, or every trip would strand a fresh orphan until the next
-// Open's sweep. A refused unlink (crashed or wedged disk) only counts; the
-// orphan is then bounded by the sweep, never silent.
-func (s *Store) cleanTemp(name string) {
-	if err := s.fs.Remove(name); err != nil && !errors.Is(err, fs.ErrNotExist) {
-		s.mu.Lock()
-		s.opErrors++
-		s.mu.Unlock()
-	}
-}
-
-// joinErr returns the first non-nil error (Put's staging failure detail).
-func joinErr(a, b error) error {
-	if a != nil {
-		return a
-	}
-	return b
-}
-
-// remove deletes one record file and drops it from the index (used for
-// verify failures and eviction victims).
-func (s *Store) remove(name string) {
-	s.mu.Lock()
-	if e := s.index[name]; e != nil {
-		s.resident -= e.size
-		delete(s.index, name)
-	}
-	s.mu.Unlock()
-	_ = s.do("remove", func() error { return s.fs.Remove(filepath.Join(s.dir, name)) })
-}
-
-// evictLocked deletes records least-recently-used first until resident
-// bytes fit the budget. Deleting under mu keeps the index and counters
-// coherent; an open reader elsewhere keeps its already-opened bytes (POSIX
-// unlink), it just misses next time. Called with s.mu held, so disk state
-// is checked inline rather than through do; a failed unlink only strands
-// the record until a future open re-indexes it.
-func (s *Store) evictLocked() {
-	if s.budget == 0 {
-		return
-	}
-	for s.resident > s.budget && len(s.index) > 0 {
-		var victim string
-		var oldest time.Time
-		for name, e := range s.index {
-			if victim == "" || e.lastUse.Before(oldest) {
-				victim, oldest = name, e.lastUse
-			}
-		}
-		s.resident -= s.index[victim].size
-		delete(s.index, victim)
-		s.evictions++
-		if !s.degraded && s.fatal == nil {
-			_ = s.fs.Remove(filepath.Join(s.dir, victim))
-		}
-	}
-}
-
-// Drop deletes the record for (kind, key), counting it as a verify failure.
-// Callers use it when a payload that passed record verification still fails
-// its type-level decode — possible only under a codec bug or an
-// astronomically unlikely checksum collision, but fail-closed is cheap.
+// Drop stops serving the record for (kind, key), counting it as a verify
+// failure. Callers use it when a payload that passed record verification
+// still fails its type-level decode — possible only under a codec bug or
+// an astronomically unlikely checksum collision, but fail-closed is cheap.
 func (s *Store) Drop(kind uint16, key string) {
 	s.bump(&s.verifyFails)
-	s.remove(fileName(kind, key))
+	s.forget(Address(kind, key), nil)
 }
 
 // Dir returns the store's directory.
@@ -536,10 +411,14 @@ func (s *Store) Remote() *Remote { return s.remote }
 // they produced are actually visible to the rest of the fleet.
 func (s *Store) Flush() { s.remote.Flush() }
 
-// Close flushes and releases the remote tier's write-behind worker. The
-// local disk tier needs no teardown; a Store without a remote tier has a
-// no-op Close.
-func (s *Store) Close() { s.remote.Close() }
+// Close flushes and releases the remote tier's write-behind worker and
+// closes this store's pack. A later Put starts a new pack.
+func (s *Store) Close() {
+	s.remote.Close()
+	s.wmu.Lock()
+	s.retire()
+	s.wmu.Unlock()
+}
 
 // RemoteStats returns the remote tier's counters (the zero quad when the
 // store has no remote tier). See Remote.Stats for the column remappings.
@@ -549,56 +428,32 @@ func (s *Store) RemoteStats() TierStats { return s.remote.Stats() }
 // remote object server's GET path, which never learns (kind, key) and so
 // cannot decode payloads. The record's framing and embedded identity are
 // verified against the address (CRC-swept on the first read per process,
-// like Get), so a corrupt or misfiled record is deleted and reported as a
-// miss rather than served.
+// like Get), so a corrupt or misfiled record is never served and reported
+// as a miss.
 func (s *Store) GetRecord(addr string) ([]byte, bool) {
 	if !validAddress(addr) {
 		s.bump(&s.misses)
 		return nil, false
 	}
-	name := addr + artExt
-	path := filepath.Join(s.dir, name)
-	s.mu.Lock()
-	checksum := s.strict || s.opErrors > 0 || s.verifyFails > 0
-	if e := s.index[name]; e == nil || !e.verified {
-		checksum = true
-	}
-	s.mu.Unlock()
-	var data []byte
-	if err := s.do("read", func() error {
-		var rerr error
-		data, rerr = s.fs.ReadFile(path)
-		return rerr
-	}); err != nil {
-		s.bump(&s.misses)
-		return nil, false
-	}
-	s.noteSuccess()
-	kind, key, _, err := decodeRecordAny(data, checksum)
-	if err == nil && fileName(kind, key) != name {
-		err = fmt.Errorf("%w: record identity does not match address %s", ErrCorrupt, addr)
-	}
-	if err != nil {
-		s.mu.Lock()
-		s.verifyFails++
-		s.misses++
-		s.mu.Unlock()
-		s.remove(name)
-		return nil, false
-	}
-	s.touch(name, path, uint64(len(data)), checksum)
-	return data, true
+	return s.load(addr, func(data []byte, checksum bool) ([]byte, error) {
+		kind, key, _, err := decodeRecordAny(data, checksum)
+		if err == nil && Address(kind, key) != addr {
+			err = fmt.Errorf("%w: record identity does not match address %s", ErrCorrupt, addr)
+		}
+		return data, err
+	})
 }
 
-// OpenRecord returns an open handle on the record file at addr, the
-// object server's zero-copy GET path: the handler streams it straight to
+// OpenRecord returns the pack file holding the record at addr, positioned
+// at the record's first byte, and the record's length: the object server's
+// zero-copy GET path, which streams exactly size bytes from f straight to
 // the socket (sendfile on the OS filesystem), never pulling the record
-// through user space. It answers only for records this process has already
-// served through a verifying read, and only while the store is healthy,
-// unstrict, and running directly on the real filesystem — everything else
-// reports ok == false and the caller falls back to GetRecord's verifying
-// path. Concurrent eviction is benign: an unlinked file stays readable
-// until closed.
+// through user space. The caller closes f. It answers only for records
+// this process has already served through a verifying read, and only while
+// the store is healthy, unstrict, and running directly on the real
+// filesystem — everything else reports ok == false and the caller falls
+// back to GetRecord's verifying path. Concurrent eviction is benign: an
+// unlinked pack stays readable until closed.
 func (s *Store) OpenRecord(addr string) (f *os.File, size int64, ok bool) {
 	if !validAddress(addr) {
 		return nil, 0, false
@@ -606,62 +461,38 @@ func (s *Store) OpenRecord(addr string) (f *os.File, size int64, ok bool) {
 	if _, osfs := s.fs.(osFS); !osfs {
 		return nil, 0, false
 	}
-	name := addr + artExt
-	path := filepath.Join(s.dir, name)
 	s.mu.Lock()
-	e := s.index[name]
-	streamable := e != nil && e.verified && !s.strict && s.opErrors == 0 && s.verifyFails == 0
-	var indexed uint64
-	if e != nil {
-		indexed = e.size
-	}
+	l := s.index[addr]
+	streamable := l != nil && l.verified && !s.strict && s.opErrors == 0 && s.verifyFails == 0
 	s.mu.Unlock()
 	if !streamable || s.diskOff() {
 		return nil, 0, false
 	}
-	f, err := os.Open(path)
+	f, err := os.Open(s.packPath(l.pack.name))
 	if err != nil {
 		return nil, 0, false
 	}
-	st, err := f.Stat()
-	if err != nil || st.Size() != int64(indexed) {
-		// Raced a rewrite (or the index is stale): let the verifying path
-		// decide what the file now holds.
+	if _, err := f.Seek(l.off, io.SeekStart); err != nil {
 		f.Close()
 		return nil, 0, false
 	}
-	s.touch(name, path, indexed, false)
-	return f, st.Size(), true
+	s.touch(l, false)
+	return f, l.n, true
 }
 
 // StatRecord reports whether the store holds a record at addr (the remote
-// object server's HEAD path). It trusts the index plus a directory probe
-// and performs no verification; a corrupt record answers true here and
-// fails closed on the GET that follows.
+// object server's HEAD path). It trusts the index, rescanning on a miss
+// like Get, and performs no verification; a corrupt record answers true
+// here and fails closed on the GET that follows.
 func (s *Store) StatRecord(addr string) bool {
-	if !validAddress(addr) {
-		return false
-	}
-	name := addr + artExt
-	s.mu.Lock()
-	_, known := s.index[name]
-	s.mu.Unlock()
-	if known {
-		return true
-	}
-	// Another process may have written it after our Open scan.
-	err := s.do("read", func() error {
-		_, rerr := s.fs.ReadFile(filepath.Join(s.dir, name))
-		return rerr
-	})
-	return err == nil
+	return validAddress(addr) && s.lookup(addr) != nil
 }
 
 // PutRecord verifies an already-encoded record — full framing and checksum
-// sweep, since the bytes crossed a network — and publishes it atomically
-// under its own content address, which must match wantAddr when non-empty.
-// This is the remote object server's PUT path: the record authenticates
-// itself, so a server can accept writes without ever learning the keyspace.
+// sweep, since the bytes crossed a network — and appends it under its own
+// content address, which must match wantAddr when non-empty. This is the
+// remote object server's PUT path: the record authenticates itself, so a
+// server can accept writes without ever learning the keyspace.
 func (s *Store) PutRecord(record []byte, wantAddr string) (addr string, err error) {
 	kind, key, err := RecordInfo(record)
 	if err != nil {
@@ -673,35 +504,28 @@ func (s *Store) PutRecord(record []byte, wantAddr string) (addr string, err erro
 		s.bump(&s.verifyFails)
 		return "", fmt.Errorf("%w: record addresses %s, published as %s", ErrCorrupt, addr, wantAddr)
 	}
-	return addr, s.publish(addr+artExt, record)
+	return addr, s.publish(addr, record)
 }
 
-// touch refreshes one verified record's index entry and on-disk recency
-// after a successful read (shared by Get and GetRecord).
-func (s *Store) touch(name, path string, size uint64, checksummed bool) {
+// touch counts a hit on one verified copy and refreshes its pack's recency,
+// in memory and as the file's mtime, so a future process's walk sees
+// today's recency. Persisting it is best effort: a failure only ages the
+// pack (but still counts against the breaker — the disk is misbehaving).
+func (s *Store) touch(l *loc, checksummed bool) {
 	now := time.Now()
 	s.mu.Lock()
 	s.hits++
-	if e := s.index[name]; e != nil {
-		e.lastUse = now
-		if checksummed {
-			e.verified = true
-		}
-	} else {
-		// Another process wrote the record after our Open scan; adopt it.
-		s.index[name] = &storeEntry{size: size, lastUse: now, verified: checksummed}
-		s.resident += size
+	l.pack.lastUse = now
+	if checksummed {
+		l.verified = true
 	}
 	s.mu.Unlock()
-	// Persist the access time as the file mtime so a future process's index
-	// scan sees today's recency. Best effort: a failure only ages the entry
-	// (but still counts against the breaker — the disk is misbehaving).
-	_ = s.do("touch", func() error { return s.fs.Chtimes(path, now, now) })
+	_ = s.do("touch", func() error { return s.fs.Chtimes(s.packPath(l.pack.name), now, now) })
 }
 
 // Stats returns the store's observability counters. ResidentBytes counts
-// whole record files (payload plus framing), matching what the disk budget
-// governs.
+// whole packs (payload plus framing, and any torn tail), matching what the
+// disk budget governs; Evictions counts the records evicted packs held.
 func (s *Store) Stats() TierStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()

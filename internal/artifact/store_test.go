@@ -10,6 +10,54 @@ import (
 	"time"
 )
 
+// flipRecordByte flips mask into byte i of the record s holds for (kind,
+// key), in place in its pack (a negative i counts from the record's end):
+// the one way these tests corrupt a record on disk.
+func flipRecordByte(t *testing.T, s *Store, kind uint16, key string, i int64, mask byte) {
+	t.Helper()
+	s.mu.Lock()
+	l := s.index[Address(kind, key)]
+	s.mu.Unlock()
+	if l == nil {
+		t.Fatalf("store holds no record for %q", key)
+	}
+	if i < 0 {
+		i += l.n
+	}
+	f, err := os.OpenFile(s.packPath(l.pack.name), os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	b := make([]byte, 1)
+	if _, err := f.ReadAt(b, l.off+i); err != nil {
+		t.Fatal(err)
+	}
+	b[0] ^= mask
+	if _, err := f.WriteAt(b, l.off+i); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// packFiles lists the store directory, failing the test on any file that
+// is not a pack.
+func packFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var packs []string
+	for _, e := range entries {
+		if filepath.Ext(e.Name()) != packExt {
+			t.Errorf("store directory holds a non-pack file %s", e.Name())
+			continue
+		}
+		packs = append(packs, filepath.Join(dir, e.Name()))
+	}
+	return packs
+}
+
 func TestStoreGetPut(t *testing.T) {
 	s, err := Open(t.TempDir(), 0)
 	if err != nil {
@@ -39,7 +87,7 @@ func TestStoreGetPut(t *testing.T) {
 }
 
 // TestStoreCorruptRecordDeleted: a record that fails verification is
-// removed from disk and counted, and the slot is reusable.
+// never served again and is counted, and the slot is reusable.
 func TestStoreCorruptRecordDeleted(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, 0)
@@ -49,24 +97,17 @@ func TestStoreCorruptRecordDeleted(t *testing.T) {
 	if err := s.Put(KindBucketStream, "key", []byte("good payload")); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, fileName(KindBucketStream, "key"))
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)/2] ^= 0x40
-	if err := os.WriteFile(path, data, 0o666); err != nil {
-		t.Fatal(err)
-	}
+	rec := int64(len(EncodeRecord(KindBucketStream, "key", []byte("good payload"))))
+	flipRecordByte(t, s, KindBucketStream, "key", rec/2, 0x40)
 	if _, ok := s.Get(KindBucketStream, "key"); ok {
 		t.Fatal("corrupt record served")
-	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Fatalf("corrupt record not deleted: %v", err)
 	}
 	st := s.Stats()
 	if st.VerifyFails != 1 || st.Misses != 1 {
 		t.Fatalf("stats = %+v, want 1 verify fail counted as a miss", st)
+	}
+	if _, ok := s.Get(KindBucketStream, "key"); ok {
+		t.Fatal("corrupt record served again")
 	}
 	// Regeneration path: Put again, Get serves the fresh bytes.
 	if err := s.Put(KindBucketStream, "key", []byte("regenerated")); err != nil {
@@ -177,9 +218,10 @@ func TestStoreDrop(t *testing.T) {
 // TestStoreCrossProcessContention models two processes sharing one artifact
 // directory: two independent Store instances (separate indexes, one disk)
 // doing concurrent Puts and Gets over the same key set. Every record must
-// survive (no lost renames), every Get must serve the correct bytes or a
-// benign miss, and afterwards each instance's resident accounting — and a
-// fresh scan's — must equal the actual bytes on disk, counted once.
+// survive, every Get must serve the correct bytes or a benign miss, each
+// store must find records the other appended after it opened, and
+// afterwards each instance's resident accounting — and a fresh walk's —
+// must equal the actual bytes on disk, counted once.
 // Run under -race in CI's engine shard.
 func TestStoreCrossProcessContention(t *testing.T) {
 	dir := t.TempDir()
@@ -222,6 +264,21 @@ func TestStoreCrossProcessContention(t *testing.T) {
 	}
 	wg.Wait()
 
+	// Records appended after the other store opened are visible through
+	// it: a local miss walks what the other store has appended since.
+	if err := a.Put(KindCurve, "late-a", []byte("from a")); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Put(KindCurve, "late-b", []byte("from b")); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := a.Get(KindCurve, "late-b"); !ok || string(got) != "from b" {
+		t.Fatalf("store a missed b's late record: ok=%v %q", ok, got)
+	}
+	if got, ok := b.Get(KindCurve, "late-a"); !ok || string(got) != "from a" {
+		t.Fatalf("store b missed a's late record: ok=%v %q", ok, got)
+	}
+
 	// No lost records: both instances serve every key.
 	for i := 0; i < keys; i++ {
 		for name, s := range map[string]*Store{"a": a, "b": b} {
@@ -232,15 +289,13 @@ func TestStoreCrossProcessContention(t *testing.T) {
 		}
 	}
 
-	// No double-counted resident bytes: each instance indexed every record
-	// exactly once, agreeing with the bytes actually on disk.
+	// No double-counted resident bytes: each instance counts every pack
+	// once, agreeing with the bytes actually on disk, and so does a fresh
+	// walk. Each store appended to one pack of its own.
 	var onDisk uint64
-	files, err := filepath.Glob(filepath.Join(dir, "*"+artExt))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(files) != keys {
-		t.Fatalf("%d record files on disk, want %d", len(files), keys)
+	files := packFiles(t, dir)
+	if len(files) != 2 {
+		t.Fatalf("%d packs on disk, want one per store", len(files))
 	}
 	for _, f := range files {
 		info, err := os.Stat(f)
@@ -261,15 +316,12 @@ func TestStoreCrossProcessContention(t *testing.T) {
 	if got := fresh.Stats().ResidentBytes; got != onDisk {
 		t.Errorf("fresh scan resident = %d, want %d", got, onDisk)
 	}
-	if temps, _ := filepath.Glob(filepath.Join(dir, tmpPrefix+"*")); len(temps) != 0 {
-		t.Errorf("contention leaked temp files: %v", temps)
-	}
 }
 
 // TestStoreContentionWithGC adds cross-process GC to the mix: one writer
 // keeps publishing while a second instance under a tiny budget keeps
-// evicting the same files. Rename/unlink races must stay benign — Gets
-// serve correct bytes or miss, nothing errors, no temp files remain.
+// evicting the writer's pack. Append/unlink races must stay benign — Gets
+// serve correct bytes or miss, nothing errors, nothing but packs remain.
 func TestStoreContentionWithGC(t *testing.T) {
 	dir := t.TempDir()
 	writer, err := Open(dir, 0)
@@ -311,9 +363,8 @@ func TestStoreContentionWithGC(t *testing.T) {
 	}()
 	wg.Wait()
 
-	if temps, _ := filepath.Glob(filepath.Join(dir, tmpPrefix+"*")); len(temps) != 0 {
-		t.Errorf("GC contention leaked temp files: %v", temps)
-	}
+	packFiles(t, dir) // nothing but packs
+
 	// Both instances remain healthy: no degraded flags, no op errors from
 	// the benign races (losing a file to the other process's GC is a clean
 	// miss, not a fault).
@@ -368,15 +419,7 @@ func TestStoreVerifyFirstReadThenCheap(t *testing.T) {
 	}
 	// Flip one payload bit on disk, past the header and embedded key so only
 	// the checksum could catch it.
-	path := filepath.Join(dir, fileName(KindReplayBuffer, key))
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[recordHeaderLen+len(key)+3] ^= 0x01
-	if err := os.WriteFile(path, data, 0o666); err != nil {
-		t.Fatal(err)
-	}
+	flipRecordByte(t, s, KindReplayBuffer, key, recordHeaderLen+int64(len(key))+3, 0x01)
 	// Repeat read: the record was verified this process, so the CRC is
 	// skipped and the flip is not seen.
 	if _, ok := s.Get(KindReplayBuffer, key); !ok {
@@ -391,15 +434,7 @@ func TestStoreVerifyFirstReadThenCheap(t *testing.T) {
 	if err := s.Put(KindReplayBuffer, "other", []byte("other payload")); err != nil {
 		t.Fatal(err)
 	}
-	opath := filepath.Join(dir, fileName(KindReplayBuffer, "other"))
-	odata, err := os.ReadFile(opath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	odata[len(odata)-1] ^= 0x80
-	if err := os.WriteFile(opath, odata, 0o666); err != nil {
-		t.Fatal(err)
-	}
+	flipRecordByte(t, s, KindReplayBuffer, "other", -1, 0x80)
 	if _, ok := s.Get(KindReplayBuffer, "other"); ok {
 		t.Fatal("corrupt first read served")
 	}
@@ -408,8 +443,8 @@ func TestStoreVerifyFirstReadThenCheap(t *testing.T) {
 	if _, ok := s.Get(KindReplayBuffer, key); ok {
 		t.Fatal("post-fault read skipped the checksum")
 	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Fatalf("corrupt record not deleted after post-fault verify: %v", err)
+	if _, ok := s.Get(KindReplayBuffer, key); ok {
+		t.Fatal("corrupt record served again after post-fault verify")
 	}
 	if st := s.Stats(); st.VerifyFails != 2 {
 		t.Fatalf("stats = %+v, want 2 verify fails", st)
@@ -431,15 +466,7 @@ func TestStoreStrictAlwaysVerifies(t *testing.T) {
 	if _, ok := s.Get(KindReplayBuffer, key); !ok {
 		t.Fatal("first read missed")
 	}
-	path := filepath.Join(dir, fileName(KindReplayBuffer, key))
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[recordHeaderLen+len(key)+1] ^= 0x10
-	if err := os.WriteFile(path, data, 0o666); err != nil {
-		t.Fatal(err)
-	}
+	flipRecordByte(t, s, KindReplayBuffer, key, recordHeaderLen+int64(len(key))+1, 0x10)
 	if _, ok := s.Get(KindReplayBuffer, key); ok {
 		t.Fatal("strict store served a corrupt record on a repeat read")
 	}

@@ -1,7 +1,7 @@
 // Package faultfs is a deterministic fault-injecting implementation of the
 // artifact.FS seam, for exercising the persistent tier's degradation paths
-// — classification, retry, the health breaker, orphan recovery — without a
-// real failing disk.
+// — classification, retry, the health breaker, torn-pack recovery — without
+// a real failing disk.
 //
 // An FS wraps an inner filesystem (normally artifact.OSFS) and consults a
 // fault plan before delegating each operation. Two plan styles compose:
@@ -14,15 +14,18 @@
 //     PRNG — deterministic for a fixed seed and call sequence.
 //
 // Beyond clean failures, three fault modes model the messier realities of a
-// dying disk: PartialWrite lands a prefix of the bytes before erroring
-// (matching the io contract: n < len(p) with a non-nil error);
-// CrashBeforeRename simulates a writer dying between staging and publish —
-// the rename never happens, the staged temp file is left behind (backdated
-// past the store's orphan TTL, standing in for a crash in some earlier
-// process) and pinned so the "dead" writer's own cleanup Remove fails too;
-// CrashAfterRename simulates death just after publish — the record lands
-// but the writer never learns it. Clear ends the simulated outage, as a
-// process restart would.
+// dying disk, all on a pack append (OpWrite): PartialWrite lands a prefix
+// of the bytes before erroring (matching the io contract: n < len(p) with a
+// non-nil error) and the writer lives on; CrashMidAppend lands the same
+// prefix but simulates the writer dying there — the file is pinned, so the
+// dead writer's later writes, close and cleanup Remove all fail, and the
+// pack keeps its torn tail for the next Open to recover from;
+// CrashAfterAppend simulates death just after the append — every byte lands
+// but the writer never learns it, and the file is pinned the same way.
+// Clear ends the simulated outage, as a process restart would.
+//
+// Positioned reads (the optional artifact.ReadAtFS extension) count and
+// fail as OpReadFile when the pack is opened: a record read is one read.
 //
 // Errors are wrapped in *io/fs.PathError around real syscall errnos, so the
 // store's errors.Is-based classification sees exactly what the os package
@@ -30,6 +33,7 @@
 package faultfs
 
 import (
+	"bytes"
 	"errors"
 	iofs "io/fs"
 	"math/rand"
@@ -80,15 +84,16 @@ const (
 	// PartialWrite (OpWrite only) writes the first half of the buffer to
 	// the inner file, then returns the short count and the fault's error.
 	PartialWrite
-	// CrashBeforeRename (OpRename only) simulates the writer dying before
-	// publish: the rename does not happen, the staged source file stays on
-	// disk backdated past the store's orphan TTL, and the source path is
-	// pinned so the crashed writer's cleanup Remove fails until Clear.
-	CrashBeforeRename
-	// CrashAfterRename (OpRename only) simulates the writer dying after
-	// publish: the rename happens on the inner filesystem, but the error
-	// is returned as if the writer never saw it complete.
-	CrashAfterRename
+	// CrashMidAppend (OpWrite only) simulates the writer dying inside an
+	// append: the first half of the buffer lands, the short count and the
+	// fault's error are returned, and the file is pinned so the dead
+	// writer's later writes, close and Remove fail until Clear.
+	CrashMidAppend
+	// CrashAfterAppend (OpWrite only) simulates the writer dying just after
+	// an append: every byte lands, the full count comes back with the
+	// fault's error as if the writer never saw the append complete, and
+	// the file is pinned as in CrashMidAppend.
+	CrashAfterAppend
 )
 
 // Fault schedules one injection.
@@ -118,7 +123,7 @@ type FS struct {
 	rng      *rand.Rand // non-nil after SeedRandom
 	rate     float64
 	pool     []error
-	pinned   map[string]bool // crash-orphaned paths whose Remove fails
+	pinned   map[string]bool // files of crashed writers: writes, close and Remove fail
 }
 
 // fault is an installed Fault plus the op-call count at installation, so
@@ -212,8 +217,8 @@ func (f *FS) check(op Op, path string) (Mode, error) {
 	return FailOp, nil
 }
 
-// pin marks path as owned by a crashed writer: its Remove fails until
-// Clear, like a file handle nobody alive can clean up.
+// pin marks path as owned by a crashed writer: its writes, close and
+// Remove fail until Clear, like a file nobody alive can clean up.
 func (f *FS) pin(path string) {
 	f.mu.Lock()
 	f.pinned[path] = true
@@ -250,6 +255,28 @@ func (f *FS) ReadFile(name string) ([]byte, error) {
 	return f.inner.ReadFile(name)
 }
 
+// OpenReadAt implements artifact.ReadAtFS, counting and faulting the open
+// as OpReadFile. An inner filesystem without positioned reads is read
+// whole.
+func (f *FS) OpenReadAt(name string) (artifact.ReadAtFile, error) {
+	if _, err := f.check(OpReadFile, name); err != nil {
+		return nil, err
+	}
+	if rfs, ok := f.inner.(artifact.ReadAtFS); ok {
+		return rfs.OpenReadAt(name)
+	}
+	data, err := f.inner.ReadFile(name)
+	if err != nil {
+		return nil, err
+	}
+	return wholeFile{bytes.NewReader(data)}, nil
+}
+
+// wholeFile serves positioned reads from a file read whole.
+type wholeFile struct{ *bytes.Reader }
+
+func (wholeFile) Close() error { return nil }
+
 // CreateTemp implements artifact.FS; the returned file routes Write and
 // Close back through the injector.
 func (f *FS) CreateTemp(dir, pattern string) (artifact.File, error) {
@@ -263,37 +290,15 @@ func (f *FS) CreateTemp(dir, pattern string) (artifact.File, error) {
 	return &file{fs: f, inner: inner}, nil
 }
 
-// Rename implements artifact.FS, honoring the crash modes. A source path
-// pinned by an earlier simulated crash keeps failing: the writer that
-// staged it is dead, so no retry can revive the publish.
+// Rename implements artifact.FS.
 func (f *FS) Rename(oldpath, newpath string) error {
-	if f.isPinned(oldpath) {
-		return f.pinnedErr("rename", oldpath)
-	}
-	mode, err := f.check(OpRename, oldpath)
-	if err == nil {
-		return f.inner.Rename(oldpath, newpath)
-	}
-	switch mode {
-	case CrashBeforeRename:
-		// The writer died before publish: the staged file stays. Backdate
-		// it past the orphan TTL — this crash stands in for one that
-		// happened in some long-gone process — and pin it so the dead
-		// writer's cleanup fails too.
-		old := time.Now().Add(-24 * time.Hour)
-		_ = f.inner.Chtimes(oldpath, old, old)
-		f.pin(oldpath)
-		return err
-	case CrashAfterRename:
-		// The record landed; only the acknowledgment was lost.
-		_ = f.inner.Rename(oldpath, newpath)
-		return err
-	default:
+	if _, err := f.check(OpRename, oldpath); err != nil {
 		return err
 	}
+	return f.inner.Rename(oldpath, newpath)
 }
 
-// Remove implements artifact.FS. Paths pinned by a simulated crash refuse
+// Remove implements artifact.FS. Files pinned by a simulated crash refuse
 // deletion until Clear.
 func (f *FS) Remove(name string) error {
 	if f.isPinned(name) {
@@ -323,29 +328,47 @@ func (f *FS) Chtimes(name string, atime, mtime time.Time) error {
 }
 
 // file wraps an inner artifact.File, routing Write and Close through the
-// injector so staging faults (short writes, failed closes) are reachable.
+// injector so append faults (short writes, crashes, failed closes) are
+// reachable.
 type file struct {
 	fs    *FS
 	inner artifact.File
 }
 
-// Write implements artifact.File. Under PartialWrite, half the buffer
-// reaches the inner file before the error — the on-disk state a real torn
-// write leaves.
+// Write implements artifact.File. Under PartialWrite and CrashMidAppend,
+// half the buffer reaches the inner file before the error — the on-disk
+// state a real torn append leaves; under CrashAfterAppend all of it does.
 func (w *file) Write(p []byte) (int, error) {
+	if w.fs.isPinned(w.inner.Name()) {
+		return 0, w.fs.pinnedErr("write", w.inner.Name())
+	}
 	mode, err := w.fs.check(OpWrite, w.inner.Name())
 	if err == nil {
 		return w.inner.Write(p)
 	}
-	if mode == PartialWrite && len(p) > 0 {
+	switch mode {
+	case PartialWrite, CrashMidAppend:
 		n, _ := w.inner.Write(p[:len(p)/2])
+		if mode == CrashMidAppend {
+			w.fs.pin(w.inner.Name())
+		}
 		return n, err
+	case CrashAfterAppend:
+		n, _ := w.inner.Write(p)
+		w.fs.pin(w.inner.Name())
+		return n, err
+	default:
+		return 0, err
 	}
-	return 0, err
 }
 
-// Close implements artifact.File.
+// Close implements artifact.File. A crashed writer's close fails, but the
+// descriptor is released either way.
 func (w *file) Close() error {
+	if w.fs.isPinned(w.inner.Name()) {
+		_ = w.inner.Close()
+		return w.fs.pinnedErr("close", w.inner.Name())
+	}
 	if _, err := w.fs.check(OpClose, w.inner.Name()); err != nil {
 		_ = w.inner.Close() // release the descriptor either way
 		return err

@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"syscall"
 	"testing"
-	"time"
 
 	"branchconf/internal/artifact"
 )
@@ -90,57 +89,82 @@ func TestPartialWrite(t *testing.T) {
 	}
 }
 
-// TestCrashBeforeRename: the rename never happens, the staged file stays
-// behind backdated past the store's orphan TTL, and the dead writer's own
-// cleanup fails until Clear ends the outage.
-func TestCrashBeforeRename(t *testing.T) {
+// TestCrashMidAppend: half the record lands, and the dead writer can
+// neither write, close nor remove its file until Clear ends the outage.
+func TestCrashMidAppend(t *testing.T) {
 	dir := t.TempDir()
-	src := filepath.Join(dir, ".tmp-crashed")
-	dst := filepath.Join(dir, "published.art")
-	writeFile(t, src, []byte("staged"))
 	f := New(artifact.OSFS())
-	f.Inject(Fault{Op: OpRename, Nth: 1, Err: syscall.EIO, Mode: CrashBeforeRename})
-
-	if err := f.Rename(src, dst); !errors.Is(err, syscall.EIO) {
-		t.Fatalf("Rename error = %v, want EIO", err)
-	}
-	if _, err := os.Stat(dst); !os.IsNotExist(err) {
-		t.Fatal("crash-before-rename still published the record")
-	}
-	info, err := os.Stat(src)
+	pack, err := f.CreateTemp(dir, "*.pack")
 	if err != nil {
-		t.Fatal("staged file vanished in crash-before-rename")
+		t.Fatal(err)
 	}
-	if age := time.Since(info.ModTime()); age < 23*time.Hour {
-		t.Fatalf("orphan aged only %v; must predate the store's sweep TTL", age)
+	f.Inject(Fault{Op: OpWrite, Nth: 1, Err: syscall.EIO, Mode: CrashMidAppend})
+	if n, err := pack.Write([]byte("0123456789")); n != 5 || !errors.Is(err, syscall.EIO) {
+		t.Fatalf("Write = (%d, %v), want (5, EIO)", n, err)
 	}
-	if err := f.Remove(src); err == nil {
+	if _, err := pack.Write([]byte("more")); err == nil {
+		t.Fatal("a crashed writer appended again")
+	}
+	if err := pack.Close(); err == nil {
+		t.Fatal("a crashed writer's close succeeded")
+	}
+	if err := f.Remove(pack.Name()); err == nil {
 		t.Fatal("a crashed writer's cleanup Remove succeeded")
 	}
+	data, err := os.ReadFile(pack.Name())
+	if err != nil || string(data) != "01234" {
+		t.Fatalf("torn pack holds %q (err %v), want the first half", data, err)
+	}
 	f.Clear()
-	if err := f.Remove(src); err != nil {
+	if err := f.Remove(pack.Name()); err != nil {
 		t.Fatalf("Remove after Clear: %v", err)
 	}
 }
 
-// TestCrashAfterRename: the record lands but the caller sees a failure, as
-// if the writer died before observing the rename return.
-func TestCrashAfterRename(t *testing.T) {
+// TestCrashAfterAppend: every byte lands but the writer sees a failure, as
+// if it died before observing the append return.
+func TestCrashAfterAppend(t *testing.T) {
 	dir := t.TempDir()
-	src := filepath.Join(dir, ".tmp-late")
-	dst := filepath.Join(dir, "published.art")
-	writeFile(t, src, []byte("staged"))
 	f := New(artifact.OSFS())
-	f.Inject(Fault{Op: OpRename, Nth: 1, Err: syscall.EIO, Mode: CrashAfterRename})
+	pack, err := f.CreateTemp(dir, "*.pack")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Inject(Fault{Op: OpWrite, Nth: 1, Err: syscall.EIO, Mode: CrashAfterAppend})
+	if n, err := pack.Write([]byte("record")); n != 6 || !errors.Is(err, syscall.EIO) {
+		t.Fatalf("Write = (%d, %v), want (6, EIO)", n, err)
+	}
+	if err := f.Remove(pack.Name()); err == nil {
+		t.Fatal("a crashed writer's cleanup Remove succeeded")
+	}
+	if data, err := os.ReadFile(pack.Name()); err != nil || string(data) != "record" {
+		t.Fatalf("pack holds %q (err %v), want the whole append", data, err)
+	}
+}
 
-	if err := f.Rename(src, dst); !errors.Is(err, syscall.EIO) {
-		t.Fatalf("Rename error = %v, want EIO", err)
+// TestOpenReadAtCountsAsRead: opening a file for positioned reads is one
+// OpReadFile, faulted like a whole-file read, and its reads are the file's
+// bytes.
+func TestOpenReadAtCountsAsRead(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "f")
+	writeFile(t, path, []byte("0123456789"))
+	f := New(artifact.OSFS())
+	f.Inject(Fault{Op: OpReadFile, Nth: 1, Err: syscall.EIO})
+	if _, err := f.OpenReadAt(path); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("1st OpenReadAt error = %v, want EIO", err)
 	}
-	if _, err := os.Stat(dst); err != nil {
-		t.Fatal("crash-after-rename lost the published record")
+	r, err := f.OpenReadAt(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := os.Stat(src); !os.IsNotExist(err) {
-		t.Fatal("crash-after-rename left the source behind")
+	defer r.Close()
+	buf := make([]byte, 3)
+	if _, err := r.ReadAt(buf, 4); err != nil || string(buf) != "456" {
+		t.Fatalf("ReadAt = %q, %v", buf, err)
+	}
+	if got := f.Calls(OpReadFile); got != 2 {
+		t.Fatalf("Calls(OpReadFile) = %d, want 2", got)
 	}
 }
 

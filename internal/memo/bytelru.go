@@ -84,13 +84,17 @@ func (c *ByteLRU) Claim(key any) (e *Entry, owner bool) {
 // never negatively cached for the life of the process.
 func (c *ByteLRU) Finish(e *Entry, bytes uint64) {
 	c.mu.Lock()
+	// Guard on pointer identity: after a Reset (or under a successor entry
+	// for the same key) a stale owner finishing must neither clobber the
+	// map nor charge bytes no entry holds — they would never be released.
+	current := c.entries[e.key] == e
 	if e.Err == nil {
 		e.built = true
 		e.bytes = bytes
-		c.resident += bytes
-	} else if c.entries[e.key] == e {
-		// Guard on pointer identity: a reset (or a successor entry under
-		// the same key) must not be clobbered by a stale owner finishing.
+		if current {
+			c.resident += bytes
+		}
+	} else if current {
 		delete(c.entries, e.key)
 	}
 	c.mu.Unlock()

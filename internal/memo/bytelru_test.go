@@ -100,3 +100,34 @@ func TestByteLRUInFlightNeverEvicted(t *testing.T) {
 	inflight.Val = "v"
 	c.Finish(inflight, 1)
 }
+
+// TestByteLRUResetDuringBuild is the regression test for the accounting
+// leak behind the daemon's memory-pressure release: a build in flight when
+// Reset runs must not charge its bytes on Finish, because its entry is no
+// longer in the map and nothing would ever release them.
+func TestByteLRUResetDuringBuild(t *testing.T) {
+	var c ByteLRU
+	c.SetBound(120)
+	e, owner := c.Claim("inflight")
+	if !owner {
+		t.Fatal("claim not owner")
+	}
+	c.Reset()
+	e.Val = "built after the reset"
+	c.Finish(e, 100)
+	if resident, _ := c.Usage(); resident != 0 {
+		t.Fatalf("resident = %d after a build finished past a Reset, want 0", resident)
+	}
+	next, owner := c.Claim("next")
+	if !owner {
+		t.Fatal("claim not owner")
+	}
+	next.Val = "fits the bound"
+	c.Finish(next, 50)
+	if _, owner := c.Claim("next"); owner {
+		t.Fatal("an entry within the bound was evicted on arrival")
+	}
+	if resident, evictions := c.Usage(); resident != 50 || evictions != 0 {
+		t.Fatalf("usage = (%d, %d evictions), want (50, 0)", resident, evictions)
+	}
+}

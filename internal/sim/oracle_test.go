@@ -2,6 +2,8 @@ package sim
 
 import (
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"syscall"
 	"testing"
@@ -9,6 +11,7 @@ import (
 	"branchconf/internal/artifact"
 	"branchconf/internal/core"
 	"branchconf/internal/faultfs"
+	"branchconf/internal/faultnet"
 	"branchconf/internal/predictor"
 	"branchconf/internal/workload"
 )
@@ -90,14 +93,16 @@ func oracleSuite(t testing.TB, specs []workload.Spec, budget uint64, predName st
 type oracleStore uint8
 
 const (
-	storeNone  oracleStore = iota
-	storeCold              // a fresh temp store
-	storeWarm              // the previous cold case's store, memory tiers reset
-	storeFault             // a fresh store under a seeded faultfs storm, run cold then warm
+	storeNone   oracleStore = iota
+	storeCold               // a fresh temp store
+	storeWarm               // the previous cold case's store, memory tiers reset
+	storeFault              // a fresh store under a seeded faultfs storm, run cold then warm
+	storeRemote             // fresh local stores over one remote store through a seeded faultnet storm, run cold then warm
+	numOracleStores
 )
 
 func (s oracleStore) String() string {
-	return [...]string{"none", "cold", "warm", "fault"}[s]
+	return [...]string{"none", "cold", "warm", "fault", "remote"}[s]
 }
 
 // oracleCase is one engine configuration checked against the oracle.
@@ -105,7 +110,7 @@ type oracleCase struct {
 	seg      uint64 // SegmentBranches; 0 = monolithic
 	parallel int
 	store    oracleStore
-	seed     int64 // storm seed for storeFault
+	seed     int64 // storm seed for storeFault and storeRemote
 }
 
 func (c oracleCase) String() string {
@@ -120,16 +125,19 @@ func resetMemoryTiers() {
 	workload.TraceTier.Reset()
 }
 
-// openOracleStore opens a store on dir (through fsys when non-nil) and
-// installs it as the process default until the test ends.
-func openOracleStore(t testing.TB, dir string, fsys artifact.FS) *artifact.Store {
+// openOracleStore opens a store on dir and installs it as the process
+// default until the test ends, when it is closed.
+func openOracleStore(t testing.TB, dir string, opts artifact.Options) *artifact.Store {
 	t.Helper()
-	s, err := artifact.OpenStore(dir, artifact.Options{FS: fsys})
+	s, err := artifact.OpenStore(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	artifact.SetDefault(s)
-	t.Cleanup(func() { artifact.SetDefault(nil) })
+	t.Cleanup(func() {
+		artifact.SetDefault(nil)
+		s.Close()
+	})
 	return s
 }
 
@@ -166,14 +174,14 @@ func checkOracleCase(t testing.TB, c oracleCase, specs []workload.Spec, budget u
 		run("")
 	case storeCold:
 		*coldDir = t.TempDir()
-		openOracleStore(t, *coldDir, nil)
+		openOracleStore(t, *coldDir, artifact.Options{})
 		resetMemoryTiers()
 		run("cold")
 	case storeWarm:
 		if *coldDir == "" {
 			t.Fatalf("%v: a warm case must follow a cold one", c)
 		}
-		s := openOracleStore(t, *coldDir, nil)
+		s := openOracleStore(t, *coldDir, artifact.Options{})
 		resetMemoryTiers()
 		run("warm")
 		if s.Stats().Hits == 0 {
@@ -182,11 +190,34 @@ func checkOracleCase(t testing.TB, c oracleCase, specs []workload.Spec, budget u
 	case storeFault:
 		ffs := faultfs.New(artifact.OSFS())
 		ffs.SeedRandom(c.seed, 0.3, syscall.EIO, syscall.ENOSPC, syscall.EACCES)
-		openOracleStore(t, t.TempDir(), ffs)
+		openOracleStore(t, t.TempDir(), artifact.Options{FS: ffs})
 		resetMemoryTiers()
 		run("storm-cold")
 		resetMemoryTiers()
 		run("storm-warm")
+	case storeRemote:
+		// The remote store is itself a pack store behind the object
+		// server. The cold leg publishes through its write-behind queue;
+		// the warm leg starts from an empty local store, so it reads
+		// through the remote tier, and every response may be refused,
+		// timed out, torn or cross-wired.
+		backing, err := artifact.Open(t.TempDir(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := httptest.NewServer(artifact.NewRemoteServer(backing).Handler())
+		defer srv.Close()
+		tr := faultnet.New(&http.Client{})
+		tr.SeedRandom(c.seed, 0.3, faultnet.FailConn, faultnet.Timeout, faultnet.StatusCode, faultnet.TruncateBody, faultnet.CrossWire)
+		for _, leg := range []string{"remote-cold", "remote-warm"} {
+			s := openOracleStore(t, t.TempDir(), artifact.Options{Remote: artifact.NewRemote(srv.URL, tr)})
+			resetMemoryTiers()
+			run(leg)
+			s.Close() // drains the write-behind queue into the remote store
+		}
+		if tr.Calls(faultnet.OpGet) == 0 {
+			t.Fatalf("%s %v: the remote legs read nothing through the remote tier", predName, c)
+		}
 	}
 	artifact.SetDefault(nil)
 }
@@ -216,6 +247,8 @@ func TestSuiteMatchesRunOracle(t *testing.T) {
 		{seg: budget + 1, parallel: 1, store: storeFault, seed: 1},
 		{seg: 0, parallel: 2, store: storeFault, seed: 2},
 		{seg: 777, parallel: 8, store: storeFault, seed: 3},
+		{seg: 0, parallel: 2, store: storeRemote, seed: 4},
+		{seg: 777, parallel: 8, store: storeRemote, seed: 5},
 	}
 	for _, name := range predictor.Names() {
 		t.Run(name, func(t *testing.T) {
@@ -268,6 +301,7 @@ func FuzzSuiteMatchesRun(f *testing.F) {
 	f.Add(uint8(4), uint8(0x24), uint16(2000), uint16(65535), uint8(1), uint8(1), int64(0))
 	f.Add(uint8(8), uint8(0xc0), uint16(1000), uint16(50), uint8(1), uint8(0), int64(0))
 	f.Add(uint8(0), uint8(0x60), uint16(2000), uint16(0), uint8(2), uint8(2), int64(0))
+	f.Add(uint8(7), uint8(0x3f), uint16(1200), uint16(300), uint8(1), uint8(4), int64(9))
 	f.Fuzz(func(t *testing.T, predIdx, mechMask uint8, budgetRaw, segRaw uint16, parRaw, storeRaw uint8, seed int64) {
 		resetEngineCaches(t)
 		defer SetParallelism(0)
@@ -288,7 +322,7 @@ func FuzzSuiteMatchesRun(f *testing.F) {
 		if len(mechs) == 0 {
 			mechs = oracleMechs(name)
 		}
-		c := oracleCase{seg: seg, parallel: 1 + int(parRaw)%4, store: oracleStore(storeRaw % 4), seed: seed}
+		c := oracleCase{seg: seg, parallel: 1 + int(parRaw)%4, store: oracleStore(storeRaw) % numOracleStores, seed: seed}
 		specs := workload.Suite()[:2]
 		want := oracleSuite(t, specs, budget, name, mechs)
 		var coldDir string
