@@ -1,186 +1,21 @@
 package branchconf_test
 
-// The benchmark harness: one testing.B benchmark per table and figure in
-// the paper's evaluation, plus the ablations DESIGN.md calls out and
-// per-component microbenchmarks. Each artefact benchmark regenerates its
-// table/figure through the experiment registry and reports the headline
-// metric (misprediction coverage at 20% of dynamic branches, or its
-// artefact-specific analogue) via b.ReportMetric, so `go test -bench=.`
-// doubles as a reproduction run.
-//
-// BENCH_BRANCHES environment variable overrides the per-benchmark branch
-// budget (default 200000 for tractable bench times; cmd/paperrepro runs
-// the full 1M).
+// Per-component microbenchmarks: the per-branch cost of predictors,
+// confidence mechanisms, workload generation, trace replay and batched
+// runs. The paper's tables and figures are regenerated by paperrepro
+// (paperrepro -only <id> for one of them), and perfbench times each
+// experiment on that report path.
 
 import (
-	"os"
 	"strconv"
 	"testing"
 
 	"branchconf/internal/core"
-	"branchconf/internal/exp"
 	"branchconf/internal/predictor"
 	"branchconf/internal/sim"
 	"branchconf/internal/trace"
 	"branchconf/internal/workload"
 )
-
-// benchBranches resolves the per-benchmark dynamic branch budget.
-func benchBranches() uint64 {
-	if s := os.Getenv("BENCH_BRANCHES"); s != "" {
-		if n, err := strconv.ParseUint(s, 10, 64); err == nil && n > 0 {
-			return n
-		}
-	}
-	return 200_000
-}
-
-// runExperiment regenerates the artefact once per b.N iteration and
-// reports the named scalars.
-func runExperiment(b *testing.B, id string, metrics ...string) {
-	b.Helper()
-	e, err := exp.ByID(id)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := exp.Config{Branches: benchBranches()}
-	var out *exp.Output
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out, err = e.RunOnce(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	for _, m := range metrics {
-		if v, ok := out.Scalars[m]; ok {
-			b.ReportMetric(v, m)
-		} else {
-			b.Fatalf("experiment %s produced no scalar %q", id, m)
-		}
-	}
-}
-
-// --- One benchmark per paper artefact -------------------------------------
-
-func BenchmarkFig2StaticConfidence(b *testing.B) {
-	runExperiment(b, "fig2", "mispreds@20%")
-}
-
-func BenchmarkFig5OneLevel(b *testing.B) {
-	runExperiment(b, "fig5", "BHRxorPC@20%", "BHR@20%", "PC@20%", "zeroBucketBranches%")
-}
-
-func BenchmarkFig6TwoLevel(b *testing.B) {
-	runExperiment(b, "fig6", "BHRxorPC-CIR@20%")
-}
-
-func BenchmarkFig7Comparison(b *testing.B) {
-	runExperiment(b, "fig7", "static@20%", "1lev@20%", "2lev@20%")
-}
-
-func BenchmarkFig8Reductions(b *testing.B) {
-	runExperiment(b, "fig8", "ideal@20%", "1Cnt@20%", "Sat@20%", "Reset@20%")
-}
-
-func BenchmarkTable1ResettingCounters(b *testing.B) {
-	runExperiment(b, "table1", "count0CumMispreds%", "count0-15CumMispreds")
-}
-
-func BenchmarkFig9PerBenchmark(b *testing.B) {
-	runExperiment(b, "fig9", "jpeg_play@20%", "real_gcc@20%")
-}
-
-func BenchmarkFig10SmallTables(b *testing.B) {
-	runExperiment(b, "fig10", "4096@20%", "128@20%")
-}
-
-func BenchmarkFig11InitState(b *testing.B) {
-	runExperiment(b, "fig11", "one@20%", "zero@20%")
-}
-
-func BenchmarkBaselinePredictors(b *testing.B) {
-	runExperiment(b, "baseline", "gshare-64K", "gshare-4K")
-}
-
-func BenchmarkThresholdOperatingPoints(b *testing.B) {
-	runExperiment(b, "thresholds", "thr16-coverage%", "thr16-low%")
-}
-
-func BenchmarkApplications(b *testing.B) {
-	runExperiment(b, "apps", "dualpath-coverage%", "smt-gated-eff%", "hybrid-conf%")
-}
-
-// --- Extensions beyond the paper --------------------------------------------
-
-func BenchmarkExtMultilevel(b *testing.B) {
-	runExperiment(b, "multilevel", "level0-mispreds%", "level3-branches%")
-}
-
-func BenchmarkExtContextSwitch(b *testing.B) {
-	runExperiment(b, "ctxswitch", "keep@20%", "mark-oldest@20%", "flush-zeros@20%")
-}
-
-func BenchmarkExtPipelineGating(b *testing.B) {
-	runExperiment(b, "gating", "throff-wasted%", "thr1-wasted%", "thr1-stalled%")
-}
-
-func BenchmarkExtPipelineIPC(b *testing.B) {
-	runExperiment(b, "pipeline", "ungated-ipc", "oracle-gate1-waste%")
-}
-
-func BenchmarkExtDualPathIPC(b *testing.B) {
-	runExperiment(b, "dualpath-ipc", "no-dual-path-ipc", "est4-forks-ipc")
-}
-
-func BenchmarkExtPerBenchmark(b *testing.B) {
-	runExperiment(b, "perbench", "spread@20%")
-}
-
-func BenchmarkExtMultiprogrammedMix(b *testing.B) {
-	runExperiment(b, "ctxswitch-mix", "solo@20%", "mix-q1000@20%")
-}
-
-func BenchmarkExtCounterStrength(b *testing.B) {
-	runExperiment(b, "strength", "strength-coverage%", "resetting@20%")
-}
-
-func BenchmarkExtSeedReplication(b *testing.B) {
-	runExperiment(b, "replication", "ideal@20%-spread", "miss%-spread")
-}
-
-// --- Ablations (design choices called out in DESIGN.md) --------------------
-
-func BenchmarkAblationIndexScheme(b *testing.B) {
-	runExperiment(b, "ablation-index", "BHRxorPC@20%", "GCIR@20%", "PCcatBHR@20%")
-}
-
-func BenchmarkAblationCIRWidth(b *testing.B) {
-	runExperiment(b, "ablation-cirwidth", "cir4@20%", "cir16@20%", "cir32@20%")
-}
-
-func BenchmarkAblationL2Index(b *testing.B) {
-	runExperiment(b, "ablation-l2index", "CIR@20%", "BHRxorCIRxorPC@20%")
-}
-
-func BenchmarkAblationCounterMax(b *testing.B) {
-	runExperiment(b, "ablation-countermax", "max4@20%", "max16@20%", "max64@20%")
-}
-
-func BenchmarkAblationCostSplit(b *testing.B) {
-	runExperiment(b, "ablation-costsplit", "2^16+2^0-miss%", "2^13+2^15-savings%")
-}
-
-func BenchmarkAblationWeightedOnes(b *testing.B) {
-	runExperiment(b, "ablation-weighted", "plain@20%", "weighted@20%")
-}
-
-func BenchmarkExtStaticRealistic(b *testing.B) {
-	runExperiment(b, "static-realistic", "optimism-gap@20%")
-}
-
-// --- Microbenchmarks: per-branch cost of the moving parts ------------------
 
 // benchTrace materialises a fixed workload prefix once for throughput
 // benchmarks.

@@ -11,6 +11,7 @@ import (
 
 	"branchconf/internal/artifact"
 	"branchconf/internal/exp"
+	"branchconf/internal/serve"
 	"branchconf/internal/sim"
 	"branchconf/internal/workload"
 )
@@ -121,9 +122,8 @@ func TestArtifactWarmStart(t *testing.T) {
 	stubClock(t)
 	dir := t.TempDir()
 	base := reportConfig{
-		branches:   20000,
-		filter:     map[string]bool{"fig2": true, "fig5": true, "fig9": true, "gating": true},
-		parallel:   2,
+		req:        serve.ReportRequest{Branches: 20000, Only: []string{"fig2", "fig5", "fig9", "gating"}},
+		engine:     engineConfig{parallel: 2},
 		cacheStats: true,
 	}
 	run := func(artifactDir string) (report, errOut string) {
@@ -131,7 +131,7 @@ func TestArtifactWarmStart(t *testing.T) {
 		resetEngineCaches()
 		var out, errW strings.Builder
 		cfg := base
-		cfg.artifactDir = artifactDir
+		cfg.store.dir = artifactDir
 		if err := writeReport(&out, &errW, cfg); err != nil {
 			t.Fatal(err)
 		}

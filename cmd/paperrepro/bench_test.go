@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"branchconf/internal/serve"
 	"branchconf/internal/sim"
 	"branchconf/internal/workload"
 )
@@ -16,12 +17,10 @@ import (
 // the shipped default.
 func benchReport(b *testing.B, parallel int) {
 	cfg := reportConfig{
-		branches: 50000,
-		filter: map[string]bool{
-			"fig2": true, "fig5": true, "fig6": true, "fig7": true,
-			"fig8": true, "table1": true, "fig9": true, "thresholds": true,
-		},
-		parallel: parallel,
+		req: serve.ReportRequest{Branches: 50000, Only: []string{
+			"fig2", "fig5", "fig6", "fig7", "fig8", "table1", "fig9", "thresholds",
+		}},
+		engine: engineConfig{parallel: parallel},
 	}
 	// One discarded warmup iteration: JIT-ish one-time costs (first GC
 	// sizing, page faults on the trace buffers) land outside the timer.
@@ -47,17 +46,13 @@ func BenchmarkPaperreproParallel(b *testing.B) { benchReport(b, runtime.NumCPU()
 
 // figureMix is the multi-variant figure set: every experiment whose passes
 // sweep mechanism variants over the shared predictor configs.
-var figureMix = map[string]bool{
-	"fig2": true, "fig5": true, "fig6": true, "fig7": true,
-	"fig8": true, "fig9": true, "fig11": true,
-}
+var figureMix = []string{"fig2", "fig5", "fig6", "fig7", "fig8", "fig9", "fig11"}
 
 // fullMix adds the derived tables and predictor-coupled experiments on top
 // of the figures — a whole-report shape.
-var fullMix = map[string]bool{
-	"fig2": true, "fig5": true, "fig6": true, "fig7": true,
-	"fig8": true, "table1": true, "fig9": true, "fig11": true,
-	"thresholds": true, "multilevel": true, "strength": true,
+var fullMix = []string{
+	"fig2", "fig5", "fig6", "fig7", "fig8", "table1", "fig9", "fig11",
+	"thresholds", "multilevel", "strength",
 }
 
 // benchEngines times the suite engine on the given experiment mix. The
@@ -66,11 +61,10 @@ var fullMix = map[string]bool{
 // measures one report run from scratch and the warm case the incremental
 // rerun (predictor evolution and bucket-stream builds skipped entirely on
 // cache hits).
-func benchEngines(b *testing.B, filter map[string]bool, warmAnnotated bool, parallel int) {
+func benchEngines(b *testing.B, only []string, warmAnnotated bool, parallel int) {
 	cfg := reportConfig{
-		branches: 200000,
-		filter:   filter,
-		parallel: parallel,
+		req:    serve.ReportRequest{Branches: 200000, Only: only},
+		engine: engineConfig{parallel: parallel},
 	}
 	resetCaches := func() {
 		sim.AnnotatedTier.Reset()
@@ -122,10 +116,9 @@ func BenchmarkEnginesFullTallyWarm(b *testing.B) { benchEngines(b, fullMix, true
 // iteration is the cold run that fills the store.
 func BenchmarkReportWarmFloor(b *testing.B) {
 	cfg := reportConfig{
-		branches:    50000,
-		filter:      nil, // the whole report — cycle models included
-		parallel:    2,
-		artifactDir: b.TempDir(),
+		req:    serve.ReportRequest{Branches: 50000}, // the whole report — cycle models included
+		engine: engineConfig{parallel: 2},
+		store:  storeConfig{dir: b.TempDir()},
 	}
 	resetEngineCaches()
 	if err := writeReport(io.Discard, io.Discard, cfg); err != nil {
@@ -153,10 +146,8 @@ func BenchmarkReportWarmFloor(b *testing.B) {
 // memos need resetting for a cold iteration.
 func BenchmarkReportStreaming(b *testing.B) {
 	cfg := reportConfig{
-		branches:        200000,
-		filter:          figureMix,
-		parallel:        2,
-		segmentBranches: 32768,
+		req:    serve.ReportRequest{Branches: 200000, Only: figureMix, SegmentBranches: 32768},
+		engine: engineConfig{parallel: 2},
 	}
 	resetEngineCaches()
 	if err := writeReport(io.Discard, io.Discard, cfg); err != nil {

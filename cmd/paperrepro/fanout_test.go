@@ -12,6 +12,9 @@ import (
 
 	"branchconf/internal/artifact"
 	"branchconf/internal/faultnet"
+	"branchconf/internal/serve"
+	"branchconf/internal/trace"
+	"branchconf/internal/workload"
 )
 
 // newRemoteStoreServer boots an in-process artifactd equivalent: the remote
@@ -77,32 +80,6 @@ func TestShardAndRemoteFlagValidation(t *testing.T) {
 		})
 	}
 
-	fanoutCases := []struct {
-		name string
-		args []string
-		want []string
-	}{
-		{"zero-shards", []string{"-shards", "0"}, []string{"-shards must be at least 1"}},
-		{"too-many-shards", []string{"-shards", "3", "-only", "fig2,fig5"},
-			[]string{"3 shards leave shard", "only 2 experiments selected"}},
-		{"remote-without-dir", []string{"-shards", "2", "-artifact-remote", "http://x"},
-			[]string{"-artifact-remote requires", "-artifact-dir"}},
-	}
-	for _, tc := range fanoutCases {
-		t.Run("fanout/"+tc.name, func(t *testing.T) {
-			var out, errW strings.Builder
-			err := fanoutMain(tc.args, &out, &errW)
-			if err == nil {
-				t.Fatalf("%v accepted", tc.args)
-			}
-			for _, want := range tc.want {
-				if !strings.Contains(err.Error(), want) {
-					t.Errorf("error %q does not mention %q", err, want)
-				}
-			}
-		})
-	}
-
 	mergeCases := []struct {
 		name string
 		args []string
@@ -115,6 +92,8 @@ func TestShardAndRemoteFlagValidation(t *testing.T) {
 			[]string{"-from-store requires -artifact-dir"}},
 		{"request-flags-in-file-mode", []string{"-branches", "100", "p.json"},
 			[]string{"-branches applies only with -from-store"}},
+		{"store-flags-in-file-mode", []string{"-artifact-strict", "p.json"},
+			[]string{"-artifact-strict applies only with -from-store"}},
 	}
 	for _, tc := range mergeCases {
 		t.Run("merge/"+tc.name, func(t *testing.T) {
@@ -140,10 +119,8 @@ func TestShardMergeByteIdentity(t *testing.T) {
 		t.Skip("runs the experiment subset three times")
 	}
 	base := reportConfig{
-		branches:  20000,
-		filter:    map[string]bool{"fig2": true, "fig5": true, "table1": true},
-		noTimings: true,
-		parallel:  2,
+		req:    serve.ReportRequest{Branches: 20000, Only: []string{"fig2", "fig5", "table1"}, NoTimings: true},
+		engine: engineConfig{parallel: 2},
 	}
 	run := func(cfg reportConfig) string {
 		t.Helper()
@@ -160,9 +137,9 @@ func TestShardMergeByteIdentity(t *testing.T) {
 	var paths []string
 	for i := 0; i < 2; i++ {
 		cfg := base
-		cfg.shard = fmt.Sprintf("%d/2", i)
+		cfg.shard = serve.Shard{Index: i, Count: 2}
 		partial := run(cfg)
-		if !strings.Contains(partial, `"shard": "`+cfg.shard+`"`) {
+		if !strings.Contains(partial, `"shard": "`+cfg.shard.String()+`"`) {
 			t.Fatalf("shard %s emitted no partial JSON:\n%.200s", cfg.shard, partial)
 		}
 		p := filepath.Join(dir, fmt.Sprintf("partial%d.json", i))
@@ -200,45 +177,33 @@ func TestShardMergeByteIdentity(t *testing.T) {
 	}
 }
 
-// TestFanoutCoordinatorByteIdentity: the in-process coordinator — shards,
-// wire round trip, merge — reproduces the single-process bytes, and a
-// store-backed fan-out leaves partials a store-mode merge can consume.
+// TestFanoutCoordinatorByteIdentity: two -shard workers publishing into
+// one store, then a store-mode merge that needs nothing but the store,
+// reproduce the single-process bytes; a merge for a shard count nobody ran
+// fails loudly.
 func TestFanoutCoordinatorByteIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the experiment subset three times")
 	}
+	req := []string{"-branches", "20000", "-only", "fig2,fig5,table1", "-no-timings"}
 	resetEngineCaches()
 	var ref, errW strings.Builder
-	if err := writeReport(&ref, &errW, reportConfig{
-		branches:  20000,
-		filter:    map[string]bool{"fig2": true, "fig5": true, "table1": true},
-		noTimings: true,
-		parallel:  2,
-	}); err != nil {
+	if err := appMain(append([]string{"-parallel", "2"}, req...), &ref, &errW); err != nil {
 		t.Fatal(err)
 	}
 
-	resetEngineCaches()
 	dir := t.TempDir()
-	var out, fanErr strings.Builder
-	args := []string{
-		"-shards", "2", "-branches", "20000", "-only", "fig2,fig5,table1",
-		"-no-timings", "-parallel", "2", "-artifact-dir", dir,
-	}
-	if err := fanoutMain(args, &out, &fanErr); err != nil {
-		t.Fatal(err)
-	}
-	if out.String() != ref.String() {
-		t.Error("fanout-merged report differs from single-process report")
+	for i := 0; i < 2; i++ {
+		resetEngineCaches()
+		var partial, workerErr strings.Builder
+		args := append([]string{"-shard", fmt.Sprintf("%d/2", i), "-parallel", "2", "-artifact-dir", dir}, req...)
+		if err := appMain(args, &partial, &workerErr); err != nil {
+			t.Fatalf("worker %d/2: %v", i, err)
+		}
 	}
 
-	// The coordinator published every shard's partial: a store-mode merge
-	// needs nothing but the store.
 	var merged, mergeErr strings.Builder
-	margs := []string{
-		"-from-store", "-shards", "2", "-branches", "20000",
-		"-only", "fig2,fig5,table1", "-no-timings", "-artifact-dir", dir,
-	}
+	margs := append([]string{"-from-store", "-shards", "2", "-artifact-dir", dir}, req...)
 	if err := mergeMain(margs, &merged, &mergeErr); err != nil {
 		t.Fatal(err)
 	}
@@ -246,11 +211,99 @@ func TestFanoutCoordinatorByteIdentity(t *testing.T) {
 		t.Error("store-mode merge differs from single-process report")
 	}
 
-	// A store-mode merge for a shard count nobody ran fails loudly.
 	var out2, err2 strings.Builder
 	margs[2] = "3"
 	if err := mergeMain(margs, &out2, &err2); err == nil || !strings.Contains(err.Error(), "no partial for shard") {
 		t.Fatalf("merge with missing partials = %v", err)
+	}
+}
+
+// TestMergeFromStoreAutoSegment: above the materialization ceiling a
+// worker's request carries the auto-resolved segment size, and a
+// store-mode merge given the same flags must build that request too. The
+// partial is published by hand as such a worker would, so no
+// 9,000,000-branch run is needed.
+func TestMergeFromStoreAutoSegment(t *testing.T) {
+	dir := t.TempDir()
+	store, err := artifact.Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	artifact.SetDefault(store)
+	p := &serve.PartialReport{
+		Format: serve.PartialFormatVersion,
+		Request: serve.ReportRequest{
+			Branches:        9000000,
+			Only:            []string{"fig2"},
+			SegmentBranches: serve.AutoSegmentBranches,
+		},
+		Shard:       "0/1",
+		Experiments: 1,
+		Sections:    []serve.PartialSection{{Index: 0, ID: "fig2", Text: "hand-made fig2 section\n", Elapsed: 1.5}},
+	}
+	published := serve.PublishPartial(p)
+	store.Close()
+	artifact.SetDefault(nil)
+	if !published {
+		t.Fatal("partial not published")
+	}
+
+	var out, errW strings.Builder
+	args := []string{"-from-store", "-shards", "1", "-branches", "9000000", "-only", "fig2", "-artifact-dir", dir}
+	if err := mergeMain(args, &out, &errW); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "hand-made fig2 section") || !strings.Contains(out.String(), "_(ran in 1.5s)_") {
+		t.Fatalf("merged report does not carry the published partial:\n%s", out.String())
+	}
+}
+
+// TestMergeFromStoreRealTrace: a realtrace fan-out over a recorded trace
+// merges from the store to the one-shot bytes; the merge resolves -trace
+// to the same content identity the worker keyed its partial with.
+func TestMergeFromStoreRealTrace(t *testing.T) {
+	tracePath := filepath.Join(t.TempDir(), "rt.champsim")
+	writeChampSimTrace(t, tracePath, 20000)
+	req := []string{"-only", "realtrace", "-trace", tracePath, "-no-timings", "-parallel", "2"}
+
+	resetEngineCaches()
+	var ref, errW strings.Builder
+	if err := appMain(req, &ref, &errW); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	resetEngineCaches()
+	var partial strings.Builder
+	if err := appMain(append([]string{"-shard", "0/1", "-artifact-dir", dir}, req...), &partial, &errW); err != nil {
+		t.Fatal(err)
+	}
+	var merged strings.Builder
+	margs := []string{"-from-store", "-shards", "1", "-only", "realtrace", "-trace", tracePath, "-no-timings", "-artifact-dir", dir}
+	if err := mergeMain(margs, &merged, &errW); err != nil {
+		t.Fatal(err)
+	}
+	if merged.String() != ref.String() {
+		t.Error("store-mode realtrace merge differs from the one-shot report")
+	}
+}
+
+// writeChampSimTrace records n branches of a suite benchmark as a ChampSim
+// trace at path, as tracegen -format champsim does.
+func writeChampSimTrace(t *testing.T, path string, n uint64) {
+	t.Helper()
+	src, err := workload.Suite()[0].FiniteSource(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := trace.NewChampSimWriter(f).WriteAll(src); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -264,12 +317,10 @@ func TestRemoteWarmShareByteIdentity(t *testing.T) {
 	}
 	base, srv := newRemoteStoreServer(t)
 	cfg := reportConfig{
-		branches:       20000,
-		filter:         map[string]bool{"fig2": true, "fig5": true, "gating": true},
-		noTimings:      true,
-		parallel:       2,
-		cacheStats:     true,
-		artifactRemote: base,
+		req:        serve.ReportRequest{Branches: 20000, Only: []string{"fig2", "fig5", "gating"}, NoTimings: true},
+		engine:     engineConfig{parallel: 2},
+		store:      storeConfig{remote: base},
+		cacheStats: true,
 	}
 	run := func(cfg reportConfig) (string, string) {
 		t.Helper()
@@ -282,7 +333,7 @@ func TestRemoteWarmShareByteIdentity(t *testing.T) {
 	}
 
 	cold := cfg
-	cold.artifactDir = t.TempDir()
+	cold.store.dir = t.TempDir()
 	coldReport, coldErr := run(cold)
 	if hits, degraded := remoteTier(t, coldErr); hits != 0 || degraded {
 		t.Fatalf("cold run remote tier: hits=%d degraded=%t, want 0/false", hits, degraded)
@@ -292,7 +343,7 @@ func TestRemoteWarmShareByteIdentity(t *testing.T) {
 	}
 
 	warm := cfg
-	warm.artifactDir = t.TempDir() // empty local tier: only the remote is warm
+	warm.store.dir = t.TempDir() // empty local tier: only the remote is warm
 	warmReport, warmErr := run(warm)
 	if warmReport != coldReport {
 		t.Error("remote-warmed report differs from cold report")
@@ -315,10 +366,8 @@ func TestRemoteOutageDegradesToBaseline(t *testing.T) {
 		t.Skip("runs the experiment subset three times")
 	}
 	cfg := reportConfig{
-		branches:   20000,
-		filter:     map[string]bool{"fig2": true, "fig5": true},
-		noTimings:  true,
-		parallel:   2,
+		req:        serve.ReportRequest{Branches: 20000, Only: []string{"fig2", "fig5"}, NoTimings: true},
+		engine:     engineConfig{parallel: 2},
 		cacheStats: true,
 	}
 	run := func(cfg reportConfig) (string, string) {
@@ -332,7 +381,7 @@ func TestRemoteOutageDegradesToBaseline(t *testing.T) {
 	}
 
 	baselineCfg := cfg
-	baselineCfg.artifactDir = t.TempDir()
+	baselineCfg.store.dir = t.TempDir()
 	baseline, _ := run(baselineCfg)
 
 	for name, from := range map[string]uint64{"from-first-byte": 1, "mid-run": 4} {
@@ -341,9 +390,9 @@ func TestRemoteOutageDegradesToBaseline(t *testing.T) {
 			base, _ := newRemoteStoreServer(t)
 			tr.Inject(faultnet.Fault{Op: faultnet.OpAny, From: from, Mode: faultnet.FailConn})
 			outage := cfg
-			outage.artifactDir = t.TempDir()
-			outage.artifactRemote = base
-			outage.remoteDoer = tr
+			outage.store.dir = t.TempDir()
+			outage.store.remote = base
+			outage.store.doer = tr
 			report, errOut := run(outage)
 			if report != baseline {
 				t.Error("report under remote outage differs from no-remote baseline")

@@ -9,6 +9,7 @@ import (
 
 	"branchconf/internal/artifact"
 	"branchconf/internal/faultfs"
+	"branchconf/internal/serve"
 )
 
 // TestArtifactFaultMatrix is the fail-soft tier's end-to-end invariant:
@@ -26,9 +27,8 @@ func TestArtifactFaultMatrix(t *testing.T) {
 	}
 	stubClock(t)
 	base := reportConfig{
-		branches:   10000,
-		filter:     map[string]bool{"fig2": true, "fig5": true},
-		parallel:   2,
+		req:        serve.ReportRequest{Branches: 10000, Only: []string{"fig2", "fig5"}},
+		engine:     engineConfig{parallel: 2},
 		cacheStats: true,
 	}
 	run := func(t *testing.T, dir string, fsys artifact.FS) (report, errOut string, err error) {
@@ -36,8 +36,8 @@ func TestArtifactFaultMatrix(t *testing.T) {
 		resetEngineCaches()
 		var out, errW strings.Builder
 		cfg := base
-		cfg.artifactDir = dir
-		cfg.artifactFS = fsys
+		cfg.store.dir = dir
+		cfg.store.fs = fsys
 		err = writeReport(&out, &errW, cfg)
 		return out.String(), errW.String(), err
 	}
@@ -142,9 +142,8 @@ func TestArtifactFaultMatrix(t *testing.T) {
 func TestArtifactDegradedModeObservable(t *testing.T) {
 	stubClock(t)
 	base := reportConfig{
-		branches:   5000,
-		filter:     map[string]bool{"fig2": true},
-		parallel:   2,
+		req:        serve.ReportRequest{Branches: 5000, Only: []string{"fig2"}},
+		engine:     engineConfig{parallel: 2},
 		cacheStats: true,
 	}
 	resetEngineCaches()
@@ -158,8 +157,8 @@ func TestArtifactDegradedModeObservable(t *testing.T) {
 	resetEngineCaches()
 	var out, errW strings.Builder
 	cfg := base
-	cfg.artifactDir = t.TempDir()
-	cfg.artifactFS = ffs
+	cfg.store.dir = t.TempDir()
+	cfg.store.fs = ffs
 	if err := writeReport(&out, &errW, cfg); err != nil {
 		t.Fatalf("degraded run failed hard: %v", err)
 	}
@@ -186,12 +185,9 @@ func TestArtifactStrictFailsHard(t *testing.T) {
 	resetEngineCaches()
 	var out, errW strings.Builder
 	err := writeReport(&out, &errW, reportConfig{
-		branches:       5000,
-		filter:         map[string]bool{"fig2": true},
-		parallel:       2,
-		artifactDir:    t.TempDir(),
-		artifactFS:     ffs,
-		artifactStrict: true,
+		req:    serve.ReportRequest{Branches: 5000, Only: []string{"fig2"}},
+		engine: engineConfig{parallel: 2},
+		store:  storeConfig{dir: t.TempDir(), fs: ffs, strict: true},
 	})
 	if err == nil {
 		t.Fatal("strict run with a full disk succeeded")
@@ -209,12 +205,9 @@ func TestArtifactStrictFailsHard(t *testing.T) {
 	resetEngineCaches()
 	out.Reset()
 	err = writeReport(&out, &errW, reportConfig{
-		branches:       5000,
-		filter:         map[string]bool{"fig2": true},
-		parallel:       1,
-		artifactDir:    filepath.Join(t.TempDir(), "unmakeable"),
-		artifactFS:     ffs,
-		artifactStrict: true,
+		req:    serve.ReportRequest{Branches: 5000, Only: []string{"fig2"}},
+		engine: engineConfig{parallel: 1},
+		store:  storeConfig{dir: filepath.Join(t.TempDir(), "unmakeable"), fs: ffs, strict: true},
 	})
 	if err == nil {
 		t.Fatal("strict run with an uncreatable store directory succeeded")

@@ -1,8 +1,14 @@
 package main
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"branchconf/internal/exp"
+	"branchconf/internal/sim"
 )
 
 func TestReportSubset(t *testing.T) {
@@ -183,5 +189,89 @@ func TestServeFlagConflictsRejected(t *testing.T) {
 		if err := serveMain(args, &out, &errW); err == nil {
 			t.Fatalf("serve %v accepted", args)
 		}
+	}
+}
+
+// TestListExperiments: -h lists every registry id with its title and is
+// not an error, for the one-shot run and every subcommand alike.
+func TestListExperiments(t *testing.T) {
+	var out, errW strings.Builder
+	if err := run([]string{"-h"}, &out, &errW); err != nil {
+		t.Fatalf("-h: %v", err)
+	}
+	for _, e := range exp.All() {
+		if !strings.Contains(errW.String(), e.ID+" ") || !strings.Contains(errW.String(), e.Title) {
+			t.Errorf("-h output lacks %s (%s):\n%s", e.ID, e.Title, errW.String())
+		}
+	}
+	for _, sub := range []string{"serve", "client", "artifactd", "merge"} {
+		if err := run([]string{sub, "-h"}, &out, &errW); err != nil {
+			t.Errorf("%s -h: %v", sub, err)
+		}
+	}
+}
+
+// TestDataFiles: -data writes each executed experiment's artefact as
+// <id>.json and each of its curves as a two-column <id>-<label>.dat, and
+// under -shard only the shard's experiments.
+func TestDataFiles(t *testing.T) {
+	dir := t.TempDir()
+	var out, errW strings.Builder
+	args := []string{"-only", "fig2,table1", "-branches", "30000", "-no-timings", "-data", dir}
+	if err := appMain(args, &out, &errW); err != nil {
+		t.Fatal(err)
+	}
+	fig2, err := os.ReadFile(filepath.Join(dir, "fig2.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o, err := exp.DecodeJSON(bytes.NewReader(fig2)); err != nil || o.ID != "fig2" || len(o.Series) == 0 {
+		t.Fatalf("fig2.json decodes to %+v, %v", o, err)
+	}
+	table1, err := os.ReadFile(filepath.Join(dir, "table1.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(table1), `"rows"`) {
+		t.Error("table1.json has no rows")
+	}
+	dat, err := os.ReadFile(filepath.Join(dir, "fig2-static.dat"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := strings.SplitN(string(dat), "\n", 2)[0]
+	if len(strings.Fields(first)) != 2 {
+		t.Fatalf("dat line %q not two columns", first)
+	}
+
+	shardDir := t.TempDir()
+	args = append(args[:len(args)-1], shardDir, "-shard", "1/2")
+	if err := appMain(args, &out, &errW); err != nil {
+		t.Fatal(err)
+	}
+	files, _ := filepath.Glob(filepath.Join(shardDir, "*"))
+	if len(files) != 1 || filepath.Base(files[0]) != "table1.json" {
+		t.Errorf("shard 1/2 of fig2,table1 wrote %v, want table1.json alone", files)
+	}
+}
+
+func TestSanitize(t *testing.T) {
+	if got := sanitize("BHRxorPC (ideal)"); got != "BHRxorPC__ideal_" {
+		t.Fatalf("sanitize = %q", got)
+	}
+}
+
+// TestParallelBoundsSimulationUnits: the one-shot -parallel bounds the
+// process-wide simulation-unit pool, as its help says, not only the
+// experiment workers.
+func TestParallelBoundsSimulationUnits(t *testing.T) {
+	sim.SetParallelism(4)
+	t.Cleanup(func() { sim.SetParallelism(0) })
+	var out, errW strings.Builder
+	if err := appMain([]string{"-parallel", "1", "-only", "fig2", "-branches", "5000", "-no-timings"}, &out, &errW); err != nil {
+		t.Fatal(err)
+	}
+	if got := sim.Parallelism(); got != 1 {
+		t.Fatalf("simulation-unit bound after -parallel 1 = %d, want 1", got)
 	}
 }

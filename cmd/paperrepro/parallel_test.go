@@ -1,9 +1,13 @@
 package main
 
 import (
+	"fmt"
+	"sort"
 	"strings"
 	"testing"
 	"time"
+
+	"branchconf/internal/serve"
 )
 
 // stubClock freezes the report's timing lines so byte-comparison ignores
@@ -30,17 +34,15 @@ func TestParallelReportMatchesSerial(t *testing.T) {
 	// application models keeps the test quick while exercising the shared
 	// session from many goroutines.
 	cfg := reportConfig{
-		branches: 30000,
-		filter: map[string]bool{
-			"fig2": true, "fig5": true, "fig8": true, "table1": true,
-			"thresholds": true, "multilevel": true, "fig9": true,
-		},
+		req: serve.ReportRequest{Branches: 30000, Only: []string{
+			"fig2", "fig5", "fig8", "table1", "thresholds", "multilevel", "fig9",
+		}},
 	}
 	render := func(parallel int, segment uint64) string {
 		var out, errW strings.Builder
 		c := cfg
-		c.parallel = parallel
-		c.segmentBranches = segment
+		c.engine.parallel = parallel
+		c.req.SegmentBranches = segment
 		if err := writeReport(&out, &errW, c); err != nil {
 			t.Fatalf("parallel=%d segment=%d: %v", parallel, segment, err)
 		}
@@ -63,23 +65,27 @@ func TestParallelReportMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestReportCacheStats checks the progress stream reports the session's
-// cache behaviour when writing to a file (-o mode).
+// TestReportCacheStats: with -o the progress stream carries one "done in"
+// line per experiment and nothing else; the tier counters print only under
+// -cache-stats and -cache-stats-json.
 func TestReportCacheStats(t *testing.T) {
 	stubClock(t)
 	var out, errW strings.Builder
 	err := writeReport(&out, &errW, reportConfig{
-		branches: 20000,
-		filter:   map[string]bool{"fig2": true, "fig5": true},
+		req:      serve.ReportRequest{Branches: 20000, Only: []string{"fig2", "fig5"}},
+		engine:   engineConfig{parallel: 2},
 		progress: true,
-		parallel: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	progress := errW.String()
-	if !strings.Contains(progress, "pass cache:") || !strings.Contains(progress, "trace cache:") ||
-		!strings.Contains(progress, "annotated cache:") {
-		t.Fatalf("progress output missing cache stats:\n%s", progress)
+	var want strings.Builder
+	for _, id := range []string{"fig2", "fig5"} {
+		fmt.Fprintf(&want, "%-20s done in 0.0s\n", id)
+	}
+	lines := strings.SplitAfter(errW.String(), "\n")
+	sort.Strings(lines)
+	if got := strings.Join(lines, ""); got != want.String() {
+		t.Fatalf("progress output = %q, want %q", got, want.String())
 	}
 }

@@ -9,15 +9,11 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"runtime"
 	"syscall"
 	"time"
 
-	"branchconf/internal/artifact"
-	"branchconf/internal/heapwatch"
 	"branchconf/internal/serve"
-	"branchconf/internal/sim"
 )
 
 // serveMain runs the resident confidence daemon: one process keeps every
@@ -31,13 +27,13 @@ func serveMain(args []string, stdout, errW io.Writer) error {
 	fs := flag.NewFlagSet("paperrepro serve", flag.ContinueOnError)
 	fs.SetOutput(errW)
 	var (
+		engine engineConfig
+		store  storeConfig
+	)
+	engine.addFlags(fs)
+	store.addFlags(fs)
+	var (
 		listen        = fs.String("listen", "127.0.0.1:8091", "listen address (host:port; port 0 picks a free port, printed on stderr)")
-		parallel      = fs.Int("parallel", runtime.NumCPU(), "max concurrent experiments within one request, and the process-wide simulation-unit bound")
-		annCacheMB    = fs.Uint64("annotate-cache-mb", 256, tierBoundUsage)
-		artifactDir   = fs.String("artifact-dir", "", "persist engine artifacts in this directory for warm starts across restarts (\"auto\" = user cache dir; empty = disabled)")
-		artifactMB    = fs.Uint64("artifact-disk-mb", 1024, "disk budget for -artifact-dir in MiB: whole packs are evicted least recently used first, and a pack is split at a sixteenth of the budget (0 = unbounded)")
-		strictStore   = fs.Bool("artifact-strict", false, "fail requests on any artifact-store I/O error instead of degrading to in-memory-only")
-		remoteURL     = fs.String("artifact-remote", "", "layer a remote artifact store (a paperrepro artifactd base URL) under the local disk store: read-through on local misses, write-behind on publishes")
 		cacheStats    = fs.Bool("cache-stats", false, "sample per-stage peak heap and include the rows in stats snapshots")
 		maxInflight   = fs.Int("max-inflight", runtime.NumCPU(), "max report requests executing at once (the admission controller's slot count)")
 		maxQueue      = fs.Int("max-queue", 64, "max report requests waiting for a slot; beyond this requests are shed with 429")
@@ -55,48 +51,21 @@ func serveMain(args []string, stdout, errW io.Writer) error {
 	if fs.NArg() > 0 {
 		return fmt.Errorf("serve: unexpected arguments %v", fs.Args())
 	}
-	if *parallel < 1 {
-		return fmt.Errorf("-parallel must be at least 1, got %d", *parallel)
+	if err := engine.validate(); err != nil {
+		return err
 	}
-	if *strictStore && *artifactDir == "" {
-		return fmt.Errorf("-artifact-strict requires -artifact-dir: there is no store to hold to strict errors")
+	if err := store.validate(); err != nil {
+		return err
 	}
-	if *remoteURL != "" && *artifactDir == "" {
-		return fmt.Errorf("-artifact-remote requires -artifact-dir: the remote tier layers under the local disk store")
+	_, release, err := store.open()
+	if err != nil {
+		return err
 	}
-
-	dir := *artifactDir
-	if dir == "auto" {
-		base, err := os.UserCacheDir()
-		if err != nil {
-			return fmt.Errorf("-artifact-dir auto: %w", err)
-		}
-		dir = filepath.Join(base, "branchconf", "artifacts")
-	}
-	if dir != "" {
-		var remote *artifact.Remote
-		if *remoteURL != "" {
-			remote = artifact.NewRemote(*remoteURL, nil)
-		}
-		store, err := artifact.OpenStore(dir, artifact.Options{Budget: *artifactMB << 20, Strict: *strictStore, Remote: remote})
-		if err != nil {
-			remote.Close()
-			return err
-		}
-		artifact.SetDefault(store)
-		defer artifact.SetDefault(nil)
-		defer store.Close()
-	}
-	setTierBounds(*annCacheMB << 20)
-	sim.SetParallelism(*parallel)
-	sim.ResetStreamStats()
-	if *cacheStats {
-		heapwatch.Reset()
-		heapwatch.Enable()
-	}
+	defer release()
+	engine.setup(*cacheStats)
 
 	srv := serve.New(serve.Config{
-		Parallel:          *parallel,
+		Parallel:          engine.parallel,
 		MaxSessions:       *maxSessions,
 		PassCacheBytes:    *passCacheMB << 20,
 		MaxInflight:       *maxInflight,

@@ -7,6 +7,7 @@ import (
 
 	"branchconf/internal/artifact"
 	"branchconf/internal/faultfs"
+	"branchconf/internal/serve"
 )
 
 // TestSegmentBranchesFlagValidation: -segment-branches must be >= 1 (or -1
@@ -37,9 +38,8 @@ func TestSegmentBranchesFlagValidation(t *testing.T) {
 func TestStreamingReportMatchesMonolithic(t *testing.T) {
 	stubClock(t)
 	base := reportConfig{
-		branches:   10000,
-		filter:     map[string]bool{"fig2": true, "fig5": true, "table1": true},
-		parallel:   2,
+		req:        serve.ReportRequest{Branches: 10000, Only: []string{"fig2", "fig5", "table1"}},
+		engine:     engineConfig{parallel: 2},
 		cacheStats: true,
 	}
 	run := func(t *testing.T, cfg reportConfig) (report, errOut string) {
@@ -55,7 +55,7 @@ func TestStreamingReportMatchesMonolithic(t *testing.T) {
 	baseline, _ := run(t, base)
 
 	seg := base
-	seg.segmentBranches = 2048
+	seg.req.SegmentBranches = 2048
 	cold, coldErr := run(t, seg)
 	if cold != baseline {
 		t.Fatal("cold segmented report diverges from monolithic")
@@ -66,7 +66,7 @@ func TestStreamingReportMatchesMonolithic(t *testing.T) {
 
 	// Warm: same store, second segmented run serves segments from disk.
 	dir := t.TempDir()
-	seg.artifactDir = dir
+	seg.store.dir = dir
 	if rep, _ := run(t, seg); rep != baseline {
 		t.Fatal("cold segmented report with a store diverges")
 	}
@@ -89,12 +89,10 @@ func TestStreamSegmentCorruptionHeals(t *testing.T) {
 	stubClock(t)
 	dir := t.TempDir()
 	cfg := reportConfig{
-		branches:        10000,
-		filter:          map[string]bool{"fig5": true},
-		parallel:        2,
-		cacheStats:      true,
-		segmentBranches: 1024,
-		artifactDir:     dir,
+		req:        serve.ReportRequest{Branches: 10000, Only: []string{"fig5"}, SegmentBranches: 1024},
+		engine:     engineConfig{parallel: 2},
+		store:      storeConfig{dir: dir},
+		cacheStats: true,
 	}
 	run := func(t *testing.T) (report, errOut string) {
 		t.Helper()
@@ -147,11 +145,9 @@ func TestStreamSegmentCorruptionHeals(t *testing.T) {
 func TestStreamingFaultStorm(t *testing.T) {
 	stubClock(t)
 	base := reportConfig{
-		branches:        8000,
-		filter:          map[string]bool{"fig5": true},
-		parallel:        2,
-		cacheStats:      true,
-		segmentBranches: 1024,
+		req:        serve.ReportRequest{Branches: 8000, Only: []string{"fig5"}, SegmentBranches: 1024},
+		engine:     engineConfig{parallel: 2},
+		cacheStats: true,
 	}
 	resetEngineCaches()
 	var baseOut, baseErr strings.Builder
@@ -163,8 +159,8 @@ func TestStreamingFaultStorm(t *testing.T) {
 	ffs := faultfs.New(artifact.OSFS())
 	// Prewarm cleanly so the storm hits live read paths too.
 	prewarm := base
-	prewarm.artifactDir = dir
-	prewarm.artifactFS = ffs
+	prewarm.store.dir = dir
+	prewarm.store.fs = ffs
 	resetEngineCaches()
 	var out, errW strings.Builder
 	if err := writeReport(&out, &errW, prewarm); err != nil {

@@ -135,25 +135,6 @@ func shardIndices(sh Shard, selected int) []int {
 	return idx
 }
 
-// ValidateShards checks that a shard count leaves no shard empty for the
-// request's selection, up front and with the exact selection size in the
-// error — the CLI rejects a fan-out that could only produce an
-// unmergeable set of partials.
-func ValidateShards(req ReportRequest, count int) (selected int, err error) {
-	filter, _, err := req.Validate()
-	if err != nil {
-		return 0, err
-	}
-	sel, err := SelectExperiments(filter, req.SkipAblations)
-	if err != nil {
-		return 0, err
-	}
-	if count > len(sel) {
-		return 0, fmt.Errorf("%d shards leave shard %d/%d empty: only %d experiments selected", count, len(sel), count, len(sel))
-	}
-	return len(sel), nil
-}
-
 // BuildPartial runs shard's slice of the request's selection against the
 // session and returns the shard's partial report. An empty slice — a
 // filter that starves the shard — is an error, caught before any

@@ -21,6 +21,10 @@ type BuildOptions struct {
 	Parallel int
 	// Progress, when non-nil, is called per completed experiment.
 	Progress func(id string, elapsed float64)
+	// Output, when non-nil, is called with each experiment's output as it
+	// completes, from the worker running it; an error fails the build as
+	// the experiment's own would.
+	Output func(*exp.Output) error
 	// Now is stubbed in tests for stable timing output (nil = time.Now).
 	Now func() time.Time
 }
@@ -53,10 +57,10 @@ func SelectExperiments(filter map[string]bool, skipAblations bool) ([]exp.Experi
 // bounded worker pool claiming work in registration order; sections are
 // assembled in registration order regardless of completion order, so the
 // report bytes do not depend on the parallelism level. Both the one-shot
-// CLI and the daemon render through this function — and the fan-out
-// coordinator's merge renders shard partials through the same renderer —
-// which is what makes daemon-served and shard-merged reports
-// byte-identical to the one-shot CLI's output for the same request.
+// CLI and the daemon render through this function — and the merge of
+// shard partials renders through the same renderer — which is what makes
+// daemon-served and shard-merged reports byte-identical to the one-shot
+// CLI's output for the same request.
 func BuildReport(session *exp.Session, req ReportRequest, opts BuildOptions) ([]byte, error) {
 	filter, _, err := req.Validate()
 	if err != nil {
@@ -116,6 +120,9 @@ func runSelected(session *exp.Session, selected []exp.Experiment, indices []int,
 				pprof.Do(context.Background(), pprof.Labels("experiment", e.ID), func(context.Context) {
 					o, err = e.Run(session)
 				})
+				if err == nil && opts.Output != nil {
+					err = opts.Output(o)
+				}
 				elapsed := now().Sub(start).Seconds()
 				results[idx] = sectionResult{out: o, err: err, elapsed: elapsed}
 				if opts.Progress != nil {

@@ -271,7 +271,7 @@ func RunSuiteAnnotated(cfg SuiteConfig, predKey string, newPred func() predictor
 	for i := range perSpec {
 		perSpec[i] = make([]Result, len(newMechs))
 	}
-	chunks := chunkIndices(len(newMechs), currentParallelism())
+	chunks := chunkIndices(len(newMechs), Parallelism())
 	shared := make([]sharedAnnotation, len(specs))
 	errs := make([]error, len(chunks))
 	var wg sync.WaitGroup

@@ -127,9 +127,9 @@ func slotChan() chan struct{} {
 	return slots
 }
 
-// currentParallelism reports the configured bound, for schedulers sizing
-// their fan-out.
-func currentParallelism() int {
+// Parallelism reports the bound SetParallelism configured, for schedulers
+// sizing their fan-out.
+func Parallelism() int {
 	parallelismMu.Lock()
 	defer parallelismMu.Unlock()
 	return parallelism
