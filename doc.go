@@ -4,9 +4,9 @@
 // branch predictions into high- and low-confidence sets so that most
 // mispredictions concentrate in a small low-confidence set.
 //
-// The root package carries the module documentation and the benchmark
-// harness (bench_test.go) that regenerates every table and figure of the
-// paper's evaluation. The implementation lives under internal/:
+// The root package carries the module documentation and the per-component
+// microbenchmarks (bench_test.go). The implementation lives under
+// internal/:
 //
 //   - internal/core — the confidence mechanisms (one-level and two-level
 //     CIR tables, counter tables, reduction functions): the paper's
@@ -21,7 +21,8 @@
 //   - internal/apps — the four §1 applications (dual-path execution, SMT
 //     fetch gating, hybrid selection, prediction reversal).
 //
-// Entry points: cmd/confsim (run one experiment), cmd/paperrepro
-// (regenerate everything), cmd/tracegen (write traces), and the runnable
+// Entry points: cmd/paperrepro (run any subset of the experiment registry,
+// or all of it, into one report; -h lists the registry), cmd/tracegen
+// (write traces), cmd/loadgen (drive the resident daemon), and the runnable
 // examples under examples/.
 package branchconf
