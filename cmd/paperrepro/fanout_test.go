@@ -61,6 +61,10 @@ func TestShardAndRemoteFlagValidation(t *testing.T) {
 			[]string{"-shard:", `shard must have the form "i/n"`}},
 		{"shard-starved", []string{"-shard", "2/3", "-only", "fig2,fig5", "-branches", "15000"},
 			[]string{"selects no experiments"}},
+		{"shard-zero-count", []string{"-shard", "0/0"},
+			[]string{"-shard:", `shard must have the form "i/n"`}},
+		{"shard-remote-without-dir", []string{"-shard", "0/2", "-artifact-remote", "http://x"},
+			[]string{"-artifact-remote requires", "-artifact-dir"}},
 	}
 	for _, tc := range appCases {
 		t.Run("app/"+tc.name, func(t *testing.T) {

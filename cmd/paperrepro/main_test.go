@@ -211,15 +211,29 @@ func TestListExperiments(t *testing.T) {
 	}
 }
 
-// TestDataFiles: -data writes each executed experiment's artefact as
-// <id>.json and each of its curves as a two-column <id>-<label>.dat, and
-// under -shard only the shard's experiments.
-func TestDataFiles(t *testing.T) {
+// TestUnknownExperiment: an unknown experiment id fails before anything
+// runs, so -data does not even create its directory.
+func TestUnknownExperiment(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "data")
+	var out, errW strings.Builder
+	if err := appMain([]string{"-only", "fig99", "-data", dir}, &out, &errW); err == nil {
+		t.Fatal("unknown experiment accepted")
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Errorf("rejected run created %s (stat: %v)", dir, err)
+	}
+}
+
+// TestRunFig2WithOutputs: beside the report, -data writes fig2's artefact
+// as fig2.json and each of its curves as a two-column fig2-<label>.dat.
+func TestRunFig2WithOutputs(t *testing.T) {
 	dir := t.TempDir()
 	var out, errW strings.Builder
-	args := []string{"-only", "fig2,table1", "-branches", "30000", "-no-timings", "-data", dir}
-	if err := appMain(args, &out, &errW); err != nil {
+	if err := appMain([]string{"-only", "fig2", "-branches", "30000", "-no-timings", "-data", dir}, &out, &errW); err != nil {
 		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "## fig2") || !strings.Contains(out.String(), "| metric | value |") {
+		t.Fatalf("report lacks fig2's section:\n%s", out.String())
 	}
 	fig2, err := os.ReadFile(filepath.Join(dir, "fig2.json"))
 	if err != nil {
@@ -227,13 +241,6 @@ func TestDataFiles(t *testing.T) {
 	}
 	if o, err := exp.DecodeJSON(bytes.NewReader(fig2)); err != nil || o.ID != "fig2" || len(o.Series) == 0 {
 		t.Fatalf("fig2.json decodes to %+v, %v", o, err)
-	}
-	table1, err := os.ReadFile(filepath.Join(dir, "table1.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(table1), `"rows"`) {
-		t.Error("table1.json has no rows")
 	}
 	dat, err := os.ReadFile(filepath.Join(dir, "fig2-static.dat"))
 	if err != nil {
@@ -243,13 +250,34 @@ func TestDataFiles(t *testing.T) {
 	if len(strings.Fields(first)) != 2 {
 		t.Fatalf("dat line %q not two columns", first)
 	}
+}
 
-	shardDir := t.TempDir()
-	args = append(args[:len(args)-1], shardDir, "-shard", "1/2")
+// TestTable1DataJSON: a table experiment's JSON artefact carries its rows.
+func TestTable1DataJSON(t *testing.T) {
+	dir := t.TempDir()
+	var out, errW strings.Builder
+	if err := appMain([]string{"-only", "table1", "-branches", "30000", "-no-timings", "-data", dir}, &out, &errW); err != nil {
+		t.Fatal(err)
+	}
+	table1, err := os.ReadFile(filepath.Join(dir, "table1.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(table1), `"rows"`) {
+		t.Error("table1.json has no rows")
+	}
+}
+
+// TestDataFilesFollowShard: under -shard, -data writes only the shard's
+// experiments.
+func TestDataFilesFollowShard(t *testing.T) {
+	dir := t.TempDir()
+	var out, errW strings.Builder
+	args := []string{"-only", "fig2,table1", "-branches", "30000", "-no-timings", "-data", dir, "-shard", "1/2"}
 	if err := appMain(args, &out, &errW); err != nil {
 		t.Fatal(err)
 	}
-	files, _ := filepath.Glob(filepath.Join(shardDir, "*"))
+	files, _ := filepath.Glob(filepath.Join(dir, "*"))
 	if len(files) != 1 || filepath.Base(files[0]) != "table1.json" {
 		t.Errorf("shard 1/2 of fig2,table1 wrote %v, want table1.json alone", files)
 	}
