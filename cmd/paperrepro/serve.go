@@ -18,11 +18,12 @@ import (
 
 // serveMain runs the resident confidence daemon: one process keeps every
 // cache tier hot — trace memo, annotated streams, bucket streams, model
-// stats, curves, the artifact disk store, stream segments, and per-config
-// session pass caches — and serves report, stats, health, and pprof
-// endpoints to many concurrent clients. SIGTERM/SIGINT drain gracefully:
-// readiness flips to 503, queued requests are released, in-flight requests
-// finish (bounded by -drain-timeout), then the listener closes.
+// stats, curves, the artifact disk store, stream segments, and the suite
+// passes every request shares — and serves report, stats, health, and
+// pprof endpoints to many concurrent clients. SIGTERM/SIGINT drain
+// gracefully: readiness flips to 503, queued requests are released,
+// in-flight requests finish (bounded by -drain-timeout), then the listener
+// closes.
 func serveMain(args []string, stdout, errW io.Writer) error {
 	fs := flag.NewFlagSet("paperrepro serve", flag.ContinueOnError)
 	fs.SetOutput(errW)
@@ -39,10 +40,9 @@ func serveMain(args []string, stdout, errW io.Writer) error {
 		maxQueue      = fs.Int("max-queue", 64, "max report requests waiting for a slot; beyond this requests are shed with 429")
 		queueTimeout  = fs.Duration("queue-timeout", 30*time.Second, "max time a request may queue before it is shed with 429 (0 = queue until a slot frees or the client gives up)")
 		maxBranches   = fs.Uint64("max-request-branches", 0, "cap on a request's per-benchmark branch budget (0 = uncapped)")
-		maxSessions   = fs.Int("max-sessions", 0, "max resident sessions, one per distinct request configuration (0 = default)")
-		passCacheMB   = fs.Uint64("pass-cache-mb", 256, "per-session resident bound for memoized suite passes in MiB (0 = unbounded)")
+		passCacheMB   = fs.Uint64("pass-cache-mb", 256, "resident bound in MiB for the memoized suite passes of all request configurations together; a full report's passes take about 170 MiB at the default budget and 21 MiB at 50,000 branches (0 = unbounded)")
 		reportCacheMB = fs.Uint64("report-cache-mb", 64, "resident bound for rendered deterministic reports in MiB")
-		memSoftMB     = fs.Uint64("mem-soft-limit-mb", 0, "heap soft limit in MiB: above it, resident sessions and cached reports are released (0 = off)")
+		memSoftMB     = fs.Uint64("mem-soft-limit-mb", 0, "heap soft limit in MiB: above it, resident suite passes and cached reports are released (0 = off)")
 		drainTimeout  = fs.Duration("drain-timeout", 30*time.Second, "max time to wait for in-flight requests on shutdown")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -66,7 +66,6 @@ func serveMain(args []string, stdout, errW io.Writer) error {
 
 	srv := serve.New(serve.Config{
 		Parallel:          engine.parallel,
-		MaxSessions:       *maxSessions,
 		PassCacheBytes:    *passCacheMB << 20,
 		MaxInflight:       *maxInflight,
 		MaxQueue:          *maxQueue,

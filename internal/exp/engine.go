@@ -1,8 +1,6 @@
 package exp
 
 import (
-	"sync/atomic"
-
 	"branchconf/internal/core"
 	"branchconf/internal/memo"
 	"branchconf/internal/predictor"
@@ -59,30 +57,37 @@ func Mech(new func() core.Mechanism) MechSpec {
 	return MechSpec{Key: new().Name(), New: new}
 }
 
-// passKey distinguishes session pass entries from other key kinds when a
-// ByteLRU is shared; the string is pred.Key + "\x1f" + mech.Key.
-type passKey string
-
-// Session owns the pass cache for one run configuration. It is safe for
-// concurrent use by experiments running in parallel, and — unlike the
-// original per-report incarnation — is built to live for the process: the
-// pass cache is a memo.ByteLRU, so completed passes can be evicted under a
-// resident-bytes bound (SetPassBound) and an errored pass is dropped
-// rather than negatively cached, letting a later claimant retry it. A
-// resident daemon shares one Session per Config across every request that
-// names that configuration (see SessionPool), which is what coalesces
-// concurrent identical work onto one computation.
-type Session struct {
-	cfg Config
-
-	passes memo.ByteLRU
-
-	hits, misses atomic.Uint64
+// passKey is what a suite pass is a pure function of: the budget, the
+// segment size and the predictor and mechanism configurations. The trace
+// file is not part of it, because no suite pass reads one.
+type passKey struct {
+	branches, segment uint64
+	pred, mech        string
 }
 
-// NewSession returns an empty session for the given configuration.
+// Session is one run configuration over a pass cache: the memory-only
+// "session-pass" tier, which memoizes every (predictor, mechanism) suite
+// pass. Experiments sharing a pass, concurrently or one after another,
+// reuse it instead of resimulating. NewSession gives a session its own
+// cache; With derives a session for another configuration over the same
+// cache, which is how a resident daemon shares passes across requests.
+// Pass keys carry the configuration a pass depends on, so sessions over
+// one cache share exactly the passes that are equal. A Session is safe for
+// concurrent use.
+type Session struct {
+	cfg    Config
+	passes *memo.Tier[passKey, sim.SuiteResult]
+}
+
+// NewSession returns a session for the given configuration with an empty,
+// unbounded pass cache of its own.
 func NewSession(cfg Config) *Session {
-	return &Session{cfg: cfg}
+	return &Session{cfg: cfg, passes: &memo.Tier[passKey, sim.SuiteResult]{Name: "session-pass", Size: passBytes}}
+}
+
+// With returns a session for cfg that shares s's pass cache.
+func (s *Session) With(cfg Config) *Session {
+	return &Session{cfg: cfg, passes: s.passes}
 }
 
 // Config returns the session's run configuration.
@@ -126,57 +131,32 @@ func (s *Session) suiteConfig() sim.SuiteConfig {
 // predictor pass per benchmark. Results are index-aligned with mechs and
 // identical to per-mechanism sim.RunSuiteAnnotated calls.
 //
-// Concurrent callers requesting overlapping sets never duplicate a pass:
-// the first claimant of a (predictor, mechanism) key simulates it, later
-// ones block on the entry. Claimants may arrive from distinct requests in
-// a resident process — the contract is the same. A pass whose simulation
-// fails is published as an error to everyone already waiting on it but is
-// dropped from the cache, so the next claimant retries instead of
-// inheriting a possibly transient failure for the life of the process.
+// Concurrent callers requesting overlapping sets never duplicate a pass,
+// whether they run in one report or in distinct requests over one cache:
+// the first claimant of a pass simulates it, later ones wait for it. A
+// pass whose simulation fails reaches everyone waiting on it as an error
+// but is not cached, so the next claimant retries it.
 func (s *Session) Suite(pred PredSpec, mechs ...MechSpec) ([]sim.SuiteResult, error) {
-	entries := make([]*memo.Entry, len(mechs))
-	var missing []int // indices whose entries this call must fill
+	keys := make([]passKey, len(mechs))
 	for i, m := range mechs {
-		e, owner := s.passes.Claim(passKey(pred.Key + "\x1f" + m.Key))
-		if owner {
-			missing = append(missing, i)
-			s.misses.Add(1)
-		} else {
-			s.hits.Add(1)
-		}
-		entries[i] = e
+		keys[i] = passKey{branches: s.cfg.Branches, segment: s.cfg.SegmentBranches, pred: pred.Key, mech: m.Key}
 	}
-
-	if len(missing) > 0 {
+	return s.passes.GetMany(keys, nil, func(missing []int) ([]sim.SuiteResult, error) {
 		newMechs := make([]func() core.Mechanism, len(missing))
 		for j, i := range missing {
 			newMechs[j] = mechs[i].New
 		}
 		res, err := sim.RunSuiteAnnotated(s.suiteConfig(), pred.Key, pred.New, newMechs)
-		for j, i := range missing {
-			e := entries[i]
-			if err != nil {
-				e.Err = err
-				s.passes.Finish(e, 0)
-				continue
-			}
-			// The pass's tallies are immutable from here on, so each
-			// run's digest (the curve tier's key) is hashed at most once.
+		if err != nil {
+			return nil, err
+		}
+		// The passes' tallies are immutable from here on, so each run's
+		// digest (the curve tier's key) is hashed at most once.
+		for j := range res {
 			res[j].MemoizeDigests()
-			e.Val = res[j]
-			s.passes.Finish(e, passBytes(res[j]))
 		}
-	}
-
-	out := make([]sim.SuiteResult, len(mechs))
-	for i, e := range entries {
-		<-e.Done
-		if e.Err != nil {
-			return nil, e.Err
-		}
-		out[i] = e.Val.(sim.SuiteResult)
-	}
-	return out, nil
+		return res, nil
+	})
 }
 
 // passBytes approximates a cached pass's resident footprint for the LRU
@@ -192,15 +172,15 @@ func passBytes(res sim.SuiteResult) uint64 {
 	return b
 }
 
-// SetPassBound bounds the session's resident pass-cache bytes; completed
-// passes are evicted least-recently-used first (0 = unbounded, the
-// one-shot default). A resident process sets this so an unbounded request
-// mix cannot grow the pass cache without limit.
+// SetPassBound bounds the pass cache's resident bytes; completed passes
+// are evicted least-recently-used first (0 = unbounded, the default). A
+// resident process sets this so an unbounded request mix cannot grow the
+// cache without limit.
 func (s *Session) SetPassBound(bytes uint64) { s.passes.SetBound(bytes) }
 
-// PassUsage reports the pass cache's approximate resident bytes and
-// evictions so far.
-func (s *Session) PassUsage() (resident, evictions uint64) { return s.passes.Usage() }
+// ReleasePasses drops every resident pass, keeping the cache's counters
+// and bound: a resident process's relief under memory pressure.
+func (s *Session) ReleasePasses() { s.passes.Release() }
 
 // SuiteOne is Suite for a single mechanism.
 func (s *Session) SuiteOne(pred PredSpec, mech MechSpec) (sim.SuiteResult, error) {
@@ -211,9 +191,11 @@ func (s *Session) SuiteOne(pred PredSpec, mech MechSpec) (sim.SuiteResult, error
 	return rs[0], nil
 }
 
-// Stats reports the session's pass-cache hits and misses so far.
+// Stats reports the pass cache's hits and misses so far, counted over
+// every session that shares it.
 func (s *Session) Stats() (hits, misses uint64) {
-	return s.hits.Load(), s.misses.Load()
+	st := s.passes.Stats()
+	return st.Hits, st.Misses
 }
 
 // Shared predictor and mechanism specs for the paper's two standard

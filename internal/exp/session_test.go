@@ -1,9 +1,7 @@
 package exp
 
 import (
-	"fmt"
 	"reflect"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -80,13 +78,15 @@ func TestSessionConcurrentClaimants(t *testing.T) {
 	}
 }
 
-// TestSessionCrossRequestSingleFlight exercises the process-lifetime form
-// of the pass cache: claimants arrive as distinct "requests" — separate
-// goroutines fetching the session from a shared SessionPool, the resident
-// daemon's shape — rather than racing inside one report run. The contract
-// is unchanged: one simulation per (predictor, mechanism) key, every
-// request sharing the result, and pool-wide stats counting each request's
-// claim. Run under -race in CI.
+// TestSessionCrossRequestSingleFlight exercises the resident daemon's form
+// of the pass cache: claimants arrive as distinct "requests", each
+// deriving its own session from one root session's cache, rather than
+// racing inside one report run. The contract is unchanged: one simulation
+// per pass, every request sharing the result, and the cache's stats
+// counting each request's claim. A configuration that differs only in the
+// trace file shares the passes too, since no suite pass reads one; a
+// second budget shares the cache but not the passes. Run under -race in
+// CI.
 func TestSessionCrossRequestSingleFlight(t *testing.T) {
 	sim.AnnotatedTier.Reset()
 	defer sim.AnnotatedTier.Reset()
@@ -99,7 +99,7 @@ func TestSessionCrossRequestSingleFlight(t *testing.T) {
 		return core.PaperResetting()
 	}}
 
-	pool := NewSessionPool(4, 0)
+	root := NewSession(Config{})
 	cfg := Config{Branches: 3456}
 	const requests = 6
 	results := make([]sim.SuiteResult, requests)
@@ -110,10 +110,9 @@ func TestSessionCrossRequestSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Each request resolves its own session from the pool, as the
-			// daemon's report handler does.
-			s := pool.Get(cfg)
-			results[g], errs[g] = s.SuiteOne(pred, mech)
+			// Each request derives its own session, as the daemon's report
+			// handler does.
+			results[g], errs[g] = root.With(cfg).SuiteOne(pred, mech)
 		}()
 	}
 	wg.Wait()
@@ -130,49 +129,68 @@ func TestSessionCrossRequestSingleFlight(t *testing.T) {
 	if got := mechBuilds.Load(); got != 1 {
 		t.Errorf("mechanism constructor ran %d times across requests, want 1", got)
 	}
-	if pool.Len() != 1 {
-		t.Errorf("pool holds %d sessions for one config, want 1", pool.Len())
-	}
-	hits, misses, _ := pool.Stats()
-	if misses != 1 || hits != requests-1 {
-		t.Errorf("pool stats = %d hits, %d misses; want %d, 1", hits, misses, requests-1)
+	if hits, misses := root.Stats(); misses != 1 || hits != requests-1 {
+		t.Errorf("pass-cache stats = %d hits, %d misses; want %d, 1", hits, misses, requests-1)
 	}
 
-	// A distinct config is a distinct session — results may legitimately
-	// differ, so passes must not be shared across configs.
-	other := pool.Get(Config{Branches: 1234})
-	if other == pool.Get(cfg) {
-		t.Fatal("distinct configs shared a session")
+	traced := cfg
+	traced.TraceFile = "recorded.champsim"
+	if res, err := root.With(traced).SuiteOne(pred, mech); err != nil || !reflect.DeepEqual(res, results[0]) {
+		t.Fatalf("a trace file no pass reads changed the pass: err=%v", err)
+	}
+	// A distinct budget is a distinct pass: its results legitimately
+	// differ, so it must be simulated, not shared.
+	other, err := root.With(Config{Branches: 1234}).SuiteOne(pred, mech)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reflect.DeepEqual(other, results[0]) {
+		t.Fatal("a second budget was served the first budget's pass")
+	}
+	if got := mechBuilds.Load(); got != 2 {
+		t.Errorf("mechanism constructor ran %d times, want 2: one per budget", got)
+	}
+	if hits, misses := root.Stats(); misses != 2 || hits != requests {
+		t.Errorf("pass-cache stats = %d hits, %d misses; want %d, 2", hits, misses, requests)
 	}
 }
 
 // TestSessionErroredClaimantMidFlight pins the resident-process error
-// contract: claimants parked on a pass whose owner fails all observe the
-// error, but the failure is not negatively cached — the next claimant
-// re-owns the key and a clean run succeeds. The owner's failure is staged
-// through the pass cache directly (the engine has no injectable failure
-// path), which is exactly the layer the contract lives in.
+// contract: every claimant of a pass whose simulation fails observes the
+// error, and the failure is not negatively cached: once the cause is gone,
+// the next claimant simulates the pass and succeeds. The failure is real:
+// while failing is set, the mechanism's constructor builds a mechanism
+// that reads predictor state the predictor has none of, which the engine
+// rejects. The constructor also holds the first simulation in flight until
+// released, so claimants arriving meanwhile wait on it. (That waiters
+// parked on a failing build see its error is pinned exactly at the tier,
+// by internal/memo's TestTierBuildErrorNotCached.)
 func TestSessionErroredClaimantMidFlight(t *testing.T) {
 	sim.AnnotatedTier.Reset()
 	defer sim.AnnotatedTier.Reset()
 	defer workload.TraceTier.Reset()
 
-	pred := Pred(func() predictor.Predictor { return predictor.Gshare64K() })
-	mech := Mech(func() core.Mechanism { return core.PaperResetting() })
+	var failing atomic.Bool
+	failing.Store(true)
+	entered, release := make(chan struct{}), make(chan struct{})
+	var enter sync.Once
+	var mechBuilds atomic.Int64
+	pred := Pred(func() predictor.Predictor { return predictor.NewBimodal(12) })
+	mech := MechSpec{Key: "flaky", New: func() core.Mechanism {
+		mechBuilds.Add(1)
+		enter.Do(func() { close(entered) })
+		<-release
+		if failing.Load() {
+			return core.NewCounterStrength()
+		}
+		return core.PaperResetting()
+	}}
 	s := NewSession(Config{Branches: 3456})
 
-	// Become the mid-flight owner of the pass.
-	key := passKey(pred.Key + "\x1f" + mech.Key)
-	e, owner := s.passes.Claim(key)
-	if !owner {
-		t.Fatal("test could not claim the fresh pass")
-	}
-
-	// Waiters arrive while the owner is in flight.
-	const waiters = 4
-	errs := make([]error, waiters)
+	const claimants = 4
+	errs := make([]error, claimants)
 	var wg sync.WaitGroup
-	for g := 0; g < waiters; g++ {
+	for g := 0; g < claimants; g++ {
 		g := g
 		wg.Add(1)
 		go func() {
@@ -180,38 +198,34 @@ func TestSessionErroredClaimantMidFlight(t *testing.T) {
 			_, errs[g] = s.SuiteOne(pred, mech)
 		}()
 	}
-	// Every waiter registers a pass-cache hit when it parks on the
-	// in-flight entry; finish only once all of them are parked, so none
-	// arrives after the errored entry is dropped and accidentally owns a
-	// clean rebuild.
-	for hits, _ := s.Stats(); hits < waiters; hits, _ = s.Stats() {
-		runtime.Gosched()
-	}
-	// The owner errors mid-flight.
-	wantErr := fmt.Errorf("injected mid-flight failure")
-	e.Err = wantErr
-	s.passes.Finish(e, 0)
+	<-entered
+	close(release)
 	wg.Wait()
 	for g, err := range errs {
-		if err == nil || !strings.Contains(err.Error(), "injected mid-flight failure") {
-			t.Fatalf("waiter %d: error = %v, want the owner's failure", g, err)
+		if err == nil || !strings.Contains(err.Error(), "needs predictor state") {
+			t.Fatalf("claimant %d: error = %v, want the simulation's failure", g, err)
 		}
 	}
+	hits, misses := s.Stats()
+	if hits != 0 || misses != uint64(mechBuilds.Load()) {
+		t.Fatalf("pass-cache stats = %d hits, %d misses after %d simulations; want no hits and one miss per simulation", hits, misses, mechBuilds.Load())
+	}
 
-	// The error must not be pinned: a later claimant re-owns the key and
+	// The error must not be pinned: a later claimant re-owns the pass and
 	// the clean run succeeds.
+	failing.Store(false)
 	res, err := s.SuiteOne(pred, mech)
 	if err != nil {
-		t.Fatalf("retry after mid-flight failure: %v", err)
+		t.Fatalf("retry after the failure: %v", err)
 	}
 	if len(res.Runs) == 0 {
 		t.Fatal("retry produced an empty result")
 	}
 }
 
-// TestSessionPassEviction pins the memory-pressure hook: under a byte
-// bound the pass cache evicts completed passes LRU-first, and an evicted
-// pass is re-simulated (a miss) on the next claim rather than served.
+// TestSessionPassEviction pins the memory bound: under a byte bound the
+// pass cache evicts completed passes LRU-first, and an evicted pass is
+// re-simulated (a miss) on the next claim rather than served.
 func TestSessionPassEviction(t *testing.T) {
 	sim.AnnotatedTier.Reset()
 	defer sim.AnnotatedTier.Reset()
@@ -225,36 +239,13 @@ func TestSessionPassEviction(t *testing.T) {
 	if _, err := s.SuiteOne(pred, mech); err != nil {
 		t.Fatal(err)
 	}
-	if resident, evictions := s.PassUsage(); evictions == 0 || resident > 1 {
-		t.Fatalf("bound ignored: resident=%d evictions=%d", resident, evictions)
+	if st := s.passes.Stats(); st.Evictions == 0 || st.ResidentBytes > 1 {
+		t.Fatalf("bound ignored: resident=%d evictions=%d", st.ResidentBytes, st.Evictions)
 	}
 	if _, err := s.SuiteOne(pred, mech); err != nil {
 		t.Fatal(err)
 	}
 	if _, misses := s.Stats(); misses != 2 {
 		t.Fatalf("evicted pass served from cache: misses=%d, want 2", misses)
-	}
-}
-
-// TestSessionPoolEviction pins the pool bound: beyond max sessions the
-// least-recently-used config is retired, its stats fold into the pool
-// totals, and Trim releases everything.
-func TestSessionPoolEviction(t *testing.T) {
-	pool := NewSessionPool(2, 0)
-	a := pool.Get(Config{Branches: 100})
-	_ = pool.Get(Config{Branches: 200})
-	_ = pool.Get(Config{Branches: 300}) // evicts Branches:100
-	if pool.Len() != 2 {
-		t.Fatalf("pool holds %d sessions, want 2", pool.Len())
-	}
-	if _, _, evictions := pool.Stats(); evictions != 1 {
-		t.Fatalf("evictions = %d, want 1", evictions)
-	}
-	if pool.Get(Config{Branches: 100}) == a {
-		t.Fatal("evicted session resurrected instead of rebuilt")
-	}
-	pool.Trim()
-	if pool.Len() != 0 {
-		t.Fatalf("Trim left %d sessions", pool.Len())
 	}
 }

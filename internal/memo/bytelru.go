@@ -1,22 +1,22 @@
 // Package memo is the engine's cache tier. A Tier is one memoized layer —
 // the trace memo (internal/workload), flat views, annotated and bucket
-// streams (internal/sim), curves and model counts (internal/exp), the
-// daemon's rendered reports (internal/serve) — and its Get is the one
-// implementation of the miss path: claim-or-wait in memory, read and
-// verify the artifact-store record, build, publish. Records that are only
-// ever read once (stream segments, checkpoints, fan-out partials) use a
-// tier's disk half alone. Beneath every tier sits a ByteLRU: a
-// claim-or-wait map with a resident-bytes bound and least-recently-used
-// eviction, which a session's pass cache (internal/exp) also uses directly.
+// streams (internal/sim), session passes, curves and model counts
+// (internal/exp), the daemon's rendered reports (internal/serve) — and its
+// Get (or GetMany, its batch form) is the one implementation of the miss
+// path: claim-or-wait in memory, read and verify the artifact-store
+// record, build, publish. Records that are only ever read once (stream
+// segments, checkpoints, fan-out partials) use a tier's disk half alone.
+// Beneath every tier sits a byteLRU: a claim-or-wait map with a
+// resident-bytes bound and least-recently-used eviction.
 package memo
 
 import "sync"
 
-// ByteLRU is a claim-or-wait memo map with a resident-bytes bound and
+// byteLRU is a claim-or-wait memo map with a resident-bytes bound and
 // least-recently-used eviction.
 //
 //   - The first claimant of a key owns the build; it must publish the entry
-//     with Finish exactly once. Later claimants wait on the entry's Done
+//     with finish exactly once. Later claimants wait on the entry's done
 //     channel and share the result.
 //   - A resident-bytes bound evicts completed entries least-recently-used
 //     first; in-flight entries are never evicted, and eviction never
@@ -26,40 +26,40 @@ import "sync"
 // Keys may be any comparable type; one cache can hold several key kinds
 // (the annotated tier keeps flat views and annotated streams in one
 // instance so they share a single budget).
-type ByteLRU struct {
+type byteLRU struct {
 	mu        sync.Mutex
-	entries   map[any]*Entry
+	entries   map[any]*entry
 	bound     uint64 // resident-bytes bound; 0 = unbounded
 	clock     uint64
 	resident  uint64
 	evictions uint64
 }
 
-// Entry is one cached artifact. Done is closed when Val/Err are final.
-type Entry struct {
-	Done    chan struct{}
-	Val     any
-	Err     error
-	key     any    // the claim key, so Finish can drop an errored entry
-	built   bool   // Finish ran with Err == nil; false while in flight
+// entry is one cached artifact. done is closed when val/err are final.
+type entry struct {
+	done    chan struct{}
+	val     any
+	err     error
+	key     any    // the claim key, so finish can drop an errored entry
+	built   bool   // finish ran with err == nil; false while in flight
 	bytes   uint64 // payload size once built (may legitimately be zero)
 	lastUse uint64 // LRU clock tick of the most recent claim
 }
 
-// SetBound bounds the cache's resident payload bytes; 0 removes the bound.
+// setBound bounds the cache's resident payload bytes; 0 removes the bound.
 // A single entry larger than the bound is still admitted (and becomes the
 // next eviction candidate).
-func (c *ByteLRU) SetBound(bytes uint64) {
+func (c *byteLRU) setBound(bytes uint64) {
 	c.mu.Lock()
 	c.bound = bytes
 	c.evictLocked()
 	c.mu.Unlock()
 }
 
-// Claim returns the entry for key and whether the caller became its owner.
-// An owner must build the value and call Finish; a non-owner must wait on
-// e.Done before reading e.Val/e.Err.
-func (c *ByteLRU) Claim(key any) (e *Entry, owner bool) {
+// claim returns the entry for key and whether the caller became its owner.
+// An owner must build the value and call finish; a non-owner must wait on
+// e.done before reading e.val/e.err.
+func (c *byteLRU) claim(key any) (e *entry, owner bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.clock++
@@ -67,28 +67,28 @@ func (c *ByteLRU) Claim(key any) (e *Entry, owner bool) {
 		e.lastUse = c.clock
 		return e, false
 	}
-	e = &Entry{Done: make(chan struct{}), key: key, lastUse: c.clock}
+	e = &entry{done: make(chan struct{}), key: key, lastUse: c.clock}
 	if c.entries == nil {
-		c.entries = make(map[any]*Entry)
+		c.entries = make(map[any]*entry)
 	}
 	c.entries[key] = e
 	return e, true
 }
 
-// Finish publishes a built entry: records its payload size, closes the Done
-// channel, and applies the bound. The owner sets e.Val/e.Err before calling.
+// finish publishes a built entry: records its payload size, closes the done
+// channel, and applies the bound. The owner sets e.val/e.err before calling.
 //
 // An errored entry is dropped from the map instead of published: claimants
 // already parked on it still observe the error through the entry pointer,
 // but the next claim of the key owns a fresh build — a transient failure is
 // never negatively cached for the life of the process.
-func (c *ByteLRU) Finish(e *Entry, bytes uint64) {
+func (c *byteLRU) finish(e *entry, bytes uint64) {
 	c.mu.Lock()
-	// Guard on pointer identity: after a Reset (or under a successor entry
+	// Guard on pointer identity: after a reset (or under a successor entry
 	// for the same key) a stale owner finishing must neither clobber the
 	// map nor charge bytes no entry holds — they would never be released.
 	current := c.entries[e.key] == e
-	if e.Err == nil {
+	if e.err == nil {
 		e.built = true
 		e.bytes = bytes
 		if current {
@@ -98,16 +98,16 @@ func (c *ByteLRU) Finish(e *Entry, bytes uint64) {
 		delete(c.entries, e.key)
 	}
 	c.mu.Unlock()
-	close(e.Done)
+	close(e.done)
 	c.mu.Lock()
 	c.evictLocked()
 	c.mu.Unlock()
 }
 
 // evictLocked drops completed entries, least recently used first, until the
-// resident bytes fit the bound. In-flight entries (Done not yet closed) are
+// resident bytes fit the bound. In-flight entries (done not yet closed) are
 // skipped: their size is unknown and a waiter may be parked on them.
-func (c *ByteLRU) evictLocked() {
+func (c *byteLRU) evictLocked() {
 	if c.bound == 0 {
 		return
 	}
@@ -134,9 +134,9 @@ func (c *ByteLRU) evictLocked() {
 	}
 }
 
-// Reset drops every entry and zeroes the resident and eviction counters,
-// retaining the bound. Intended for tests and batch boundaries.
-func (c *ByteLRU) Reset() {
+// reset drops every entry and zeroes the resident and eviction counters,
+// retaining the bound.
+func (c *byteLRU) reset() {
 	c.mu.Lock()
 	c.entries = nil
 	c.resident = 0
@@ -144,8 +144,8 @@ func (c *ByteLRU) Reset() {
 	c.mu.Unlock()
 }
 
-// Usage reports the cache's resident payload bytes and evictions so far.
-func (c *ByteLRU) Usage() (resident, evictions uint64) {
+// usage reports the cache's resident payload bytes and evictions so far.
+func (c *byteLRU) usage() (resident, evictions uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.resident, c.evictions

@@ -11,36 +11,36 @@ import (
 // the life of the process. Waiters parked on the failing build still see
 // the error; the next claim owns a fresh build.
 func TestByteLRUErroredEntryDropped(t *testing.T) {
-	var c ByteLRU
+	var c byteLRU
 	boom := errors.New("transient build failure")
 
-	e, owner := c.Claim("k")
+	e, owner := c.claim("k")
 	if !owner {
 		t.Fatal("first claim not owner")
 	}
-	waiter, waiterOwner := c.Claim("k") // parked before the failure publishes
+	waiter, waiterOwner := c.claim("k") // parked before the failure publishes
 	if waiterOwner {
 		t.Fatal("second claim stole ownership")
 	}
-	e.Err = boom
-	c.Finish(e, 0)
-	<-waiter.Done
-	if waiter.Err != boom {
-		t.Fatalf("parked waiter saw err=%v, want the owner's failure", waiter.Err)
+	e.err = boom
+	c.finish(e, 0)
+	<-waiter.done
+	if waiter.err != boom {
+		t.Fatalf("parked waiter saw err=%v, want the owner's failure", waiter.err)
 	}
 
-	e2, owner2 := c.Claim("k")
+	e2, owner2 := c.claim("k")
 	if !owner2 {
-		t.Fatalf("claim after failed build not owner: stale err=%v negatively cached", e2.Err)
+		t.Fatalf("claim after failed build not owner: stale err=%v negatively cached", e2.err)
 	}
-	e2.Val = "rebuilt"
-	c.Finish(e2, 8)
+	e2.val = "rebuilt"
+	c.finish(e2, 8)
 
-	e3, owner3 := c.Claim("k")
-	if owner3 || e3.Err != nil || e3.Val != "rebuilt" {
-		t.Fatalf("rebuild not cached: owner=%v err=%v val=%v", owner3, e3.Err, e3.Val)
+	e3, owner3 := c.claim("k")
+	if owner3 || e3.err != nil || e3.val != "rebuilt" {
+		t.Fatalf("rebuild not cached: owner=%v err=%v val=%v", owner3, e3.err, e3.val)
 	}
-	if resident, _ := c.Usage(); resident != 8 {
+	if resident, _ := c.usage(); resident != 8 {
 		t.Fatalf("resident = %d, want 8 (failed build must not count)", resident)
 	}
 }
@@ -50,27 +50,27 @@ func TestByteLRUErroredEntryDropped(t *testing.T) {
 // empty stream is a legitimate artifact) must be evictable like any other
 // completed entry, not mistaken for an in-flight build and pinned forever.
 func TestByteLRUZeroByteEntryEvictable(t *testing.T) {
-	var c ByteLRU
-	c.SetBound(1)
+	var c byteLRU
+	c.setBound(1)
 
-	empty, owner := c.Claim("empty")
+	empty, owner := c.claim("empty")
 	if !owner {
 		t.Fatal("claim not owner")
 	}
-	empty.Val = []byte{}
-	c.Finish(empty, 0) // built, legitimately zero bytes
+	empty.val = []byte{}
+	c.finish(empty, 0) // built, legitimately zero bytes
 
-	big, owner := c.Claim("big")
+	big, owner := c.claim("big")
 	if !owner {
 		t.Fatal("claim not owner")
 	}
-	big.Val = "bb"
-	c.Finish(big, 2) // resident 2 > bound 1: eviction runs LRU-first
+	big.val = "bb"
+	c.finish(big, 2) // resident 2 > bound 1: eviction runs LRU-first
 
-	if _, owner := c.Claim("empty"); !owner {
+	if _, owner := c.claim("empty"); !owner {
 		t.Fatal("zero-byte built entry survived eviction: mistaken for in-flight")
 	}
-	if _, evictions := c.Usage(); evictions != 2 {
+	if _, evictions := c.usage(); evictions != 2 {
 		t.Fatalf("evictions = %d, want 2 (empty then big)", evictions)
 	}
 }
@@ -79,26 +79,26 @@ func TestByteLRUZeroByteEntryEvictable(t *testing.T) {
 // break: an entry whose build is still running is skipped by eviction even
 // when the cache is over budget.
 func TestByteLRUInFlightNeverEvicted(t *testing.T) {
-	var c ByteLRU
-	c.SetBound(1)
+	var c byteLRU
+	c.setBound(1)
 
-	inflight, owner := c.Claim("inflight")
+	inflight, owner := c.claim("inflight")
 	if !owner {
 		t.Fatal("claim not owner")
 	}
 
-	done, owner := c.Claim("done")
+	done, owner := c.claim("done")
 	if !owner {
 		t.Fatal("claim not owner")
 	}
-	done.Val = "dd"
-	c.Finish(done, 2) // over budget; only "done" is evictable
+	done.val = "dd"
+	c.finish(done, 2) // over budget; only "done" is evictable
 
-	if _, owner := c.Claim("inflight"); owner {
+	if _, owner := c.claim("inflight"); owner {
 		t.Fatal("in-flight entry evicted out from under its waiters")
 	}
-	inflight.Val = "v"
-	c.Finish(inflight, 1)
+	inflight.val = "v"
+	c.finish(inflight, 1)
 }
 
 // TestByteLRUResetDuringBuild is the regression test for the accounting
@@ -106,28 +106,28 @@ func TestByteLRUInFlightNeverEvicted(t *testing.T) {
 // Reset runs must not charge its bytes on Finish, because its entry is no
 // longer in the map and nothing would ever release them.
 func TestByteLRUResetDuringBuild(t *testing.T) {
-	var c ByteLRU
-	c.SetBound(120)
-	e, owner := c.Claim("inflight")
+	var c byteLRU
+	c.setBound(120)
+	e, owner := c.claim("inflight")
 	if !owner {
 		t.Fatal("claim not owner")
 	}
-	c.Reset()
-	e.Val = "built after the reset"
-	c.Finish(e, 100)
-	if resident, _ := c.Usage(); resident != 0 {
+	c.reset()
+	e.val = "built after the reset"
+	c.finish(e, 100)
+	if resident, _ := c.usage(); resident != 0 {
 		t.Fatalf("resident = %d after a build finished past a Reset, want 0", resident)
 	}
-	next, owner := c.Claim("next")
+	next, owner := c.claim("next")
 	if !owner {
 		t.Fatal("claim not owner")
 	}
-	next.Val = "fits the bound"
-	c.Finish(next, 50)
-	if _, owner := c.Claim("next"); owner {
+	next.val = "fits the bound"
+	c.finish(next, 50)
+	if _, owner := c.claim("next"); owner {
 		t.Fatal("an entry within the bound was evicted on arrival")
 	}
-	if resident, evictions := c.Usage(); resident != 50 || evictions != 0 {
+	if resident, evictions := c.usage(); resident != 50 || evictions != 0 {
 		t.Fatalf("usage = (%d, %d evictions), want (50, 0)", resident, evictions)
 	}
 }

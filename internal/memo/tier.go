@@ -6,11 +6,12 @@ import (
 	"branchconf/internal/artifact"
 )
 
-// Tier is one memoized layer of the engine: an in-memory ByteLRU in front
-// of the default artifact store. Get is the whole tier sequence —
-// claim-or-wait in memory, read and decode the disk record, drop a record
-// that fails to decode or is not accepted, build, publish to disk and to
-// memory — so every tier runs the same code and keeps the same counters.
+// Tier is one memoized layer of the engine: an in-memory byteLRU in front
+// of the default artifact store. GetMany (and Get, its one-key form) is
+// the whole tier sequence — claim-or-wait in memory, read and decode the
+// disk record, drop a record that fails to decode or is not accepted,
+// build, publish to disk and to memory — so every tier runs the same code
+// and keeps the same counters.
 //
 // The configuration fields are set once, in the declaration; a Tier must
 // not be copied after first use.
@@ -28,22 +29,22 @@ type Tier[K comparable, V any] struct {
 	Encode func(V) []byte
 	Decode func([]byte) (V, error)
 	// Size is a value's resident payload bytes, charged against the bound.
-	// Only Get needs it: a tier used through Load and Save alone has no
-	// memory.
+	// Only Get and GetMany need it: a tier used through Load and Save alone
+	// has no memory.
 	Size func(V) uint64
 	// ShareWith, when set, is a sibling tier whose memory this tier uses
 	// instead of its own: one resident-bytes bound and one LRU order over
 	// both tiers' entries. Keys of the two tiers must be distinct types.
 	ShareWith Budget
 
-	own          ByteLRU
+	own          byteLRU
 	hits, misses atomic.Uint64
 }
 
 // Budget is a tier's memory: its entries and their resident-bytes bound.
-type Budget interface{ lru() *ByteLRU }
+type Budget interface{ lru() *byteLRU }
 
-func (t *Tier[K, V]) lru() *ByteLRU {
+func (t *Tier[K, V]) lru() *byteLRU {
 	if t.ShareWith != nil {
 		return t.ShareWith.lru()
 	}
@@ -58,30 +59,71 @@ func (t *Tier[K, V]) lru() *ByteLRU {
 // dropped from the store and rebuilt. A build error reaches every caller
 // waiting on that build and is not cached: the next Get builds again.
 func (t *Tier[K, V]) Get(key K, accept func(V) bool, build func() (V, error)) (V, error) {
+	vs, err := t.GetMany([]K{key}, accept, func([]int) ([]V, error) {
+		v, err := build()
+		return []V{v}, err
+	})
+	if err != nil {
+		var zero V
+		return zero, err
+	}
+	return vs[0], nil
+}
+
+// GetMany is Get for several keys at once, returning their values
+// index-aligned with keys. Keys another caller is loading or building are
+// waited on. Of the keys this call claims, those the store cannot serve
+// are built together by one call of build, which gets their indices in
+// keys and returns their values in that order. The call finishes its own
+// loads and build before it waits on another caller's, so callers claiming
+// overlapping keys in any order never deadlock. A build error reaches
+// every key that build was to fill and every caller waiting on one; the
+// first error in key order is returned.
+func (t *Tier[K, V]) GetMany(keys []K, accept func(V) bool, build func(missing []int) ([]V, error)) ([]V, error) {
 	mem := t.lru()
-	e, owner := mem.Claim(key)
-	if !owner {
-		<-e.Done
-		v, _ := e.Val.(V)
-		if e.Err == nil {
+	entries := make([]*entry, len(keys))
+	owned := make([]bool, len(keys))
+	var missing []int
+	for i, k := range keys {
+		e, owner := mem.claim(k)
+		entries[i], owned[i] = e, owner
+		if !owner {
+			continue
+		}
+		t.misses.Add(1)
+		if v, ok := t.Load(k, accept); ok {
+			e.val = v
+			mem.finish(e, t.Size(v))
+		} else {
+			missing = append(missing, i)
+		}
+	}
+	if len(missing) > 0 {
+		vs, err := build(missing)
+		for j, i := range missing {
+			e := entries[i]
+			if err != nil {
+				e.err = err
+				mem.finish(e, 0)
+				continue
+			}
+			t.Save(keys[i], vs[j])
+			e.val = vs[j]
+			mem.finish(e, t.Size(vs[j]))
+		}
+	}
+	out := make([]V, len(keys))
+	for i, e := range entries {
+		<-e.done
+		if e.err != nil {
+			return nil, e.err
+		}
+		if !owned[i] {
 			t.hits.Add(1)
 		}
-		return v, e.Err
+		out[i], _ = e.val.(V)
 	}
-	t.misses.Add(1)
-	v, ok := t.Load(key, accept)
-	if !ok {
-		var err error
-		if v, err = build(); err != nil {
-			e.Err = err
-			mem.Finish(e, 0)
-			return v, err
-		}
-		t.Save(key, v)
-	}
-	e.Val = v
-	mem.Finish(e, t.Size(v))
-	return v, nil
+	return out, nil
 }
 
 // Load is the tier's disk half on its own: it reads key's record from the
@@ -122,20 +164,20 @@ func (t *Tier[K, V]) Save(key K, v V) {
 // memory, misses count Gets that loaded or built; evictions and resident
 // bytes are the memory's, shared with any sibling tier.
 func (t *Tier[K, V]) Stats() artifact.TierStats {
-	r, e := t.lru().Usage()
+	r, e := t.lru().usage()
 	return artifact.TierStats{Hits: t.hits.Load(), Misses: t.misses.Load(), Evictions: e, ResidentBytes: r}
 }
 
 // SetBound bounds the tier's resident payload bytes; 0 removes the bound.
-func (t *Tier[K, V]) SetBound(bytes uint64) { t.lru().SetBound(bytes) }
+func (t *Tier[K, V]) SetBound(bytes uint64) { t.lru().setBound(bytes) }
 
 // Release drops every resident entry, keeping the counters and the bound.
-func (t *Tier[K, V]) Release() { t.lru().Reset() }
+func (t *Tier[K, V]) Release() { t.lru().reset() }
 
 // Reset drops every resident entry and zeroes the counters, keeping the
 // bound. Intended for tests and batch boundaries.
 func (t *Tier[K, V]) Reset() {
-	t.lru().Reset()
+	t.lru().reset()
 	t.hits.Store(0)
 	t.misses.Store(0)
 }

@@ -3,6 +3,8 @@ package memo
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -348,5 +350,75 @@ func TestTierNoDiskWithoutStoreOrKind(t *testing.T) {
 	}
 	if ds := store.Stats(); ds.Hits+ds.Misses != 0 || ds.ResidentBytes != 0 {
 		t.Fatalf("store stats %+v, want an untouched store", ds)
+	}
+}
+
+// TestTierGetManyBuildsOnlyItsMisses: a batch Get builds, in one call, only
+// the keys it claims that no one holds; it takes resident keys from memory
+// and waits for keys another batch is building, finishing its own build
+// first. A failed batch build caches none of its keys.
+func TestTierGetManyBuildsOnlyItsMisses(t *testing.T) {
+	tier := memTier()
+	var builds atomic.Int32
+	mustGet(t, tier, "a", nil, value("A", &builds))
+
+	started, release := make(chan struct{}), make(chan struct{})
+	var first, second []string
+	var firstErr error
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		first, firstErr = tier.GetMany([]string{"b", "c"}, nil, func(missing []int) ([]string, error) {
+			close(started)
+			<-release
+			if len(missing) != 2 || missing[0] != 0 || missing[1] != 1 {
+				return nil, fmt.Errorf("first batch asked to build %v, want [0 1]", missing)
+			}
+			return []string{"B", "C"}, nil
+		})
+	}()
+	<-started
+	built := make(chan struct{})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		var err error
+		second, err = tier.GetMany([]string{"c", "a", "d"}, nil, func(missing []int) ([]string, error) {
+			defer close(built)
+			if len(missing) != 1 || missing[0] != 2 {
+				return nil, fmt.Errorf("second batch asked to build %v, want [2]", missing)
+			}
+			return []string{"D"}, nil
+		})
+		if err != nil {
+			t.Error(err)
+		}
+	}()
+	<-built // the second batch builds its own miss while "c" is in flight
+	close(release)
+	wg.Wait()
+	if firstErr != nil {
+		t.Fatal(firstErr)
+	}
+	if !reflect.DeepEqual(first, []string{"B", "C"}) || !reflect.DeepEqual(second, []string{"C", "A", "D"}) {
+		t.Fatalf("batches got %q and %q, want [B C] and [C A D]", first, second)
+	}
+	if st := tier.Stats(); st.Hits != 2 || st.Misses != 4 {
+		t.Fatalf("tier stats %+v, want 2 hits (a, c) and 4 misses (a, b, c, d)", st)
+	}
+
+	boom := errors.New("batch build failure")
+	if _, err := tier.GetMany([]string{"e", "f"}, nil, func([]int) ([]string, error) { return nil, boom }); !errors.Is(err, boom) {
+		t.Fatalf("failed batch returned err=%v, want the build's error", err)
+	}
+	got, err := tier.GetMany([]string{"e", "f"}, nil, func(missing []int) ([]string, error) {
+		if len(missing) != 2 {
+			return nil, fmt.Errorf("retry asked to build %v, want both keys", missing)
+		}
+		return []string{"E", "F"}, nil
+	})
+	if err != nil || !reflect.DeepEqual(got, []string{"E", "F"}) {
+		t.Fatalf("retry after a failed batch got %q, err=%v", got, err)
 	}
 }

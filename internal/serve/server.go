@@ -20,11 +20,8 @@ import (
 type Config struct {
 	// Parallel bounds concurrent experiments within one report request.
 	Parallel int
-	// MaxSessions bounds resident sessions (distinct request configs);
-	// <=0 uses exp.DefaultMaxSessions.
-	MaxSessions int
-	// PassCacheBytes bounds each session's resident pass cache
-	// (0 = unbounded).
+	// PassCacheBytes bounds the resident pass cache every request's
+	// session shares, across all configurations (0 = unbounded).
 	PassCacheBytes uint64
 	// MaxInflight and MaxQueue shape the admission controller: at most
 	// MaxInflight report requests execute at once, MaxQueue more wait.
@@ -38,7 +35,7 @@ type Config struct {
 	// report bytes; 0 uses DefaultReportCacheBytes.
 	ReportCacheBytes uint64
 	// MemSoftLimitBytes, when non-zero, arms the memory-pressure janitor:
-	// when HeapAlloc exceeds it, resident sessions and cached reports are
+	// when HeapAlloc exceeds it, resident passes and cached reports are
 	// released (the bounded tiers underneath survive, so repopulation is
 	// warm).
 	MemSoftLimitBytes uint64
@@ -55,15 +52,15 @@ const DefaultReportCacheBytes = 64 << 20
 
 // Server is the resident confidence engine: one process holding every
 // cache tier hot — trace memo, annotated streams, bucket streams, model
-// stats, curves, the artifact disk store, stream segments, and a pool of
-// per-config session pass caches — behind an HTTP/JSON API serving many
-// concurrent clients. Identical concurrent requests coalesce at two
+// stats, curves, the artifact disk store, stream segments, and one pass
+// cache every request's session shares — behind an HTTP/JSON API serving
+// many concurrent clients. Identical concurrent requests coalesce at two
 // levels: whole deterministic reports single-flight through a rendered-
 // bytes cache, and the underlying suite passes single-flight through the
-// shared sessions regardless of how requests differ in rendering.
+// shared pass cache, whatever else the requests differ in.
 type Server struct {
 	cfg     Config
-	pool    *exp.SessionPool
+	passes  *exp.Session // owns the shared pass cache; each request's session derives from it
 	adm     *Admission
 	reports *memo.Tier[string, []byte] // rendered timing-free reports, memory only
 	mux     *http.ServeMux
@@ -86,7 +83,7 @@ func New(cfg Config) *Server {
 	}
 	s := &Server{
 		cfg:         cfg,
-		pool:        exp.NewSessionPool(cfg.MaxSessions, cfg.PassCacheBytes),
+		passes:      exp.NewSession(exp.Config{}),
 		adm:         NewAdmission(cfg.MaxInflight, cfg.MaxQueue, cfg.QueueTimeout),
 		janitorStop: make(chan struct{}),
 		janitorDone: make(chan struct{}),
@@ -95,6 +92,7 @@ func New(cfg Config) *Server {
 			Size: func(b []byte) uint64 { return uint64(len(b)) },
 		},
 	}
+	s.passes.SetPassBound(cfg.PassCacheBytes)
 	s.reports.SetBound(cfg.ReportCacheBytes)
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/v1/report", s.handleReport)
@@ -117,9 +115,6 @@ func New(cfg Config) *Server {
 // Handler returns the server's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Pool exposes the session pool (stats endpoints, tests).
-func (s *Server) Pool() *exp.SessionPool { return s.pool }
-
 // Drain stops admitting report requests (readiness flips to 503, queued
 // waiters are released with 503) and waits for in-flight requests to
 // finish or ctx to expire. The HTTP listener itself is shut down by the
@@ -141,9 +136,9 @@ func (s *Server) Close() {
 	<-s.janitorDone
 }
 
-// janitor samples the heap and relieves pressure by releasing the
-// unbounded resident state — sessions and rendered reports — leaving the
-// byte-bounded tiers (and the disk store) to serve the warm rebuild.
+// janitor samples the heap and relieves pressure by releasing the resident
+// passes and rendered reports, leaving the engine tiers beneath them (and
+// the disk store) to serve the warm rebuild.
 func (s *Server) janitor() {
 	defer close(s.janitorDone)
 	t := time.NewTicker(2 * time.Second)
@@ -158,7 +153,7 @@ func (s *Server) janitor() {
 			if ms.HeapAlloc <= s.cfg.MemSoftLimitBytes {
 				continue
 			}
-			s.pool.Trim()
+			s.passes.ReleasePasses()
 			s.reports.Release()
 			s.pressureEvents.Add(1)
 			runtime.GC()
@@ -244,8 +239,8 @@ func (s *Server) report(ctx context.Context, req ReportRequest) (_ []byte, cache
 	return b, !built && err == nil, err
 }
 
-// build renders one report against the pooled session for the request's
-// configuration, under the admission controller, surfacing a strict
+// build renders one report on a session for the request's configuration
+// over the shared pass cache, under the admission controller, surfacing a strict
 // artifact store's pinned failure the same way the one-shot CLI does: a
 // complete correct report or a clean error, never both.
 func (s *Server) build(ctx context.Context, req ReportRequest) ([]byte, error) {
@@ -258,8 +253,7 @@ func (s *Server) build(ctx context.Context, req ReportRequest) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	session := s.pool.Get(req.SessionConfig(segment))
-	b, err := BuildReport(session, req, BuildOptions{Parallel: s.cfg.Parallel, Now: s.cfg.Now})
+	b, err := BuildReport(s.passes.With(req.SessionConfig(segment)), req, BuildOptions{Parallel: s.cfg.Parallel, Now: s.cfg.Now})
 	if err != nil {
 		return nil, err
 	}
@@ -277,7 +271,7 @@ func (s *Server) fail(w http.ResponseWriter, status int, err error) {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	hits, misses, evictions := s.pool.Stats()
+	hits, misses := s.passes.Stats()
 	snap := SnapshotCacheStats(hits, misses, s.cfg.HeapStats)
 	inflight, queued := s.adm.Gauges()
 	full, timeout, draining := s.adm.Rejections()
@@ -293,8 +287,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		RejectedFull:      full,
 		RejectedTimeout:   timeout,
 		RejectedDraining:  draining,
-		SessionsResident:  s.pool.Len(),
-		SessionEvictions:  evictions,
 		PressureEvents:    s.pressureEvents.Load(),
 		Draining:          s.adm.Draining(),
 	}

@@ -6,12 +6,16 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"branchconf/internal/exp"
+	"branchconf/internal/trace"
+	"branchconf/internal/workload"
 )
 
 // newTestServer builds a server with small bounds suitable for unit tests.
@@ -214,8 +218,54 @@ func TestServerStatsEndpoint(t *testing.T) {
 	if snap.SessionPass.Misses == 0 {
 		t.Error("session-pass tier never missed despite a live build")
 	}
-	if snap.Server.SessionsResident != 1 {
-		t.Errorf("sessions resident = %d, want 1", snap.Server.SessionsResident)
+}
+
+// TestServerSharesPassesAcrossTraceFiles: every request's session shares
+// one pass cache keyed by what a pass depends on, so two fig2 requests that
+// differ only in trace_file, which no suite pass reads, share every pass:
+// the second adds no session-pass miss.
+func TestServerSharesPassesAcrossTraceFiles(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	c := &Client{Base: ts.URL}
+	passMisses := func() uint64 {
+		t.Helper()
+		snap, err := c.Stats(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return snap.SessionPass.Misses
+	}
+	req := ReportRequest{Branches: 14000, Only: []string{"fig2"}, NoTimings: true}
+	if _, _, err := postReport(t, ts.URL, req); err != nil {
+		t.Fatal(err)
+	}
+	before := passMisses()
+	if before == 0 {
+		t.Fatal("the first request simulated no pass")
+	}
+
+	req.TraceFile = filepath.Join(t.TempDir(), "recorded.champsim")
+	src, err := workload.Suite()[0].FiniteSource(2000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Create(req.TraceFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := trace.NewChampSimWriter(f).WriteAll(src); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, cached, err := postReport(t, ts.URL, req); err != nil {
+		t.Fatal(err)
+	} else if cached {
+		t.Fatal("a request naming a trace file was served the report cached without one")
+	}
+	if after := passMisses(); after != before {
+		t.Fatalf("session-pass misses %d -> %d: a trace file no pass reads split the passes", before, after)
 	}
 }
 
@@ -330,22 +380,29 @@ func TestServerStatsJSONShape(t *testing.T) {
 }
 
 // TestServerMemoryPressureJanitor: a tiny soft limit must trigger the
-// janitor, releasing resident sessions and cached reports.
+// janitor, releasing the resident passes and cached reports, so the same
+// request afterwards builds its report and simulates its passes again.
 func TestServerMemoryPressureJanitor(t *testing.T) {
 	srv, ts := newTestServer(t, Config{MemSoftLimitBytes: 1}) // always over
 	req := ReportRequest{Branches: 12000, Only: []string{"fig2"}, NoTimings: true}
 	if _, _, err := postReport(t, ts.URL, req); err != nil {
 		t.Fatal(err)
 	}
+	_, misses := srv.passes.Stats()
+	events := srv.pressureEvents.Load()
 	deadline := time.Now().Add(10 * time.Second)
-	for srv.pressureEvents.Load() == 0 {
+	for srv.pressureEvents.Load() == events {
 		if time.Now().After(deadline) {
 			t.Fatal("janitor never fired despite a 1-byte soft limit")
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
-	if srv.pool.Len() != 0 {
-		// The pool may repopulate if another request lands; none do here.
-		t.Fatalf("sessions resident after pressure relief: %d", srv.pool.Len())
+	if _, cached, err := postReport(t, ts.URL, req); err != nil {
+		t.Fatal(err)
+	} else if cached {
+		t.Fatal("report served from the cache after pressure relief")
+	}
+	if _, after := srv.passes.Stats(); after <= misses {
+		t.Fatalf("session-pass misses %d -> %d: passes survived pressure relief", misses, after)
 	}
 }

@@ -43,9 +43,9 @@ type HeapStageJSON struct {
 	PeakHeapBytes uint64 `json:"peak_heap_bytes"`
 }
 
-// CacheStatsJSON is the machine-readable eight-tier stats snapshot: the
-// session-pass tier on top, the engine tiers beneath it in consultation
-// order, and optional per-stage peak-heap rows. The one-shot CLI's
+// CacheStatsJSON is the machine-readable nine-tier stats snapshot: the
+// session-pass tier on top, the eight engine tiers beneath it in
+// consultation order, and optional per-stage peak-heap rows. The one-shot CLI's
 // -cache-stats-json flag and the daemon's stats endpoint emit the same
 // encoding.
 type CacheStatsJSON struct {
@@ -68,15 +68,13 @@ type ServerStatsJSON struct {
 	RejectedFull      uint64 `json:"rejected_queue_full"`
 	RejectedTimeout   uint64 `json:"rejected_queue_timeout"`
 	RejectedDraining  uint64 `json:"rejected_draining"`
-	SessionsResident  int    `json:"sessions_resident"`
-	SessionEvictions  uint64 `json:"session_evictions"`
 	PressureEvents    uint64 `json:"memory_pressure_events"`
 	Draining          bool   `json:"draining"`
 }
 
 // SnapshotCacheStats assembles the uniform snapshot from the process-wide
 // tiers plus the caller's session-pass counters (a one-shot run reports
-// its private session; the daemon aggregates its pool).
+// its private pass cache, the daemon the one its requests share).
 func SnapshotCacheStats(passHits, passMisses uint64, heapStages bool) CacheStatsJSON {
 	out := CacheStatsJSON{
 		SessionPass: tierJSON("session-pass", artifact.TierStats{Hits: passHits, Misses: passMisses}),
