@@ -24,7 +24,7 @@ func TestExperimentsDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		run := func() []byte {
-			o, err := e.RunOnce(cfg)
+			o, err := e.Run(NewSession(cfg))
 			if err != nil {
 				t.Fatalf("%s: %v", id, err)
 			}
@@ -84,7 +84,7 @@ func TestSharedSessionMatchesIsolatedRuns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		o, err := e.RunOnce(cfg)
+		o, err := e.Run(NewSession(cfg))
 		if err != nil {
 			t.Fatalf("%s (isolated): %v", id, err)
 		}

@@ -65,13 +65,6 @@ type Experiment struct {
 	OptIn bool
 }
 
-// RunOnce executes the experiment against a fresh private session — the
-// one-shot form for callers outside a report run. Materialized traces are
-// still shared process-wide; only the pass cache is private.
-func (e Experiment) RunOnce(cfg Config) (*Output, error) {
-	return e.Run(NewSession(cfg))
-}
-
 var registry = map[string]Experiment{}
 var order []string
 

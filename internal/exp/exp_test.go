@@ -48,7 +48,7 @@ func TestByID(t *testing.T) {
 
 func TestFig2Static(t *testing.T) {
 	e, _ := ByID("fig2")
-	o, err := e.RunOnce(fastCfg)
+	o, err := e.Run(NewSession(fastCfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestFig2Static(t *testing.T) {
 
 func TestFig5OneLevelOrdering(t *testing.T) {
 	e, _ := ByID("fig5")
-	o, err := e.RunOnce(fastCfg)
+	o, err := e.Run(NewSession(fastCfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestFig5OneLevelOrdering(t *testing.T) {
 
 func TestFig7OneLevelMatchesTwoLevel(t *testing.T) {
 	e, _ := ByID("fig7")
-	o, err := e.RunOnce(fastCfg)
+	o, err := e.Run(NewSession(fastCfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestFig7OneLevelMatchesTwoLevel(t *testing.T) {
 
 func TestFig8ReductionOrdering(t *testing.T) {
 	e, _ := ByID("fig8")
-	o, err := e.RunOnce(fastCfg)
+	o, err := e.Run(NewSession(fastCfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestFig8ReductionOrdering(t *testing.T) {
 
 func TestTable1Shape(t *testing.T) {
 	e, _ := ByID("table1")
-	o, err := e.RunOnce(fastCfg)
+	o, err := e.Run(NewSession(fastCfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestTable1Shape(t *testing.T) {
 
 func TestFig9Extremes(t *testing.T) {
 	e, _ := ByID("fig9")
-	o, err := e.RunOnce(fastCfg)
+	o, err := e.Run(NewSession(fastCfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestFig9Extremes(t *testing.T) {
 
 func TestFig10SmallTablesDegradeGracefully(t *testing.T) {
 	e, _ := ByID("fig10")
-	o, err := e.RunOnce(fastCfg)
+	o, err := e.Run(NewSession(fastCfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestFig10SmallTablesDegradeGracefully(t *testing.T) {
 
 func TestFig11InitPolicies(t *testing.T) {
 	e, _ := ByID("fig11")
-	o, err := e.RunOnce(fastCfg)
+	o, err := e.Run(NewSession(fastCfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestFig11InitPolicies(t *testing.T) {
 
 func TestAblationIndexConfirmsPaperClaims(t *testing.T) {
 	e, _ := ByID("ablation-index")
-	o, err := e.RunOnce(fastCfg)
+	o, err := e.Run(NewSession(fastCfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestAblationIndexConfirmsPaperClaims(t *testing.T) {
 
 func TestThresholdsExperiment(t *testing.T) {
 	e, _ := ByID("thresholds")
-	o, err := e.RunOnce(fastCfg)
+	o, err := e.Run(NewSession(fastCfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestThresholdsExperiment(t *testing.T) {
 
 func TestMultilevelExperiment(t *testing.T) {
 	e, _ := ByID("multilevel")
-	o, err := e.RunOnce(fastCfg)
+	o, err := e.Run(NewSession(fastCfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +263,7 @@ func TestMultilevelExperiment(t *testing.T) {
 
 func TestCtxSwitchExperiment(t *testing.T) {
 	e, _ := ByID("ctxswitch")
-	o, err := e.RunOnce(fastCfg)
+	o, err := e.Run(NewSession(fastCfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +286,7 @@ func TestCtxSwitchExperiment(t *testing.T) {
 func TestCtxSwitchFlushes(t *testing.T) {
 	const want = "ea60e0306539a03bc29b0bc22ac7e7be1581abfb46744d306f2e3452fd8476ec"
 	e, _ := ByID("ctxswitch")
-	o, err := e.RunOnce(Config{Branches: 130_000})
+	o, err := e.Run(NewSession(Config{Branches: 130_000}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +301,7 @@ func TestCtxSwitchFlushes(t *testing.T) {
 
 func TestGatingExperiment(t *testing.T) {
 	e, _ := ByID("gating")
-	o, err := e.RunOnce(fastCfg)
+	o, err := e.Run(NewSession(fastCfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +315,7 @@ func TestGatingExperiment(t *testing.T) {
 
 func TestPipelineExperiment(t *testing.T) {
 	e, _ := ByID("pipeline")
-	o, err := e.RunOnce(fastCfg)
+	o, err := e.Run(NewSession(fastCfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +334,7 @@ func TestPipelineExperiment(t *testing.T) {
 
 func TestPerbenchExperiment(t *testing.T) {
 	e, _ := ByID("perbench")
-	o, err := e.RunOnce(fastCfg)
+	o, err := e.Run(NewSession(fastCfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +348,7 @@ func TestPerbenchExperiment(t *testing.T) {
 
 func TestCtxSwitchMixExperiment(t *testing.T) {
 	e, _ := ByID("ctxswitch-mix")
-	o, err := e.RunOnce(fastCfg)
+	o, err := e.Run(NewSession(fastCfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +365,7 @@ func TestCtxSwitchMixExperiment(t *testing.T) {
 
 func TestStrengthExperiment(t *testing.T) {
 	e, _ := ByID("strength")
-	o, err := e.RunOnce(fastCfg)
+	o, err := e.Run(NewSession(fastCfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,7 +386,7 @@ func TestStrengthExperiment(t *testing.T) {
 
 func TestReplicationExperiment(t *testing.T) {
 	e, _ := ByID("replication")
-	o, err := e.RunOnce(fastCfg)
+	o, err := e.Run(NewSession(fastCfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,7 +402,7 @@ func TestReplicationExperiment(t *testing.T) {
 
 func TestCostSplitExperiment(t *testing.T) {
 	e, _ := ByID("ablation-costsplit")
-	o, err := e.RunOnce(fastCfg)
+	o, err := e.Run(NewSession(fastCfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,7 +421,7 @@ func TestCostSplitExperiment(t *testing.T) {
 
 func TestStaticRealisticExperiment(t *testing.T) {
 	e, _ := ByID("static-realistic")
-	o, err := e.RunOnce(fastCfg)
+	o, err := e.Run(NewSession(fastCfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,7 +438,7 @@ func TestStaticRealisticExperiment(t *testing.T) {
 
 func TestWeightedOnesExperiment(t *testing.T) {
 	e, _ := ByID("ablation-weighted")
-	o, err := e.RunOnce(fastCfg)
+	o, err := e.Run(NewSession(fastCfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -455,7 +455,7 @@ func TestWeightedOnesExperiment(t *testing.T) {
 
 func TestDualPathIPCExperiment(t *testing.T) {
 	e, _ := ByID("dualpath-ipc")
-	o, err := e.RunOnce(fastCfg)
+	o, err := e.Run(NewSession(fastCfg))
 	if err != nil {
 		t.Fatal(err)
 	}

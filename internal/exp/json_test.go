@@ -9,7 +9,7 @@ import (
 
 func TestJSONRoundTrip(t *testing.T) {
 	e, _ := ByID("table1")
-	o, err := e.RunOnce(fastCfg)
+	o, err := e.Run(NewSession(fastCfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestJSONRoundTrip(t *testing.T) {
 
 func TestJSONCurveRoundTrip(t *testing.T) {
 	e, _ := ByID("fig2")
-	o, err := e.RunOnce(fastCfg)
+	o, err := e.Run(NewSession(fastCfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestJSONCurveRoundTrip(t *testing.T) {
 
 func TestJSONThinning(t *testing.T) {
 	e, _ := ByID("fig2")
-	o, err := e.RunOnce(fastCfg)
+	o, err := e.Run(NewSession(fastCfg))
 	if err != nil {
 		t.Fatal(err)
 	}

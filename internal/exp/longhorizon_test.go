@@ -20,11 +20,11 @@ func TestLongHorizonStreamingMatchesMonolithic(t *testing.T) {
 	if !e.OptIn {
 		t.Fatal("longhorizon must be OptIn")
 	}
-	mono, err := e.RunOnce(Config{Branches: 20000})
+	mono, err := e.Run(NewSession(Config{Branches: 20000}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	stream, err := e.RunOnce(Config{Branches: 20000, SegmentBranches: 4096})
+	stream, err := e.Run(NewSession(Config{Branches: 20000, SegmentBranches: 4096}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,7 +43,7 @@ func TestRealTraceNeedsAFile(t *testing.T) {
 	if !e.OptIn {
 		t.Fatal("realtrace must be opt-in")
 	}
-	if _, err := e.RunOnce(Config{}); err == nil || !strings.Contains(err.Error(), "-trace") {
+	if _, err := e.Run(NewSession(Config{})); err == nil || !strings.Contains(err.Error(), "-trace") {
 		t.Fatalf("no trace file: err = %v, want a hint to pass -trace", err)
 	}
 }
@@ -58,7 +58,7 @@ func TestRealTraceEnginesAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := e.RunOnce(Config{TraceFile: path})
+	ref, err := e.Run(NewSession(Config{TraceFile: path}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestRealTraceEnginesAgree(t *testing.T) {
 		"streaming": {TraceFile: path, SegmentBranches: 512},
 	}
 	for name, cfg := range variants {
-		out, err := e.RunOnce(cfg)
+		out, err := e.Run(NewSession(cfg))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -102,7 +102,7 @@ func TestRealTraceEnginesAgree(t *testing.T) {
 	if err := os.WriteFile(copyPath, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	out, err := e.RunOnce(Config{TraceFile: copyPath})
+	out, err := e.Run(NewSession(Config{TraceFile: copyPath}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,11 +165,11 @@ func TestRealTraceBudgetClamps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := e.RunOnce(Config{TraceFile: path})
+	full, err := e.Run(NewSession(Config{TraceFile: path}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	over, err := e.RunOnce(Config{TraceFile: path, Branches: 1 << 20})
+	over, err := e.Run(NewSession(Config{TraceFile: path, Branches: 1 << 20}))
 	if err != nil {
 		t.Fatal(err)
 	}
