@@ -19,7 +19,8 @@ type BuildOptions struct {
 	// per-benchmark simulation units below them are bounded separately by
 	// sim.SetParallelism, which callers configure once per process.
 	Parallel int
-	// Progress, when non-nil, is called per completed experiment.
+	// Progress, when non-nil, is called per completed experiment, one
+	// call at a time, so it needs no lock of its own.
 	Progress func(id string, elapsed float64)
 	// Output, when non-nil, is called with each experiment's output as it
 	// completes, from the worker running it; an error fails the build as
@@ -89,8 +90,9 @@ type sectionResult struct {
 // runSelected executes the experiments at the given selection indices on a
 // bounded worker pool claiming work in selection (= registration) order,
 // returning a results slice indexed like selected (entries outside indices
-// stay zero). The shard fan-out path runs strided subsets through the same
-// runner the full build uses.
+// stay zero). The workers serialize their opts.Progress calls. The shard
+// fan-out path runs strided subsets through the same runner the full
+// build uses.
 func runSelected(session *exp.Session, selected []exp.Experiment, indices []int, opts BuildOptions) []sectionResult {
 	now := opts.Now
 	if now == nil {
@@ -106,6 +108,7 @@ func runSelected(session *exp.Session, selected []exp.Experiment, indices []int,
 	results := make([]sectionResult, len(selected))
 	work := make(chan int)
 	var wg sync.WaitGroup
+	var progressMu sync.Mutex
 	for i := 0; i < workers; i++ {
 		wg.Add(1)
 		go func() {
@@ -126,7 +129,9 @@ func runSelected(session *exp.Session, selected []exp.Experiment, indices []int,
 				elapsed := now().Sub(start).Seconds()
 				results[idx] = sectionResult{out: o, err: err, elapsed: elapsed}
 				if opts.Progress != nil {
+					progressMu.Lock()
 					opts.Progress(e.ID, elapsed)
+					progressMu.Unlock()
 				}
 			}
 		}()
