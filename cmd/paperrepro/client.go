@@ -1,11 +1,12 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"flag"
 	"fmt"
 	"io"
-	"os"
+	"strings"
 	"time"
 
 	"branchconf/internal/serve"
@@ -21,7 +22,7 @@ func clientMain(args []string, stdout, errW io.Writer) error {
 	rf.addFlags(fs)
 	var (
 		addr    = fs.String("addr", "http://127.0.0.1:8091", "daemon base URL")
-		out     = fs.String("o", "", "write the report to this file instead of stdout")
+		out     = fs.String("o", "", "write the report (with -stats, the stats JSON) to this file instead of stdout")
 		stats   = fs.Bool("stats", false, "fetch the daemon's cache-stats JSON instead of a report")
 		ready   = fs.Bool("ready", false, "probe the daemon's readiness endpoint instead of a report")
 		timeout = fs.Duration("timeout", 10*time.Minute, "request timeout")
@@ -31,6 +32,27 @@ func clientMain(args []string, stdout, errW io.Writer) error {
 	}
 	if fs.NArg() > 0 {
 		return fmt.Errorf("client: unexpected arguments %v", fs.Args())
+	}
+	// -stats and -ready send no report request, and -ready prints one
+	// line: reject, by name, each flag they would silently ignore.
+	if *stats || *ready {
+		ignored := flag.NewFlagSet("", flag.ContinueOnError)
+		new(requestFlags).addFlags(ignored)
+		mode := "-stats"
+		if *ready {
+			mode = "-ready"
+			ignored.String("o", "", "")
+			ignored.Bool("stats", false, "")
+		}
+		var misused []string
+		fs.Visit(func(f *flag.Flag) {
+			if ignored.Lookup(f.Name) != nil {
+				misused = append(misused, "-"+f.Name)
+			}
+		})
+		if len(misused) > 0 {
+			return fmt.Errorf("client: %s would be ignored with %s", strings.Join(misused, ", "), mode)
+		}
 	}
 	req, err := rf.request(false)
 	if err != nil {
@@ -53,7 +75,11 @@ func clientMain(args []string, stdout, errW io.Writer) error {
 		if err != nil {
 			return err
 		}
-		return serve.WriteCacheStatsJSON(stdout, snap)
+		var b bytes.Buffer
+		if err := serve.WriteCacheStatsJSON(&b, snap); err != nil {
+			return err
+		}
+		return writeOut(stdout, *out, b.Bytes())
 	}
 
 	report, cached, err := c.Report(ctx, req)
@@ -63,15 +89,5 @@ func clientMain(args []string, stdout, errW io.Writer) error {
 	if cached {
 		fmt.Fprintln(errW, "client: served from the daemon's report cache")
 	}
-	w := io.Writer(stdout)
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-	_, err = w.Write(report)
-	return err
+	return writeOut(stdout, *out, report)
 }

@@ -192,6 +192,43 @@ func TestServeFlagConflictsRejected(t *testing.T) {
 	}
 }
 
+// TestClientFlagConflictsRejected: -stats and -ready replace the report
+// request, so a flag they would silently ignore fails up front with an
+// error naming it and the mode, before any request is sent.
+func TestClientFlagConflictsRejected(t *testing.T) {
+	cases := []struct {
+		name string
+		args []string
+		want []string // substrings the error must contain
+	}{
+		{"stats-with-request-flags", []string{"-stats", "-only", "fig2", "-branches", "5"},
+			[]string{"-only", "-branches", "-stats"}},
+		{"ready-with-request-flags", []string{"-ready", "-no-timings"},
+			[]string{"-no-timings", "-ready"}},
+		{"ready-with-o", []string{"-ready", "-o", "ready.txt"},
+			[]string{"-o", "-ready"}},
+		{"stats-with-ready", []string{"-stats", "-ready"},
+			[]string{"-stats", "-ready"}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var out, errW strings.Builder
+			err := clientMain(append([]string{"-addr", "http://127.0.0.1:1"}, tc.args...), &out, &errW)
+			if err == nil {
+				t.Fatalf("client %v accepted", tc.args)
+			}
+			for _, want := range tc.want {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("error %q does not mention %q", err, want)
+				}
+			}
+			if out.Len() != 0 {
+				t.Errorf("output %q produced despite conflicting flags", out.String())
+			}
+		})
+	}
+}
+
 // TestListExperiments: -h lists every registry id with its title and is
 // not an error, for the one-shot run and every subcommand alike.
 func TestListExperiments(t *testing.T) {

@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"sync"
@@ -102,14 +104,22 @@ func TestDaemonEndToEnd(t *testing.T) {
 		t.Fatalf("warm request not served from the report cache:\n%s", warmLog.String())
 	}
 
-	// The client's stats path decodes the daemon's snapshot.
+	// The client's stats path writes the daemon's snapshot through -o.
 	var statsOut, statsLog strings.Builder
-	if err := clientMain([]string{"-addr", addr, "-stats"}, &statsOut, &statsLog); err != nil {
+	statsPath := filepath.Join(t.TempDir(), "stats.json")
+	if err := clientMain([]string{"-addr", addr, "-stats", "-o", statsPath}, &statsOut, &statsLog); err != nil {
 		t.Fatalf("client -stats: %v", err)
 	}
+	if statsOut.Len() != 0 {
+		t.Fatalf("client -stats -o also wrote to stdout:\n%s", statsOut.String())
+	}
+	statsJSON, err := os.ReadFile(statsPath)
+	if err != nil {
+		t.Fatalf("client -stats -o: %v", err)
+	}
 	var snap serve.CacheStatsJSON
-	if err := json.Unmarshal([]byte(statsOut.String()), &snap); err != nil {
-		t.Fatalf("stats did not decode: %v\n%s", err, statsOut.String())
+	if err := json.Unmarshal(statsJSON, &snap); err != nil {
+		t.Fatalf("stats did not decode: %v\n%s", err, statsJSON)
 	}
 	if snap.Server == nil || snap.Server.RequestsOK != 2 {
 		t.Fatalf("daemon stats = %+v, want a server section with 2 ok requests", snap.Server)
