@@ -80,8 +80,7 @@ func writeReport(w, errW io.Writer, cfg reportConfig) error {
 	}
 
 	if cfg.cacheStats {
-		pHits, pMisses := session.Stats()
-		printCacheStats(errW, "session-pass", artifact.TierStats{Hits: pHits, Misses: pMisses})
+		printCacheStats(errW, "session-pass", session.PassStats())
 		for _, tier := range exp.CacheTiers() {
 			printCacheStats(errW, tier.Name, tier.Stats)
 		}
@@ -94,8 +93,7 @@ func writeReport(w, errW io.Writer, cfg reportConfig) error {
 		}
 	}
 	if cfg.cacheStatsJSON {
-		pHits, pMisses := session.Stats()
-		if err := serve.WriteCacheStatsJSON(errW, serve.SnapshotCacheStats(pHits, pMisses, true)); err != nil {
+		if err := serve.WriteCacheStatsJSON(errW, serve.SnapshotTierStats(session.PassStats(), true)); err != nil {
 			return err
 		}
 	}

@@ -1,10 +1,5 @@
 package analysis
 
-import (
-	"fmt"
-	"strings"
-)
-
 // TableRow is one row of the paper's Table 1: statistics for a single
 // counter value of a resetting- (or saturating-) counter confidence table.
 // Rows run from count 0 (most recently mispredicted, lowest confidence) to
@@ -49,13 +44,19 @@ func CounterRows(ws WeightedStats, max int) []TableRow {
 
 // FormatCounterTable renders rows in the layout of the paper's Table 1.
 func FormatCounterTable(rows []TableRow) string {
-	var b strings.Builder
-	b.WriteString("Count  Mis%pred.  %Refs  %Mispreds  Cum.%Refs  Cum.%Mispreds\n")
+	const header = "Count  Mis%pred.  %Refs  %Mispreds  Cum.%Refs  Cum.%Mispreds\n"
+	b := make([]byte, 0, len(header)*(len(rows)+1))
+	b = append(b, header...)
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%5d  %9.3f  %5.2f  %9.2f  %9.2f  %13.1f\n",
-			r.Count, 100*r.MissRate, r.RefsPct, r.MissesPct, r.CumRefsPct, r.CumMissesPct)
+		b = appendIntWidth(b, r.Count, 5)
+		b = appendFixedWidth(append(b, "  "...), 100*r.MissRate, 3, 9)
+		b = appendFixedWidth(append(b, "  "...), r.RefsPct, 2, 5)
+		b = appendFixedWidth(append(b, "  "...), r.MissesPct, 2, 9)
+		b = appendFixedWidth(append(b, "  "...), r.CumRefsPct, 2, 9)
+		b = appendFixedWidth(append(b, "  "...), r.CumMissesPct, 1, 13)
+		b = append(b, '\n')
 	}
-	return b.String()
+	return string(b)
 }
 
 // Series is a named curve, the unit figures are assembled from.
@@ -69,19 +70,19 @@ type Series struct {
 // dynamic-branch percentages; each cell is the percentage of mispredictions
 // captured there.
 func FormatFigure(title string, series []Series, xs []float64) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n", title)
-	fmt.Fprintf(&b, "%-34s", "series \\ %branches")
+	b := make([]byte, 0, (len(series)+2)*(34+8*len(xs)+1)+len(title))
+	b = append(b, title...)
+	b = appendPadRight(append(b, '\n'), "series \\ %branches", 34)
 	for _, x := range xs {
-		fmt.Fprintf(&b, "%8.0f", x)
+		b = appendFixedWidth(b, x, 0, 8)
 	}
-	b.WriteByte('\n')
+	b = append(b, '\n')
 	for _, s := range series {
-		fmt.Fprintf(&b, "%-34s", s.Label)
+		b = appendPadRight(b, s.Label, 34)
 		for _, x := range xs {
-			fmt.Fprintf(&b, "%8.1f", s.Curve.MispredsAt(x))
+			b = appendFixedWidth(b, s.Curve.MispredsAt(x), 1, 8)
 		}
-		b.WriteByte('\n')
+		b = append(b, '\n')
 	}
-	return b.String()
+	return string(b)
 }

@@ -7,6 +7,20 @@ import (
 	"branchconf/internal/core"
 )
 
+// The sweeps' mechanisms, each built once per process: CIR widths on the
+// best one-level method, and resetting-counter ceilings.
+var (
+	cirWidths     = []uint{4, 8, 12, 16, 24, 32}
+	cirWidthMechs = mechsFor(cirWidths, func(width uint) core.Mechanism {
+		return core.NewOneLevel(core.OneLevelConfig{Scheme: core.IndexPCxorBHR, CIRBits: width})
+	})
+
+	counterMaxes    = []uint8{4, 8, 16, 32, 64}
+	counterMaxMechs = mechsFor(counterMaxes, func(max uint8) core.Mechanism {
+		return core.NewCounterTable(core.CounterConfig{Kind: core.Resetting, Scheme: core.IndexPCxorBHR, Max: max})
+	})
+)
+
 // Ablations check the design claims the paper makes in passing: that xor
 // indexing beats concatenation, that the global CIR is a poor index, that
 // 16-bit CIRs are a reasonable width, and that the dismissed second-level
@@ -46,19 +60,11 @@ func init() {
 		Paper: "the paper fixes n=16; this sweeps 4..32 to expose the trade-off",
 		Run: func(s *Session) (*Output, error) {
 			o := &Output{ID: "ablation-cirwidth", Title: "CIR widths", Scalars: map[string]float64{}}
-			widths := []uint{4, 8, 12, 16, 24, 32}
-			mechs := make([]MechSpec, len(widths))
-			for i, width := range widths {
-				width := width
-				mechs[i] = Mech(func() core.Mechanism {
-					return core.NewOneLevel(core.OneLevelConfig{Scheme: core.IndexPCxorBHR, CIRBits: width})
-				})
-			}
-			rs, err := s.Suite(predGshare64K, mechs...)
+			rs, err := s.Suite(predGshare64K, cirWidthMechs...)
 			if err != nil {
 				return nil, err
 			}
-			for i, width := range widths {
+			for i, width := range cirWidths {
 				c := s.Pooled(rs[i].Runs).Curve()
 				label := fmt.Sprintf("cir%d", width)
 				o.Series = append(o.Series, analysis.Series{Label: label, Curve: c})
@@ -100,19 +106,11 @@ func init() {
 		Paper: "larger counters buy slightly finer granularity; the approach is limited",
 		Run: func(s *Session) (*Output, error) {
 			o := &Output{ID: "ablation-countermax", Title: "counter ceilings", Scalars: map[string]float64{}}
-			maxes := []uint8{4, 8, 16, 32, 64}
-			mechs := make([]MechSpec, len(maxes))
-			for i, max := range maxes {
-				max := max
-				mechs[i] = Mech(func() core.Mechanism {
-					return core.NewCounterTable(core.CounterConfig{Kind: core.Resetting, Scheme: core.IndexPCxorBHR, Max: max})
-				})
-			}
-			rs, err := s.Suite(predGshare64K, mechs...)
+			rs, err := s.Suite(predGshare64K, counterMaxMechs...)
 			if err != nil {
 				return nil, err
 			}
-			for i, max := range maxes {
+			for i, max := range counterMaxes {
 				c := s.Pooled(rs[i].Runs).Curve()
 				label := fmt.Sprintf("max%d", max)
 				o.Series = append(o.Series, analysis.Series{Label: label, Curve: c})

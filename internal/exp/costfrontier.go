@@ -29,18 +29,9 @@ func init() {
 			var b strings.Builder
 			b.WriteString("budget 128Kbit: predictor 2-bit counters + CT 4-bit resetting counters\n")
 			b.WriteString("pred-entries  ct-entries  miss%  coverage@thr16%  dualpath-savings%\n")
-			// 128 Kbit = 2*P + 4*C with P, C powers of two.
-			splits := []struct{ predBits, ctBits uint }{
-				{16, 0},  // all predictor, no CT (coverage undefined → 0)
-				{15, 13}, // 64Kbit predictor + 32Kbit CT... plus slack
-				{15, 14}, // 64Kbit + 64Kbit: the balanced split
-				{14, 14}, // smaller predictor, same CT
-				{13, 15}, // confidence-heavy
-			}
-			for _, split := range splits {
-				split := split
+			for _, split := range costSplits {
 				histBits := split.predBits
-				pred := Pred(func() predictor.Predictor { return predictor.NewGshare(split.predBits, histBits) })
+				pred, mech := split.pred, split.mech
 				var missSum, covSum, saveSum float64
 				n := 0
 				if split.ctBits == 0 {
@@ -55,12 +46,6 @@ func init() {
 						n++
 					}
 				} else {
-					mech := Mech(func() core.Mechanism {
-						return core.NewCounterTable(core.CounterConfig{
-							Kind: core.Resetting, Scheme: core.IndexPCxorBHR,
-							TableBits: split.ctBits, HistoryBits: histBits,
-						})
-					})
 					sr, err := s.SuiteOne(pred, mech)
 					if err != nil {
 						return nil, err
@@ -106,6 +91,40 @@ func init() {
 		},
 	})
 }
+
+// costSplit is one way to spend the 128 Kbit budget: 2^predBits gshare
+// counters (history as long as the index) and 2^ctBits resetting
+// counters, none when ctBits is 0. Its specs are built once per process.
+type costSplit struct {
+	predBits, ctBits uint
+	pred             PredSpec
+	mech             MechSpec // zero when ctBits is 0
+}
+
+// costSplits are the compared splits: 128 Kbit = 2*P + 4*C with P, C
+// powers of two.
+var costSplits = func() []costSplit {
+	out := []costSplit{
+		{predBits: 16, ctBits: 0},  // all predictor, no CT (coverage undefined → 0)
+		{predBits: 15, ctBits: 13}, // 64Kbit predictor + 32Kbit CT... plus slack
+		{predBits: 15, ctBits: 14}, // 64Kbit + 64Kbit: the balanced split
+		{predBits: 14, ctBits: 14}, // smaller predictor, same CT
+		{predBits: 13, ctBits: 15}, // confidence-heavy
+	}
+	for i := range out {
+		predBits, ctBits := out[i].predBits, out[i].ctBits
+		out[i].pred = Pred(func() predictor.Predictor { return predictor.NewGshare(predBits, predBits) })
+		if ctBits > 0 {
+			out[i].mech = Mech(func() core.Mechanism {
+				return core.NewCounterTable(core.CounterConfig{
+					Kind: core.Resetting, Scheme: core.IndexPCxorBHR,
+					TableBits: ctBits, HistoryBits: predBits,
+				})
+			})
+		}
+	}
+	return out
+}()
 
 func ctEntries(bits uint) int {
 	if bits == 0 {

@@ -4,6 +4,7 @@ import (
 	"encoding/hex"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"branchconf/internal/analysis"
@@ -175,5 +176,33 @@ func TestWarmSessionHashesNothing(t *testing.T) {
 	}
 	if !reflect.DeepEqual(warm, cold) {
 		t.Error("warm figures render differently from cold")
+	}
+}
+
+// TestWarmFig8BuildsNoMechanism: re-running fig8 on a warm session only
+// looks up its passes and curves. Each run allocates less than one
+// 2^16-entry counter table, which is what building the figure's counter
+// mechanisms to learn their keys cost per run.
+func TestWarmFig8BuildsNoMechanism(t *testing.T) {
+	e, err := ByID("fig8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewSession(Config{Branches: 15000})
+	if _, err := e.Run(s); err != nil {
+		t.Fatal(err)
+	}
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := e.Run(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 64<<10 {
+		t.Fatalf("a warm fig8 run allocates %d bytes, want under 64 KiB", per)
 	}
 }

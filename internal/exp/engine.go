@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"branchconf/internal/artifact"
 	"branchconf/internal/core"
 	"branchconf/internal/memo"
 	"branchconf/internal/predictor"
@@ -194,12 +195,21 @@ func (s *Session) SuiteOne(pred PredSpec, mech MechSpec) (sim.SuiteResult, error
 // Stats reports the pass cache's hits and misses so far, counted over
 // every session that shares it.
 func (s *Session) Stats() (hits, misses uint64) {
-	st := s.passes.Stats()
+	st := s.PassStats()
 	return st.Hits, st.Misses
 }
 
+// PassStats is the pass cache's whole "session-pass" row: hits and misses
+// counted over every session that shares it, and the cache's evictions
+// and resident bytes.
+func (s *Session) PassStats() artifact.TierStats { return s.passes.Stats() }
+
 // Shared predictor and mechanism specs for the paper's two standard
-// predictors and the recurring mechanisms.
+// predictors and the recurring mechanisms. Every spec an experiment uses
+// is built once per process, at package initialization: Mech builds a
+// whole mechanism to learn its key (a 64 KiB table for a paper-sized
+// counter table), which a warm request would otherwise pay for on every
+// run only to look up a cached pass.
 var (
 	predGshare64K = Pred(func() predictor.Predictor { return predictor.Gshare64K() })
 	predGshare4K  = Pred(func() predictor.Predictor { return predictor.Gshare4K() })
@@ -211,17 +221,46 @@ var (
 	// reads the predictor's pre-update counter state from the walk, so it
 	// batches into shared passes like any independent mechanism.
 	mechStrength = Mech(func() core.Mechanism { return core.NewCounterStrength() })
+
+	// allIndexSchemes lists every index scheme in value order, so
+	// mechOneLevels[scheme] is scheme's paper one-level mechanism.
+	allIndexSchemes = []core.IndexScheme{
+		core.IndexPC, core.IndexBHR, core.IndexPCxorBHR,
+		core.IndexGCIR, core.IndexPCxorGCIR, core.IndexPCconcatBHR,
+	}
+	mechOneLevels = mechsFor(allIndexSchemes, func(scheme core.IndexScheme) core.Mechanism {
+		return core.PaperOneLevel(scheme)
+	})
+
+	// allSecondIndices lists every second-level index in value order, so
+	// mechTwoLevels[s1][s2] is the two-level mechanism over s1 and s2.
+	allSecondIndices = []core.SecondIndex{core.L2CIR, core.L2CIRxorPC, core.L2CIRxorBHR, core.L2CIRxorPCxorBHR}
+	mechTwoLevels    = func() [][]MechSpec {
+		out := make([][]MechSpec, len(allIndexSchemes))
+		for i, s1 := range allIndexSchemes {
+			out[i] = mechsFor(allSecondIndices, func(s2 core.SecondIndex) core.Mechanism {
+				return core.NewTwoLevel(core.TwoLevelConfig{Scheme1: s1, Scheme2: s2})
+			})
+		}
+		return out
+	}()
 )
+
+// mechsFor builds one spec per parameter, index-aligned with params. Call
+// it in a package-level declaration, so each spec is built once.
+func mechsFor[T any](params []T, new func(T) core.Mechanism) []MechSpec {
+	specs := make([]MechSpec, len(params))
+	for i, p := range params {
+		specs[i] = Mech(func() core.Mechanism { return new(p) })
+	}
+	return specs
+}
 
 // mechOneLevel is the paper one-level CIR mechanism for a given index
 // scheme.
-func mechOneLevel(scheme core.IndexScheme) MechSpec {
-	return Mech(func() core.Mechanism { return core.PaperOneLevel(scheme) })
-}
+func mechOneLevel(scheme core.IndexScheme) MechSpec { return mechOneLevels[scheme] }
 
 // mechTwoLevel is a two-level mechanism variant.
 func mechTwoLevel(s1 core.IndexScheme, s2 core.SecondIndex) MechSpec {
-	return Mech(func() core.Mechanism {
-		return core.NewTwoLevel(core.TwoLevelConfig{Scheme1: s1, Scheme2: s2})
-	})
+	return mechTwoLevels[s1][s2]
 }

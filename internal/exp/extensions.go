@@ -13,6 +13,24 @@ import (
 	"branchconf/internal/workload"
 )
 
+// mechSwitched are ctxswitch's three switched tables, built once per
+// process: flush to ones, flush to zeros and mark the oldest bit, every
+// 64k branches (a few dozen switches per run).
+var mechSwitched = func() []MechSpec {
+	const interval = 64_000
+	switched := func(init core.InitPolicy, policy core.SwitchPolicy) MechSpec {
+		return Mech(func() core.Mechanism {
+			m := core.NewOneLevel(core.OneLevelConfig{Scheme: core.IndexPCxorBHR, Init: init})
+			return core.NewSwitched(m, interval, policy)
+		})
+	}
+	return []MechSpec{
+		switched(core.InitOnes, core.SwitchReset),
+		switched(core.InitZeros, core.SwitchReset),
+		switched(core.InitOnes, core.SwitchMarkOldest),
+	}
+}()
+
 // Extensions beyond the paper's figures: the multi-level generalisation §1
 // mentions but does not pursue, the context-switch initialisation
 // conjecture of §5.4, and pipeline gating — the direct follow-on
@@ -358,23 +376,13 @@ func registerExtensions() {
 		Paper: "conjecture: keeping CIRs but setting the oldest bit to 1 performs like full nonzero reinitialisation",
 		Run: func(s *Session) (*Output, error) {
 			o := &Output{ID: "ctxswitch", Title: "context switches", Scalars: map[string]float64{}}
-			// Switch every 64k branches: a few dozen switches per run.
-			const interval = 64_000
-			switched := func(init core.InitPolicy, policy core.SwitchPolicy) MechSpec {
-				return Mech(func() core.Mechanism {
-					m := core.NewOneLevel(core.OneLevelConfig{Scheme: core.IndexPCxorBHR, Init: init})
-					return core.NewSwitched(m, interval, policy)
-				})
-			}
 			// The policies touch only their own CIR table, never the
 			// predictor, so all four replay the cached gshare-64K pass; keep
 			// is fig5's.
 			labels := []string{"keep", "flush-ones", "flush-zeros", "mark-oldest"}
 			srs, err := s.Suite(predGshare64K,
 				mechOneLevel(core.IndexPCxorBHR),
-				switched(core.InitOnes, core.SwitchReset),
-				switched(core.InitZeros, core.SwitchReset),
-				switched(core.InitOnes, core.SwitchMarkOldest))
+				mechSwitched[0], mechSwitched[1], mechSwitched[2])
 			if err != nil {
 				return nil, err
 			}

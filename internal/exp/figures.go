@@ -28,6 +28,24 @@ func oneLevelCurve(s *Session, scheme core.IndexScheme) (analysis.Curve, error) 
 	return s.Pooled(sr.Runs).Curve(), nil
 }
 
+// The figures' parameterized mechanisms, each built once per process:
+// Fig. 8's counter reductions, Fig. 10's small resetting-counter tables
+// (log2 sizes) and Fig. 11's initial states.
+var (
+	fig8Kinds    = []core.CounterKind{core.Saturating, core.Resetting}
+	fig8Counters = mechsFor(fig8Kinds, func(kind core.CounterKind) core.Mechanism {
+		return core.NewCounterTable(core.CounterConfig{Kind: kind, Scheme: core.IndexPCxorBHR})
+	})
+
+	fig10Sizes  = []uint{12, 11, 10, 9, 8, 7}
+	fig10Tables = mechsFor(fig10Sizes, func(bits uint) core.Mechanism { return core.SmallResetting(bits) })
+
+	fig11Policies = core.InitPolicies()
+	fig11Inits    = mechsFor(fig11Policies, func(pol core.InitPolicy) core.Mechanism {
+		return core.NewOneLevel(core.OneLevelConfig{Scheme: core.IndexPCxorBHR, Init: pol})
+	})
+)
+
 func init() {
 	register(Experiment{
 		ID:    "fig2",
@@ -156,14 +174,7 @@ func init() {
 		Paper: "resetting tracks ideal closely (same zero bucket); saturating's max bucket absorbs too many mispredictions; ones-count between",
 		Run: func(s *Session) (*Output, error) {
 			o := &Output{ID: "fig8", Title: "reduction functions", Scalars: map[string]float64{}}
-			kinds := []core.CounterKind{core.Saturating, core.Resetting}
-			mechs := []MechSpec{mechOneLevel(core.IndexPCxorBHR)}
-			for _, kind := range kinds {
-				kind := kind
-				mechs = append(mechs, Mech(func() core.Mechanism {
-					return core.NewCounterTable(core.CounterConfig{Kind: kind, Scheme: core.IndexPCxorBHR})
-				}))
-			}
+			mechs := append([]MechSpec{mechOneLevel(core.IndexPCxorBHR)}, fig8Counters...)
 			rs, err := s.Suite(predGshare64K, mechs...)
 			if err != nil {
 				return nil, err
@@ -179,7 +190,7 @@ func init() {
 				analysis.Series{Label: "BHRxorPC (ideal)", Curve: ideal},
 				analysis.Series{Label: "BHRxorPC.1Cnt", Curve: ones},
 			)
-			for i, kind := range kinds {
+			for i, kind := range fig8Kinds {
 				c := s.Pooled(rs[i+1].Runs).Curve()
 				o.Series = append(o.Series, analysis.Series{Label: "BHRxorPC." + kind.String(), Curve: c})
 				o.Scalars[kind.String()+"@20%"] = c.MispredsAt(20)
@@ -249,17 +260,11 @@ func init() {
 		Paper: "graceful degradation; 4096-entry CT captures ~75% of mispredictions at 20% of branches",
 		Run: func(s *Session) (*Output, error) {
 			o := &Output{ID: "fig10", Title: "small tables", Scalars: map[string]float64{}}
-			sizes := []uint{12, 11, 10, 9, 8, 7}
-			mechs := make([]MechSpec, len(sizes))
-			for i, bitsN := range sizes {
-				bitsN := bitsN
-				mechs[i] = Mech(func() core.Mechanism { return core.SmallResetting(bitsN) })
-			}
-			rs, err := s.Suite(predGshare4K, mechs...)
+			rs, err := s.Suite(predGshare4K, fig10Tables...)
 			if err != nil {
 				return nil, err
 			}
-			for i, bitsN := range sizes {
+			for i, bitsN := range fig10Sizes {
 				c := s.Pooled(rs[i].Runs).Curve()
 				label := fmt.Sprintf("%d", 1<<bitsN)
 				o.Series = append(o.Series, analysis.Series{Label: label, Curve: c})
@@ -276,19 +281,11 @@ func init() {
 		Paper: "ones, lastbit and random similar; zeros clearly worse",
 		Run: func(s *Session) (*Output, error) {
 			o := &Output{ID: "fig11", Title: "initial state", Scalars: map[string]float64{}}
-			policies := core.InitPolicies()
-			mechs := make([]MechSpec, len(policies))
-			for i, pol := range policies {
-				pol := pol
-				mechs[i] = Mech(func() core.Mechanism {
-					return core.NewOneLevel(core.OneLevelConfig{Scheme: core.IndexPCxorBHR, Init: pol})
-				})
-			}
-			rs, err := s.Suite(predGshare64K, mechs...)
+			rs, err := s.Suite(predGshare64K, fig11Inits...)
 			if err != nil {
 				return nil, err
 			}
-			for i, pol := range policies {
+			for i, pol := range fig11Policies {
 				c := s.Pooled(rs[i].Runs).Curve()
 				o.Series = append(o.Series, analysis.Series{Label: pol.String(), Curve: c})
 				o.Scalars[pol.String()+"@20%"] = c.MispredsAt(20)

@@ -34,6 +34,12 @@ func init() {
 	})
 }
 
+// mechOneLevel1K is the best one-level method on a 1K-entry table, whose
+// aliasing the long horizons expose.
+var mechOneLevel1K = Mech(func() core.Mechanism {
+	return core.NewOneLevel(core.OneLevelConfig{Scheme: core.IndexPCxorBHR, TableBits: 10})
+})
+
 func runLongHorizon(s *Session) (*Output, error) {
 	spec, err := workload.ByName("real_gcc")
 	if err != nil {
@@ -51,9 +57,7 @@ func runLongHorizon(s *Session) (*Output, error) {
 		spec  MechSpec
 	}{
 		{"onelevel-pc^bhr", mechOneLevel(core.IndexPCxorBHR)},
-		{"onelevel-1K", Mech(func() core.Mechanism {
-			return core.NewOneLevel(core.OneLevelConfig{Scheme: core.IndexPCxorBHR, TableBits: 10})
-		})},
+		{"onelevel-1K", mechOneLevel1K},
 		{"resetting", mechResetting},
 	}
 

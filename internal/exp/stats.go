@@ -20,9 +20,9 @@ type CacheTier struct {
 // hit/miss/eviction/resident quad (plus the disk tier's health columns:
 // verify failures, op errors, and the degraded flag a tripped breaker
 // raises), so the -cache-stats table renders all tiers identically. The
-// session-pass tier (Session.Stats) sits above all of these; it belongs to
-// a session rather than to the process, so the caller that owns the
-// session reports it.
+// session-pass tier (Session.PassStats) sits above all of these; it
+// belongs to a session rather than to the process, so the caller that owns
+// the session reports it.
 func CacheTiers() []CacheTier {
 	return []CacheTier{
 		{Name: workload.TraceTier.Name, Stats: workload.TraceTier.Stats()},

@@ -1,15 +1,16 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"runtime/pprof"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
+	"branchconf/internal/analysis"
 	"branchconf/internal/exp"
 )
 
@@ -30,12 +31,18 @@ type BuildOptions struct {
 	Now func() time.Time
 }
 
+// registry is every experiment in registration order. The registry is
+// complete once package exp is initialized, before this package is, so
+// selection reads this one copy instead of copying the registry per
+// request.
+var registry = exp.All()
+
 // SelectExperiments applies the standard selection rules: registry order,
 // the ablation skip, the id filter, and the opt-in gate (opt-in
 // experiments run only when the filter names them explicitly).
 func SelectExperiments(filter map[string]bool, skipAblations bool) ([]exp.Experiment, error) {
 	var selected []exp.Experiment
-	for _, e := range exp.All() {
+	for _, e := range registry {
 		if skipAblations && strings.HasPrefix(e.ID, "ablation-") {
 			continue
 		}
@@ -67,6 +74,12 @@ func BuildReport(session *exp.Session, req ReportRequest, opts BuildOptions) ([]
 	if err != nil {
 		return nil, err
 	}
+	return buildReport(session, req, filter, opts)
+}
+
+// buildReport is BuildReport for a request already validated, given the
+// filter Validate returned.
+func buildReport(session *exp.Session, req ReportRequest, filter map[string]bool, opts BuildOptions) ([]byte, error) {
 	selected, err := SelectExperiments(filter, req.SkipAblations)
 	if err != nil {
 		return nil, err
@@ -90,9 +103,10 @@ type sectionResult struct {
 // runSelected executes the experiments at the given selection indices on a
 // bounded worker pool claiming work in selection (= registration) order,
 // returning a results slice indexed like selected (entries outside indices
-// stay zero). The workers serialize their opts.Progress calls. The shard
-// fan-out path runs strided subsets through the same runner the full
-// build uses.
+// stay zero). The calling goroutine is one of the workers, so a
+// one-experiment build starts no goroutine. The workers serialize their
+// opts.Progress calls. The shard fan-out path runs strided subsets through
+// the same runner the full build uses.
 func runSelected(session *exp.Session, selected []exp.Experiment, indices []int, opts BuildOptions) []sectionResult {
 	now := opts.Now
 	if now == nil {
@@ -106,40 +120,45 @@ func runSelected(session *exp.Session, selected []exp.Experiment, indices []int,
 		workers = len(indices)
 	}
 	results := make([]sectionResult, len(selected))
-	work := make(chan int)
-	var wg sync.WaitGroup
+	var next atomic.Int64
 	var progressMu sync.Mutex
-	for i := 0; i < workers; i++ {
+	work := func() {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= len(indices) {
+				return
+			}
+			idx := indices[i]
+			e := selected[idx]
+			start := now()
+			var o *exp.Output
+			var err error
+			// Label the experiment's goroutine (and, via propagation, the
+			// simulation units it schedules) for CPU profiles.
+			pprof.Do(context.Background(), pprof.Labels("experiment", e.ID), func(context.Context) {
+				o, err = e.Run(session)
+			})
+			if err == nil && opts.Output != nil {
+				err = opts.Output(o)
+			}
+			elapsed := now().Sub(start).Seconds()
+			results[idx] = sectionResult{out: o, err: err, elapsed: elapsed}
+			if opts.Progress != nil {
+				progressMu.Lock()
+				opts.Progress(e.ID, elapsed)
+				progressMu.Unlock()
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for i := 1; i < workers; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for idx := range work {
-				e := selected[idx]
-				start := now()
-				var o *exp.Output
-				var err error
-				// Label the experiment's goroutine (and, via propagation,
-				// the simulation units it schedules) for CPU profiles.
-				pprof.Do(context.Background(), pprof.Labels("experiment", e.ID), func(context.Context) {
-					o, err = e.Run(session)
-				})
-				if err == nil && opts.Output != nil {
-					err = opts.Output(o)
-				}
-				elapsed := now().Sub(start).Seconds()
-				results[idx] = sectionResult{out: o, err: err, elapsed: elapsed}
-				if opts.Progress != nil {
-					progressMu.Lock()
-					opts.Progress(e.ID, elapsed)
-					progressMu.Unlock()
-				}
-			}
+			work()
 		}()
 	}
-	for _, idx := range indices {
-		work <- idx
-	}
-	close(work)
+	work()
 	wg.Wait()
 	return results
 }
@@ -148,30 +167,52 @@ func runSelected(session *exp.Session, selected []exp.Experiment, indices []int,
 // registration order — the single renderer behind one-shot, daemon, and
 // shard-merged reports.
 func renderReport(req ReportRequest, selected []exp.Experiment, results []sectionResult) ([]byte, error) {
-	var w bytes.Buffer
-	fmt.Fprintf(&w, "# Paper reproduction report\n\n")
-	fmt.Fprintf(&w, "Per-benchmark branch budget: %s\n\n", budgetString(req.Branches))
+	// Size the buffer once: the sections' own text plus some bytes per
+	// line of framing and per scalar row.
+	size := 128
+	for i, e := range selected {
+		size += len(e.ID) + len(e.Title) + len(e.Paper) + 64
+		if o := results[i].out; o != nil {
+			size += len(o.Text) + 64*len(o.Scalars)
+		}
+	}
+	w := make([]byte, 0, size)
+	w = append(w, "# Paper reproduction report\n\nPer-benchmark branch budget: "...)
+	w = append(w, budgetString(req.Branches)...)
+	w = append(w, "\n\n"...)
 	for i, e := range selected {
 		r := results[i]
 		if r.err != nil {
 			return nil, fmt.Errorf("%s: %w", e.ID, r.err)
 		}
-		fmt.Fprintf(&w, "## %s — %s\n\n", e.ID, e.Title)
-		fmt.Fprintf(&w, "Paper: %s\n\n", e.Paper)
-		fmt.Fprintf(&w, "```\n%s```\n", ensureNewline(r.out.Text))
+		w = append(w, "## "...)
+		w = append(w, e.ID...)
+		w = append(w, " — "...)
+		w = append(w, e.Title...)
+		w = append(w, "\n\nPaper: "...)
+		w = append(w, e.Paper...)
+		w = append(w, "\n\n```\n"...)
+		w = append(w, ensureNewline(r.out.Text)...)
+		w = append(w, "```\n"...)
 		if len(r.out.Scalars) > 0 {
-			fmt.Fprintf(&w, "\n| metric | value |\n|---|---|\n")
+			w = append(w, "\n| metric | value |\n|---|---|\n"...)
 			for _, k := range sortedKeys(r.out.Scalars) {
-				fmt.Fprintf(&w, "| %s | %.3f |\n", k, r.out.Scalars[k])
+				w = append(w, "| "...)
+				w = append(w, k...)
+				w = append(w, " | "...)
+				w = analysis.AppendFixed(w, r.out.Scalars[k], 3)
+				w = append(w, " |\n"...)
 			}
 		}
 		if req.NoTimings {
-			fmt.Fprintf(&w, "\n")
+			w = append(w, '\n')
 		} else {
-			fmt.Fprintf(&w, "\n_(ran in %.1fs)_\n\n", r.elapsed)
+			w = append(w, "\n_(ran in "...)
+			w = analysis.AppendFixed(w, r.elapsed, 1)
+			w = append(w, "s)_\n\n"...)
 		}
 	}
-	return w.Bytes(), nil
+	return w, nil
 }
 
 func budgetString(n uint64) string {

@@ -86,14 +86,10 @@ func (r ReportRequest) Validate() (filter map[string]bool, segment uint64, err e
 		return nil, 0, fmt.Errorf("trace file %q is unresolved: call ResolveTrace before keying or building", r.TraceFile)
 	}
 	if len(r.Only) > 0 {
-		valid := map[string]bool{}
-		for _, id := range exp.IDs() {
-			valid[id] = true
-		}
-		filter = map[string]bool{}
+		filter = make(map[string]bool, len(r.Only))
 		for _, id := range r.Only {
 			id = strings.TrimSpace(id)
-			if !valid[id] {
+			if _, err := exp.ByID(id); err != nil {
 				return nil, 0, fmt.Errorf("unknown experiment id %q (valid ids: %s)", id, strings.Join(exp.IDs(), ", "))
 			}
 			filter[id] = true

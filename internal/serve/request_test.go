@@ -60,6 +60,20 @@ func TestRequestValidateUnknownID(t *testing.T) {
 	}
 }
 
+// TestRequestValidateAllocs: validating a one-id request looks the id up
+// in the registry and allocates only the filter it returns.
+func TestRequestValidateAllocs(t *testing.T) {
+	req := ReportRequest{Branches: 50000, Only: []string{"fig8"}}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, _, err := req.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2 {
+		t.Fatalf("Validate of a one-id request makes %v allocations, want at most 2 (its filter map)", allocs)
+	}
+}
+
 func TestResolveSegment(t *testing.T) {
 	cases := []struct {
 		name              string

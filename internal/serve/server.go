@@ -183,7 +183,8 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
-	if _, _, err := req.Validate(); err != nil {
+	filter, segment, err := req.Validate()
+	if err != nil {
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
@@ -194,7 +195,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	report, cached, err := s.report(r.Context(), req)
+	report, cached, err := s.report(r.Context(), req, filter, segment)
 	if err != nil {
 		switch {
 		case errors.Is(err, ErrDraining):
@@ -225,16 +226,17 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 // memory — without passing admission, so a warm hit is never queued or
 // shed. Requests that want wall-time lines render fresh — their bytes are
 // intentionally non-deterministic — but still share every tier below the
-// renderer, pass cache included. Admission bounds the actual builds.
-func (s *Server) report(ctx context.Context, req ReportRequest) (_ []byte, cached bool, err error) {
+// renderer, pass cache included. Admission bounds the actual builds. The
+// request was validated, giving its filter and segment size.
+func (s *Server) report(ctx context.Context, req ReportRequest, filter map[string]bool, segment uint64) (_ []byte, cached bool, err error) {
 	if !req.NoTimings {
-		b, err := s.build(ctx, req)
+		b, err := s.build(ctx, req, filter, segment)
 		return b, false, err
 	}
 	built := false
 	b, err := s.reports.Get(req.Key(), nil, func() ([]byte, error) {
 		built = true
-		return s.build(ctx, req)
+		return s.build(ctx, req, filter, segment)
 	})
 	return b, !built && err == nil, err
 }
@@ -243,17 +245,13 @@ func (s *Server) report(ctx context.Context, req ReportRequest) (_ []byte, cache
 // over the shared pass cache, under the admission controller, surfacing a strict
 // artifact store's pinned failure the same way the one-shot CLI does: a
 // complete correct report or a clean error, never both.
-func (s *Server) build(ctx context.Context, req ReportRequest) ([]byte, error) {
+func (s *Server) build(ctx context.Context, req ReportRequest, filter map[string]bool, segment uint64) ([]byte, error) {
 	release, err := s.adm.Acquire(ctx)
 	if err != nil {
 		return nil, err
 	}
 	defer release()
-	_, segment, err := req.Validate()
-	if err != nil {
-		return nil, err
-	}
-	b, err := BuildReport(s.passes.With(req.SessionConfig(segment)), req, BuildOptions{Parallel: s.cfg.Parallel, Now: s.cfg.Now})
+	b, err := buildReport(s.passes.With(req.SessionConfig(segment)), req, filter, BuildOptions{Parallel: s.cfg.Parallel, Now: s.cfg.Now})
 	if err != nil {
 		return nil, err
 	}
@@ -271,8 +269,7 @@ func (s *Server) fail(w http.ResponseWriter, status int, err error) {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	hits, misses := s.passes.Stats()
-	snap := SnapshotCacheStats(hits, misses, s.cfg.HeapStats)
+	snap := SnapshotTierStats(s.passes.PassStats(), s.cfg.HeapStats)
 	inflight, queued := s.adm.Gauges()
 	full, timeout, draining := s.adm.Rejections()
 	reports := s.reports.Stats()

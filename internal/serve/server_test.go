@@ -379,6 +379,36 @@ func TestServerStatsJSONShape(t *testing.T) {
 	}
 }
 
+// TestServerStatsCarryPassUsage: the session-pass row of /v1/stats is the
+// shared pass cache's own. Under a bound one byte below fig5's passes, a
+// fig2 and a fig5 request leave passes resident and evict the oldest.
+func TestServerStatsCarryPassUsage(t *testing.T) {
+	const branches = 12000
+	fig5, err := exp.ByID("fig5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sized := exp.NewSession(exp.Config{Branches: branches})
+	if _, err := fig5.Run(sized); err != nil {
+		t.Fatal(err)
+	}
+	bound := sized.PassStats().ResidentBytes - 1
+
+	_, ts := newTestServer(t, Config{PassCacheBytes: bound})
+	for _, id := range []string{"fig2", "fig5"} {
+		if _, _, err := postReport(t, ts.URL, ReportRequest{Branches: branches, Only: []string{id}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap, err := (&Client{Base: ts.URL}).Stats(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pass := snap.SessionPass; pass.ResidentBytes == 0 || pass.ResidentBytes > bound || pass.Evictions == 0 {
+		t.Fatalf("session-pass row %+v under a %d-byte bound: want resident bytes within it and evictions", pass, bound)
+	}
+}
+
 // TestServerMemoryPressureJanitor: a tiny soft limit must trigger the
 // janitor, releasing the resident passes and cached reports, so the same
 // request afterwards builds its report and simulates its passes again.

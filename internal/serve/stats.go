@@ -72,13 +72,18 @@ type ServerStatsJSON struct {
 	Draining          bool   `json:"draining"`
 }
 
-// SnapshotCacheStats assembles the uniform snapshot from the process-wide
-// tiers plus the caller's session-pass counters (a one-shot run reports
-// its private pass cache, the daemon the one its requests share).
+// SnapshotCacheStats is SnapshotTierStats for a session-pass row of hits
+// and misses alone.
 func SnapshotCacheStats(passHits, passMisses uint64, heapStages bool) CacheStatsJSON {
-	out := CacheStatsJSON{
-		SessionPass: tierJSON("session-pass", artifact.TierStats{Hits: passHits, Misses: passMisses}),
-	}
+	return SnapshotTierStats(artifact.TierStats{Hits: passHits, Misses: passMisses}, heapStages)
+}
+
+// SnapshotTierStats assembles the uniform snapshot from the process-wide
+// tiers plus the caller's session-pass row (a one-shot run reports its
+// private pass cache, the daemon the one its requests share; see
+// exp.Session.PassStats).
+func SnapshotTierStats(pass artifact.TierStats, heapStages bool) CacheStatsJSON {
+	out := CacheStatsJSON{SessionPass: tierJSON("session-pass", pass)}
 	for _, tier := range exp.CacheTiers() {
 		out.Tiers = append(out.Tiers, tierJSON(tier.Name, tier.Stats))
 	}
