@@ -147,7 +147,7 @@ type engineConfig struct {
 
 func (ec *engineConfig) addFlags(fs *flag.FlagSet) {
 	fs.IntVar(&ec.parallel, "parallel", runtime.NumCPU(), "max concurrent experiments per report, and the process-wide bound on per-benchmark simulation units and streaming unit pipelines (each pipeline itself overlaps annotate/tally with a bounded segment queue)")
-	fs.Uint64Var(&ec.annCacheMB, "annotate-cache-mb", 256, "resident bound in MiB for each in-memory engine tier: annotated streams with their flat views, bucket streams, model counts, curves (0 = unbounded)")
+	fs.Uint64Var(&ec.annCacheMB, "annotate-cache-mb", 256, "resident bound in MiB for each in-memory engine tier: annotated streams with their flat views, bucket histograms with the cycle models' counter lanes, model counts, curves (0 = unbounded)")
 }
 
 func (ec engineConfig) validate() error {

@@ -64,8 +64,8 @@ const (
 	// KindAnnotatedStream is a sim.AnnotatedStream (mispredict bits plus
 	// the optional pre-update predictor-state lane).
 	KindAnnotatedStream uint16 = 2
-	// KindBucketStream is a sim.BucketStream (packed per-branch bucket lane
-	// plus the geometry's base histogram).
+	// KindBucketStream is a sim.BucketStream (the geometry's base
+	// histogram).
 	KindBucketStream uint16 = 3
 	// KindCurve is a sorted analysis.Curve, keyed by the content hash of
 	// the per-run tallies it derives from plus the reduction parameters

@@ -42,8 +42,8 @@ var goldenRecords = []goldenRecord{
 		"ann|v1|" + gccKey + "|n=2000|pred=bimodal-4K",
 		"cb2845dc3bf2f0656e03ade67558f7fd47a3b95e98b80fabdd243b5b3cea220f"},
 	{"bucket stream", artifact.KindBucketStream,
-		"bucket|v1|" + gccKey + "|n=2000|pred=gshare-64K|geom=1lev|BHRxorPC|t16|c16|h16|one|s0",
-		"0d425f7c4fb2c87af9f979498d860bc2f32c552009bcccd625d47a0166b3971c"},
+		"bucket-hist|v1|" + gccKey + "|n=2000|pred=gshare-64K|geom=1lev|BHRxorPC|t16|c16|h16|one|s0",
+		"abf760cf14e7efc01671f31993015b8e3b83e292b10bd8cad09c7cd9079951f0"},
 	{"annotated segment 0", artifact.KindAnnotatedStream,
 		"ann|v1|" + gccKey + "|n=2000|pred=gshare-64K|segsz=1000|seg=0",
 		"e48792eb6eec91f036aca4c6ce49525f8593483193c070e635eb76be149a22a9"},
@@ -51,11 +51,11 @@ var goldenRecords = []goldenRecord{
 		"ann|v1|" + gccKey + "|n=2000|pred=gshare-64K|segsz=1000|seg=1",
 		"30189d7c9e14ca1a246f384a68ad89ca615f1f9845b5ee0a1128f8d464f4c104"},
 	{"bucket segment 0", artifact.KindBucketStream,
-		"bucket|v1|" + gccKey + "|n=2000|pred=gshare-64K|geom=1lev|BHRxorPC|t16|c16|h16|one|s0|segsz=1000|seg=0",
-		"de5d2539f45c3b7754e0b768b5409fba183f67cecd53c2268b4f1889992e9a65"},
+		"bucket-hist|v1|" + gccKey + "|n=2000|pred=gshare-64K|geom=1lev|BHRxorPC|t16|c16|h16|one|s0|segsz=1000|seg=0",
+		"65fe56f906f215723b11e0f36a6d9b4f0b5a66f8b413134bab23df187341c680"},
 	{"bucket segment 1", artifact.KindBucketStream,
-		"bucket|v1|" + gccKey + "|n=2000|pred=gshare-64K|geom=1lev|BHRxorPC|t16|c16|h16|one|s0|segsz=1000|seg=1",
-		"a6bd450c06fe3c8db204368e48f149123a6fddfcd7dfabf7b7127686a14419af"},
+		"bucket-hist|v1|" + gccKey + "|n=2000|pred=gshare-64K|geom=1lev|BHRxorPC|t16|c16|h16|one|s0|segsz=1000|seg=1",
+		"2a7b716d39c31fe7e485d3e0cb1525ffe9389f0ebc4330f8c0f1d2a82f208d28"},
 	{"predictor checkpoint", artifact.KindCheckpoint,
 		"ckpt|v1|" + gccKey + "|n=2000|pred=gshare-64K|segsz=1000|b=1000",
 		"3b4be5ccb78516ec32f7de04dabbb37c013abb6727383f46708341178b8922e0"},

@@ -4,7 +4,7 @@ import "fmt"
 
 // Dense is a growable array of fixed-width unsigned integers packed into
 // 64-bit words. It backs the predictor-state lane of annotated simulation
-// streams and the per-branch bucket lanes of factored bucket streams
+// streams and the per-branch counter lanes the cycle models read
 // (internal/sim): a 2-bit-wide Dense stores a one-million-branch
 // annotation in 250 KB instead of the 1 MB of a []uint8, and a 16-bit
 // CIR-pattern lane costs 2 B/branch instead of 8.

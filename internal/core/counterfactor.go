@@ -29,14 +29,11 @@ type counterStep interface {
 // counter, a correct prediction counts up to the ceiling.
 type resettingStep struct{}
 
+// step is arithmetic, not control flow: v < max is the sign bit of
+// v-max, and inc-1 is all ones after a correct prediction and zero after a
+// miss, so the walk takes no host branch on the mispredict bit.
 func (resettingStep) step(v, max uint8, inc uint64) uint8 {
-	if inc != 0 {
-		return 0
-	}
-	if v < max {
-		v++
-	}
-	return v
+	return (v + uint8((uint32(v)-uint32(max))>>31)) & uint8(inc-1)
 }
 
 // saturatingStep counts down on mispredictions with a floor of zero.
@@ -84,20 +81,19 @@ func (m *CounterTable) FillBucketLane(recs []trace.Record, miss []uint64, lane *
 func fillCounter[S counterStep](m *CounterTable, cs *counterState, recs []trace.Record, miss []uint64, lane *bitvec.Dense, counts []uint32) {
 	counts, bucketSel := countSlice(counts)
 	var (
-		st        S
-		table     = cs.table
-		sel       = selectorsFor(m.scheme, m.tableBits)
-		max       = m.max
-		bhrMask   = widthMask(m.bhr.Width())
-		gcirMask  = widthMask(m.gcir.Width())
-		width     = m.BucketWidth()
-		perWord   = lane.PerWord()
-		buf       = make([]uint64, 0, laneBufWords)
-		bhr, gcir = cs.bhr, cs.gcir
-		missWd    uint64
-		cur       uint64 // lane word under construction
-		curSh     uint   // bit offset of the next bucket within cur
-		inWord    uint   // buckets packed into cur so far
+		st           S
+		table        = cs.table
+		sel          = selectorsFor(m.scheme, m.tableBits)
+		max          = m.max
+		bhrMask      = widthMask(m.bhr.Width())
+		gcirMask     = widthMask(m.gcir.Width())
+		width        = m.BucketWidth()
+		perWord, buf = laneBuffer(lane)
+		bhr, gcir    = cs.bhr, cs.gcir
+		missWd       uint64
+		cur          uint64 // lane word under construction
+		curSh        uint   // bit offset of the next bucket within cur
+		inWord       uint   // buckets packed into cur so far
 	)
 	for i := range recs {
 		sh := uint(i) & 63
@@ -108,23 +104,22 @@ func fillCounter[S counterStep](m *CounterTable, cs *counterState, recs []trace.
 		idx := (recs[i].PC>>2&sel.pcMask ^ (bhr&sel.bhrSel)<<sel.bhrShift ^ gcir&sel.gcirSel) & sel.tblMask
 		v := table[idx]
 		b := uint64(v)
-		cur |= b << curSh
-		curSh += width
-		if inWord++; inWord == perWord {
-			if buf = append(buf, cur); len(buf) == laneBufWords {
-				lane.AppendWords(buf, laneBufWords*int(perWord))
-				buf = buf[:0]
+		if perWord != 0 {
+			cur |= b << curSh
+			curSh += width
+			if inWord++; inWord == perWord {
+				if buf = append(buf, cur); len(buf) == laneBufWords {
+					lane.AppendWords(buf, laneBufWords*int(perWord))
+					buf = buf[:0]
+				}
+				cur, curSh, inWord = 0, 0, 0
 			}
-			cur, curSh, inWord = 0, 0, 0
 		}
 		ci := (b & bucketSel) << 1
 		counts[ci]++
 		counts[ci+1] += uint32(inc)
 		table[idx] = st.step(v, max, inc)
-		bhr = bhr << 1 & bhrMask
-		if recs[i].Taken {
-			bhr |= 1
-		}
+		bhr = (bhr<<1 | bit(recs[i].Taken)) & bhrMask
 		gcir = (gcir<<1 | inc) & gcirMask
 	}
 	flushLane(lane, buf, perWord, inWord, cur)

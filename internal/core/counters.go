@@ -51,6 +51,9 @@ type CounterTable struct {
 	cachePC  uint64
 	cacheIdx uint64
 	cacheOK  bool
+
+	// tableDirty defers the table fill to first use; see ensureTable.
+	tableDirty bool
 }
 
 // CounterConfig configures a CounterTable. Zero geometry values select the
@@ -98,7 +101,6 @@ func NewCounterTable(cfg CounterConfig) *CounterTable {
 		tableBits: cfg.TableBits,
 		max:       cfg.Max,
 		initVal:   cfg.Init,
-		table:     make([]uint8, 1<<cfg.TableBits),
 		bhr:       bitvec.NewBHR(cfg.HistoryBits),
 		gcir:      bitvec.NewCIR(cfg.HistoryBits),
 	}
@@ -128,14 +130,33 @@ func (m *CounterTable) index(pc uint64) uint64 {
 	return i
 }
 
+// ensureTable materializes the counter table on first use after a Reset,
+// as OneLevel's does: construction and Reset only mark it dirty, so a
+// table built to name a spec or to key a stage-3 walk never allocates or
+// fills its 2^tableBits counters.
+func (m *CounterTable) ensureTable() {
+	if !m.tableDirty {
+		return
+	}
+	if m.table == nil {
+		m.table = make([]uint8, 1<<m.tableBits)
+	}
+	for i := range m.table {
+		m.table[i] = m.initVal
+	}
+	m.tableDirty = false
+}
+
 // Bucket returns the counter value read for this branch (0..Max).
 func (m *CounterTable) Bucket(r trace.Record) uint64 {
+	m.ensureTable()
 	return uint64(m.table[m.index(r.PC)])
 }
 
 // BucketUpdate implements Fused: one index computation serves both the
 // read and the train, with no memo traffic.
 func (m *CounterTable) BucketUpdate(r trace.Record, incorrect bool) uint64 {
+	m.ensureTable()
 	i := schemeIndex(m.scheme, m.tableBits, r.PC, m.bhr.Bits(), m.gcir.Bits())
 	v := m.table[i]
 	b := uint64(v)
@@ -164,6 +185,7 @@ func (m *CounterTable) BucketUpdate(r trace.Record, incorrect bool) uint64 {
 
 // Update trains the indexed counter and advances the histories.
 func (m *CounterTable) Update(r trace.Record, incorrect bool) {
+	m.ensureTable()
 	i := m.index(r.PC)
 	v := m.table[i]
 	switch m.kind {
@@ -188,11 +210,10 @@ func (m *CounterTable) Update(r trace.Record, incorrect bool) {
 	m.cacheOK = false
 }
 
-// Reset restores counters to the initial value and clears histories.
+// Reset restores counters to the initial value and clears histories. The
+// table fill itself is deferred to the next access (ensureTable).
 func (m *CounterTable) Reset() {
-	for i := range m.table {
-		m.table[i] = m.initVal
-	}
+	m.tableDirty = true
 	m.bhr.Set(0)
 	m.gcir.Set(0)
 	m.cacheOK = false

@@ -244,3 +244,29 @@ func TestTwoLevelPanics(t *testing.T) {
 		}()
 	}
 }
+
+// TestCounterTableDefersFill: construction and Reset leave the table
+// unallocated or unfilled until the first access, as OneLevel's is, so a
+// table built only to name a spec or key a stage-3 walk costs no 2^bits
+// fill; the first access still sees every counter at its initial value.
+func TestCounterTableDefersFill(t *testing.T) {
+	m := NewCounterTable(CounterConfig{Kind: Resetting, Scheme: IndexPC, Max: 8, Init: 3})
+	if m.table != nil {
+		t.Fatalf("construction allocated a %d-entry table", len(m.table))
+	}
+	r := rec(0x1000, true)
+	if b := m.Bucket(r); b != 3 {
+		t.Fatalf("first read %d, want the initial value 3", b)
+	}
+	m.Update(r, true)
+	if b := m.Bucket(r); b != 0 {
+		t.Fatalf("read after a miss %d, want 0", b)
+	}
+	m.Reset()
+	if !m.tableDirty {
+		t.Fatal("Reset refilled the table eagerly")
+	}
+	if b := m.BucketUpdate(r, false); b != 3 {
+		t.Fatalf("first read after Reset %d, want the initial value 3", b)
+	}
+}

@@ -13,9 +13,9 @@ import (
 // prediction-correctness bit — and the mechanism's fixed table geometry.
 // The sequence is independent of any reduction function, threshold, or
 // other downstream consumer, so the stage-3 tally engine (internal/sim)
-// can replay a stream through a geometry exactly once, memoize the packed
-// bucket lane, and serve every variant sharing the geometry from a
-// histogram of it.
+// can replay a stream through a geometry exactly once, count the bucket
+// sequence into a histogram, and serve every variant sharing the geometry
+// from it.
 //
 // CIR-table mechanisms qualify: the table contents are shift registers of
 // the correctness stream, addressed by hashes of PC and the global
@@ -40,7 +40,8 @@ type Factorable interface {
 	// lane. miss holds the packed per-branch mispredict bits (bit i of
 	// miss[i/64]). The receiver is not mutated and the walk must emit
 	// exactly the bucket sequence Bucket/BucketUpdate would observe over
-	// the same stream.
+	// the same stream. A nil lane makes a histogram-only walk: the
+	// buckets reach counts and nothing else.
 	//
 	// counts, when non-nil, fuses the base-histogram tally into the walk:
 	// for each branch landing in bucket b, counts[2b] is incremented and
@@ -116,9 +117,33 @@ func selectorsFor(scheme IndexScheme, tableBits uint) indexSelectors {
 // per few thousand branches instead of once per word.
 const laneBufWords = 512
 
+// bit returns b as 0 or 1. The compiler lowers it to a zero-extending
+// byte load, so the kernels shift a data-dependent branch direction into
+// the BHR without a host branch of their own to mispredict.
+func bit(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// laneBuffer returns a kernel's packing factor and local word buffer, or
+// 0 and nil for a histogram-only walk (nil lane), which then packs
+// nothing.
+func laneBuffer(lane *bitvec.Dense) (perWord uint, buf []uint64) {
+	if lane == nil {
+		return 0, nil
+	}
+	return lane.PerWord(), make([]uint64, 0, laneBufWords)
+}
+
 // flushLane drains the word buffer plus any partial word into the lane.
 // Called once per batch and once at end-of-stream — never per branch.
+// A histogram-only walk has no lane to drain.
 func flushLane(lane *bitvec.Dense, buf []uint64, perWord, inWord uint, cur uint64) []uint64 {
+	if lane == nil {
+		return buf
+	}
 	if inWord > 0 {
 		buf = append(buf, cur)
 		lane.AppendWords(buf, (len(buf)-1)*int(perWord)+int(inWord))
@@ -193,19 +218,18 @@ func (m *OneLevel) FillBucketLane(recs []trace.Record, miss []uint64, lane *bitv
 func fillOneLevel[T tableWord](m *OneLevel, st *oneLevelState[T], recs []trace.Record, miss []uint64, lane *bitvec.Dense, counts []uint32) {
 	counts, bucketSel := countSlice(counts)
 	var (
-		table     = st.table
-		sel       = selectorsFor(m.scheme, m.tableBits)
-		cirMask   = widthMask(m.cirBits)
-		bhrMask   = widthMask(m.bhr.Width())
-		gcirMask  = widthMask(m.gcir.Width())
-		width     = m.cirBits
-		perWord   = lane.PerWord()
-		buf       = make([]uint64, 0, laneBufWords)
-		bhr, gcir = st.bhr, st.gcir
-		missWd    uint64
-		cur       uint64 // lane word under construction
-		curSh     uint   // bit offset of the next bucket within cur
-		inWord    uint   // buckets packed into cur so far
+		table        = st.table
+		sel          = selectorsFor(m.scheme, m.tableBits)
+		cirMask      = widthMask(m.cirBits)
+		bhrMask      = widthMask(m.bhr.Width())
+		gcirMask     = widthMask(m.gcir.Width())
+		width        = m.cirBits
+		perWord, buf = laneBuffer(lane)
+		bhr, gcir    = st.bhr, st.gcir
+		missWd       uint64
+		cur          uint64 // lane word under construction
+		curSh        uint   // bit offset of the next bucket within cur
+		inWord       uint   // buckets packed into cur so far
 	)
 	for i := range recs {
 		sh := uint(i) & 63
@@ -215,23 +239,22 @@ func fillOneLevel[T tableWord](m *OneLevel, st *oneLevelState[T], recs []trace.R
 		inc := missWd >> sh & 1
 		idx := (recs[i].PC>>2&sel.pcMask ^ (bhr&sel.bhrSel)<<sel.bhrShift ^ gcir&sel.gcirSel) & sel.tblMask
 		b := uint64(table[idx])
-		cur |= b << curSh
-		curSh += width
-		if inWord++; inWord == perWord {
-			if buf = append(buf, cur); len(buf) == laneBufWords {
-				lane.AppendWords(buf, laneBufWords*int(perWord))
-				buf = buf[:0]
+		if perWord != 0 {
+			cur |= b << curSh
+			curSh += width
+			if inWord++; inWord == perWord {
+				if buf = append(buf, cur); len(buf) == laneBufWords {
+					lane.AppendWords(buf, laneBufWords*int(perWord))
+					buf = buf[:0]
+				}
+				cur, curSh, inWord = 0, 0, 0
 			}
-			cur, curSh, inWord = 0, 0, 0
 		}
 		ci := (b & bucketSel) << 1
 		counts[ci]++
 		counts[ci+1] += uint32(inc)
 		table[idx] = T((b<<1 | inc) & cirMask)
-		bhr = bhr << 1 & bhrMask
-		if recs[i].Taken {
-			bhr |= 1
-		}
+		bhr = (bhr<<1 | bit(recs[i].Taken)) & bhrMask
 		gcir = (gcir<<1 | inc) & gcirMask
 	}
 	flushLane(lane, buf, perWord, inWord, cur)
@@ -278,21 +301,20 @@ func fillTwoLevel[T tableWord](m *TwoLevel, st *twoLevelState[T], recs []trace.R
 		panic(fmt.Sprintf("core: unknown second index %d", int(m.scheme2)))
 	}
 	var (
-		t1, t2    = st.t1, st.t2
-		sel       = selectorsFor(m.scheme1, m.l1Bits)
-		l1Mask    = widthMask(m.l1CIRBits)
-		l2Mask    = widthMask(m.l2CIRBits)
-		idx2Mask  = widthMask(m.l1CIRBits)
-		bhrMask   = widthMask(m.bhr.Width())
-		gcirMask  = widthMask(m.gcir.Width())
-		width     = m.l2CIRBits
-		perWord   = lane.PerWord()
-		buf       = make([]uint64, 0, laneBufWords)
-		bhr, gcir = st.bhr, st.gcir
-		missWd    uint64
-		cur       uint64
-		curSh     uint
-		inWord    uint
+		t1, t2       = st.t1, st.t2
+		sel          = selectorsFor(m.scheme1, m.l1Bits)
+		l1Mask       = widthMask(m.l1CIRBits)
+		l2Mask       = widthMask(m.l2CIRBits)
+		idx2Mask     = widthMask(m.l1CIRBits)
+		bhrMask      = widthMask(m.bhr.Width())
+		gcirMask     = widthMask(m.gcir.Width())
+		width        = m.l2CIRBits
+		perWord, buf = laneBuffer(lane)
+		bhr, gcir    = st.bhr, st.gcir
+		missWd       uint64
+		cur          uint64
+		curSh        uint
+		inWord       uint
 	)
 	for i := range recs {
 		sh := uint(i) & 63
@@ -305,24 +327,23 @@ func fillTwoLevel[T tableWord](m *TwoLevel, st *twoLevelState[T], recs []trace.R
 		cir := uint64(t1[i1])
 		i2 := (cir ^ pc>>2&pcSel2 ^ bhr&bhrSel2) & idx2Mask
 		b := uint64(t2[i2])
-		cur |= b << curSh
-		curSh += width
-		if inWord++; inWord == perWord {
-			if buf = append(buf, cur); len(buf) == laneBufWords {
-				lane.AppendWords(buf, laneBufWords*int(perWord))
-				buf = buf[:0]
+		if perWord != 0 {
+			cur |= b << curSh
+			curSh += width
+			if inWord++; inWord == perWord {
+				if buf = append(buf, cur); len(buf) == laneBufWords {
+					lane.AppendWords(buf, laneBufWords*int(perWord))
+					buf = buf[:0]
+				}
+				cur, curSh, inWord = 0, 0, 0
 			}
-			cur, curSh, inWord = 0, 0, 0
 		}
 		ci := (b & bucketSel) << 1
 		counts[ci]++
 		counts[ci+1] += uint32(inc)
 		t1[i1] = T((cir<<1 | inc) & l1Mask)
 		t2[i2] = T((b<<1 | inc) & l2Mask)
-		bhr = bhr << 1 & bhrMask
-		if recs[i].Taken {
-			bhr |= 1
-		}
+		bhr = (bhr<<1 | bit(recs[i].Taken)) & bhrMask
 		gcir = (gcir<<1 | inc) & gcirMask
 	}
 	flushLane(lane, buf, perWord, inWord, cur)

@@ -115,6 +115,14 @@ func TestFillBucketLaneMatchesSplit(t *testing.T) {
 					t.Fatalf("fused histogram slot %d: got %d, want %d", b, counts[b], wantCounts[b])
 				}
 			}
+			// A histogram-only walk (nil lane) must count the same.
+			histOnly := make([]uint32, len(counts))
+			m.FillBucketLane(recs, miss, nil, histOnly)
+			for b := range histOnly {
+				if histOnly[b] != wantCounts[b] {
+					t.Fatalf("nil-lane histogram slot %d: got %d, want %d", b, histOnly[b], wantCounts[b])
+				}
+			}
 			// A nil histogram must not change the lane.
 			lane2 := bitvec.NewDense(m.BucketWidth(), n)
 			m.FillBucketLane(recs, miss, lane2, nil)

@@ -50,8 +50,8 @@ type Resumable interface {
 	RestoreFactorState(data []byte) (FactorState, error)
 	// FillBucketLaneResume is FillBucketLane continuing from st: it replays
 	// recs through st (mutating it in place), appending one bucket per
-	// branch to lane and fusing tallies into counts exactly like
-	// FillBucketLane. st must come from the receiver's NewFactorState or
+	// branch to lane (nil for a histogram-only walk) and fusing tallies
+	// into counts exactly like FillBucketLane. st must come from the receiver's NewFactorState or
 	// RestoreFactorState.
 	FillBucketLaneResume(st FactorState, recs []trace.Record, miss []uint64, lane *bitvec.Dense, counts []uint32)
 }

@@ -96,6 +96,23 @@ func TestFactorStateResumeMatchesWhole(t *testing.T) {
 						t.Fatalf("cuts %v: histogram slot %d = %d, want %d", cuts, b, counts[b], wantCounts[b])
 					}
 				}
+				if wantCounts == nil {
+					continue
+				}
+				// The streaming engine's segments walk histogram-only (nil
+				// lane) and must count the same across the cuts.
+				st = m.NewFactorState()
+				histOnly := make([]uint32, len(wantCounts))
+				prev = 0
+				for _, cut := range append(append([]int{}, cuts...), n) {
+					m.FillBucketLaneResume(st, recs[prev:cut], sliceMiss(miss, prev, cut-prev), nil, histOnly)
+					prev = cut
+				}
+				for b := range wantCounts {
+					if histOnly[b] != wantCounts[b] {
+						t.Fatalf("cuts %v: nil-lane histogram slot %d = %d, want %d", cuts, b, histOnly[b], wantCounts[b])
+					}
+				}
 			}
 		})
 	}

@@ -33,12 +33,24 @@ import (
 // curve hit is never. Results are byte-identical to a direct build because
 // the codec round-trips every float through its exact bit pattern.
 
+// curveKey identifies one curve in memory: the runs' combined tally
+// digest, the composite mode and the reduction descriptor. It is
+// comparable, so a warm lookup renders no string; the store key
+// (curveArtifactKey) is rendered only on a memory miss.
+type curveKey struct {
+	digest [sha256.Size]byte
+	mode   string
+	desc   string
+}
+
 // CurveTier is the process-wide curve tier, persisted as KindCurve
-// records. The memory key is the store key itself.
-var CurveTier = &memo.Tier[string, analysis.Curve]{
-	Name:   "curve",
-	Kind:   artifact.KindCurve,
-	Key:    func(k string) string { return k },
+// records.
+var CurveTier = &memo.Tier[curveKey, analysis.Curve]{
+	Name: "curve",
+	Kind: artifact.KindCurve,
+	Key: func(k curveKey) string {
+		return curveArtifactKey(hex.EncodeToString(k.digest[:]), k.mode, k.desc)
+	},
 	Encode: marshalCurve,
 	Decode: unmarshalCurve,
 	Size:   func(cv analysis.Curve) uint64 { return uint64(len(cv)) * curvePointWire },
@@ -101,13 +113,13 @@ func (c *CurveSet) Stats() analysis.WeightedStats {
 
 // contentHash returns the set's tally content hash, analysis.HashRuns of
 // the runs' tallies, combined from their (memoized, where attached) digests.
-func (c *CurveSet) contentHash() string {
-	digests := make([][sha256.Size]byte, len(c.runs))
-	for i, r := range c.runs {
-		digests[i] = r.Digest()
+func (c *CurveSet) contentHash() [sha256.Size]byte {
+	var buf [16][sha256.Size]byte // every paper suite fits without allocating
+	digests := buf[:0]
+	for _, r := range c.runs {
+		digests = append(digests, r.Digest())
 	}
-	h := analysis.CombineRunHashes(digests)
-	return hex.EncodeToString(h[:])
+	return analysis.CombineRunHashes(digests)
 }
 
 // Curve returns the set's sorted curve under the identity reduction.
@@ -139,7 +151,7 @@ func (c *CurveSet) build(fn func(uint64) uint64) analysis.Curve {
 // process memo first, disk artifact second, direct build last. Concurrent
 // claimants of one key share a single build, which cannot fail.
 func (c *CurveSet) curve(desc string, fn func(uint64) uint64) analysis.Curve {
-	key := curveArtifactKey(c.contentHash(), c.mode, desc)
+	key := curveKey{digest: c.contentHash(), mode: c.mode, desc: desc}
 	cv, _ := CurveTier.Get(key, nil, func() (analysis.Curve, error) { return c.build(fn), nil })
 	return cv
 }

@@ -1,10 +1,10 @@
 package exp
 
 import (
-	"encoding/hex"
 	"math"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"branchconf/internal/analysis"
@@ -110,13 +110,13 @@ func TestCurveKeyFromMemoizedDigests(t *testing.T) {
 	}
 	want := analysis.HashRuns(sr.Stats())
 	memoized := s.Pooled(sr.Runs)
-	if got := memoized.contentHash(); got != hex.EncodeToString(want[:]) {
-		t.Fatalf("memoized key %s, want HashRuns %x", got, want)
+	if got := memoized.contentHash(); got != want {
+		t.Fatalf("memoized key %x, want HashRuns %x", got, want)
 	}
 	// The pass's digests are now memoized: keying it again hashes nothing.
 	before := sim.DigestsComputed()
-	if got := s.Pooled(sr.Runs).contentHash(); got != hex.EncodeToString(want[:]) {
-		t.Fatalf("second memoized key %s, want %x", got, want)
+	if got := s.Pooled(sr.Runs).contentHash(); got != want {
+		t.Fatalf("second memoized key %x, want %x", got, want)
 	}
 	if n := sim.DigestsComputed() - before; n != 0 {
 		t.Fatalf("re-keying a memoized pass hashed %d runs, want 0", n)
@@ -128,7 +128,7 @@ func TestCurveKeyFromMemoizedDigests(t *testing.T) {
 	}
 	adHoc := s.Pooled(plain)
 	if got := adHoc.contentHash(); got != memoized.contentHash() {
-		t.Fatalf("unmemoized key %s differs from memoized key %s", got, memoized.contentHash())
+		t.Fatalf("unmemoized key %x differs from memoized key %x", got, memoized.contentHash())
 	}
 
 	cv := memoized.Curve()
@@ -204,5 +204,34 @@ func TestWarmFig8BuildsNoMechanism(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 64<<10 {
 		t.Fatalf("a warm fig8 run allocates %d bytes, want under 64 KiB", per)
+	}
+}
+
+// TestWarmCurveHitRendersNoKey: a curve served from memory renders no
+// store key. The store key spells out the reduction descriptor, so the
+// bytes a warm hit allocates must not grow with the descriptor's length.
+func TestWarmCurveHitRendersNoKey(t *testing.T) {
+	s := NewSession(Config{Branches: 15000})
+	sr, err := s.SuiteOne(predGshare64K, mechOneLevel(core.IndexPCxorBHR))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs := s.Pooled(sr.Runs)
+	ident := func(b uint64) uint64 { return b }
+	const hits = 200
+	perHit := func(desc string) float64 {
+		cs.Merged(desc, ident) // the cold build
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < hits; i++ {
+			cs.Merged(desc, ident)
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / hits
+	}
+	short := perHit("key-probe")
+	long := perHit("key-probe-" + strings.Repeat("x", 4096))
+	if long-short > 1024 {
+		t.Errorf("a warm hit allocates %.0f bytes under a 4 KiB descriptor and %.0f under a short one: the hit renders its store key", long, short)
 	}
 }

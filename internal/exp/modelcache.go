@@ -13,9 +13,9 @@ import (
 // reverser and gating studies) are pure functions of per-branch lanes — each
 // branch's gap, whether its prediction missed and its confidence bucket —
 // and their outputs are flat vectors of event counts. A cold build reads
-// those lanes from the engine's annotated and bucket tiers (modellanes.go),
-// so it walks no predictor or estimator of its own; the machines then cost
-// a few tens of nanoseconds per branch. Their count vectors memoize and
+// those lanes from the engine's annotated streams and counter lanes
+// (modellanes.go), so it walks no predictor or estimator of its own; the
+// machines then cost a few tens of nanoseconds per branch. Their count vectors memoize and
 // persist exactly like curves: a memo.Tier in front of a KindModelStats
 // disk artifact, keyed by everything the counts are a pure
 // function of. One record holds a model configuration's vectors for the

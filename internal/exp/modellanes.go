@@ -13,12 +13,13 @@ import (
 
 // Lane-fed cycle models. Every application model consumes only each
 // branch's gap, whether its prediction missed and, for a confidence
-// policy, the estimator's bucket. The engine already memoizes all three:
-// the flat trace view, the annotated stream's miss bits and the bucket
-// stream of each counter-table geometry. So a model build reads its lanes
-// from those tiers (sim.Lanes) — walking each (predictor, benchmark) pair
-// at most once process-wide, shared with every suite pass — instead of
-// re-walking a predictor and an estimator per model run.
+// policy, the estimator's bucket. The engine memoizes all three: the flat
+// trace view, the annotated stream's miss bits and, in memory only, the
+// counter lane of each counter-table geometry. So a model build reads its
+// lanes from those tiers (sim.Lanes) — walking each (predictor, benchmark)
+// pair at most once process-wide, shared with every suite pass, and each
+// table's counters at most once per pair — instead of re-walking a
+// predictor and an estimator per model run.
 //
 // A segmented session holds no whole-trace lanes and no whole traces, so
 // there the same machines are fed live (pipeline.LiveLanes) from the
@@ -53,17 +54,17 @@ func (s *Session) modelLanes(spec workload.Spec, pred PredSpec, sig laneSignal) 
 		}
 		l = pipeline.LiveLanes(src, pred.New(), est)
 	} else {
-		var fm core.Factorable
+		var ct *core.CounterTable
 		if sig.table != nil {
-			fm = sig.table()
+			ct = sig.table()
 		}
-		flat, ann, bs, err := sim.Lanes(s.suiteConfig(), spec, pred.Key, pred.New, fm)
+		flat, ann, cl, err := sim.Lanes(s.suiteConfig(), spec, pred.Key, pred.New, ct)
 		if err != nil {
 			return nil, err
 		}
 		var low []uint64
-		if bs != nil {
-			low = bs.Below(sig.thr)
+		if cl != nil {
+			low = cl.Below(sig.thr)
 		}
 		l = pipeline.NewLanes(flat.Records(), ann.MissWords(), low)
 	}
@@ -215,11 +216,11 @@ func (s *Session) runHybrid(spec workload.Spec) ([]uint64, error) {
 		}
 	} else {
 		cfg := s.suiteConfig()
-		_, annA, bsA, err := sim.Lanes(cfg, spec, predBimodal4K.Key, predBimodal4K.New, core.SmallResetting(12))
+		_, annA, laneA, err := sim.Lanes(cfg, spec, predBimodal4K.Key, predBimodal4K.New, core.SmallResetting(12))
 		if err != nil {
 			return nil, err
 		}
-		_, annB, bsB, err := sim.Lanes(cfg, spec, predGshare4K.Key, predGshare4K.New, core.SmallResetting(12))
+		_, annB, laneB, err := sim.Lanes(cfg, spec, predGshare4K.Key, predGshare4K.New, core.SmallResetting(12))
 		if err != nil {
 			return nil, err
 		}
@@ -230,7 +231,7 @@ func (s *Session) runHybrid(spec workload.Spec) ([]uint64, error) {
 		r = apps.CompareHybridLanes(apps.HybridLanes{
 			N:     annA.Len(),
 			MissA: annA.MissWords(), MissB: annB.MissWords(), MissTour: annT.MissWords(),
-			BucketA: bsA.Bucket, BucketB: bsB.Bucket,
+			BucketA: laneA.Bucket, BucketB: laneB.Bucket,
 		})
 	}
 	return []uint64{r.Branches, r.ConfHybrid, r.Tournament, r.SoloA, r.SoloB}, nil
@@ -260,12 +261,12 @@ func (s *Session) runReverser(spec workload.Spec, threshold float64) ([]uint64, 
 			return nil, err
 		}
 	} else {
-		_, _, bs, err := sim.Lanes(s.suiteConfig(), spec, predGshare4K.Key, predGshare4K.New, core.SmallResetting(12))
+		stats, err := sim.Histogram(s.suiteConfig(), spec, predGshare4K.Key, predGshare4K.New, core.SmallResetting(12))
 		if err != nil {
 			return nil, err
 		}
-		set := apps.ReverseSet(bs.Stats(), threshold)
-		r, setSize = apps.EvalReverser(bs.Stats(), set), len(set)
+		set := apps.ReverseSet(stats, threshold)
+		r, setSize = apps.EvalReverser(stats, set), len(set)
 	}
 	return []uint64{r.Branches, r.BaseMisses, r.ReversedMisses, r.Reversals, r.GoodReversals, uint64(setSize)}, nil
 }

@@ -1,7 +1,8 @@
 // Package memo is the engine's cache tier. A Tier is one memoized layer —
 // the trace memo (internal/workload), flat views, annotated and bucket
-// streams (internal/sim), session passes, curves and model counts
-// (internal/exp), the daemon's rendered reports (internal/serve) — and its
+// streams and counter lanes (internal/sim), session passes, curves and
+// model counts (internal/exp), the daemon's rendered reports
+// (internal/serve) — and its
 // Get (or GetMany, its batch form) is the one implementation of the miss
 // path: claim-or-wait in memory, read and verify the artifact-store
 // record, build, publish. Records that are only ever read once (stream

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 
+	"branchconf/internal/analysis"
 	"branchconf/internal/artifact"
 	"branchconf/internal/core"
 	"branchconf/internal/memo"
@@ -102,27 +103,53 @@ func annArtifactKey(spec workload.Spec, n uint64, predKey string) string {
 
 // Lanes returns one benchmark's per-branch lanes as the engine's tiers hold
 // them: the flat record view (gaps, PCs, outcomes), the annotated stream of
-// pred's mispredict bits and, when fm is non-nil, the bucket stream of fm's
-// table geometry trained on those bits. Each comes from its process-wide
-// memo and disk tier and is built only on a miss, exactly as a suite pass
-// would build it. Consumers that need only "did it miss" and "what bucket was
-// it in" per branch (the cycle models) read these instead of re-walking
-// the predictor and the table. cfg must not be segmented: the lanes are
-// whole-trace.
-func Lanes(cfg SuiteConfig, spec workload.Spec, predKey string, newPred func() predictor.Predictor, fm core.Factorable) (*trace.FlatView, *AnnotatedStream, *BucketStream, error) {
-	if cfg.SegmentBranches > 0 {
-		return nil, nil, nil, fmt.Errorf("sim: whole-trace lanes requested under a segmented config")
-	}
-	flat, ann, err := annotatedFor(cfg, spec, predKey, newPred)
+// pred's mispredict bits and, when ct is non-nil, ct's counter lane trained
+// on those bits. Each comes from its process-wide memo and is built only on
+// a miss, exactly as a suite pass would build it; the counter lane is
+// walked at most once per (benchmark, budget, predictor, geometry) while it
+// stays resident, and only in memory. Consumers that need only "did it
+// miss" and "what counter did it read" per branch (the cycle models) read
+// these instead of re-walking the predictor and the table. cfg must not be
+// segmented: the lanes are whole-trace.
+func Lanes(cfg SuiteConfig, spec workload.Spec, predKey string, newPred func() predictor.Predictor, ct *core.CounterTable) (*trace.FlatView, *AnnotatedStream, *CounterLane, error) {
+	flat, ann, err := wholeTrace(cfg, spec, predKey, newPred)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("sim: annotating %s: %w", spec.Name, err)
+		return nil, nil, nil, err
 	}
-	if fm == nil {
+	if ct == nil {
 		return flat, ann, nil, nil
 	}
-	bs, err := bucketStreamFor(cfg, spec, predKey, flat, ann, fm)
+	cl, err := counterLaneFor(cfg, spec, predKey, flat, ann, ct)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("sim: tallying %s: %w", spec.Name, err)
 	}
-	return flat, ann, bs, nil
+	return flat, ann, cl, nil
+}
+
+// Histogram returns fm's base histogram over one benchmark under pred, from
+// the bucket tier exactly as a suite pass reads it. cfg must not be
+// segmented.
+func Histogram(cfg SuiteConfig, spec workload.Spec, predKey string, newPred func() predictor.Predictor, fm core.Factorable) (analysis.BucketStats, error) {
+	flat, ann, err := wholeTrace(cfg, spec, predKey, newPred)
+	if err != nil {
+		return nil, err
+	}
+	bs, err := bucketStreamFor(cfg, spec, predKey, flat, ann, fm)
+	if err != nil {
+		return nil, fmt.Errorf("sim: tallying %s: %w", spec.Name, err)
+	}
+	return bs.Stats(), nil
+}
+
+// wholeTrace is annotatedFor for the whole-trace readers, which a
+// segmented config cannot serve.
+func wholeTrace(cfg SuiteConfig, spec workload.Spec, predKey string, newPred func() predictor.Predictor) (*trace.FlatView, *AnnotatedStream, error) {
+	if cfg.SegmentBranches > 0 {
+		return nil, nil, fmt.Errorf("sim: whole-trace lanes requested under a segmented config")
+	}
+	flat, ann, err := annotatedFor(cfg, spec, predKey, newPred)
+	if err != nil {
+		return nil, nil, fmt.Errorf("sim: annotating %s: %w", spec.Name, err)
+	}
+	return flat, ann, nil
 }

@@ -100,23 +100,16 @@ func BenchmarkReplayStageOneLevel(b *testing.B) {
 }
 
 // BenchmarkBucketStreamBuild is the stage-3 once-per-geometry cost: the
-// fused monomorphic kernel filling the packed lane and the base histogram
-// in one walk. Compare against BenchmarkReplayStageOneLevel — the same
-// walk through the interface-dispatched replay path.
+// fused monomorphic kernel counting the base histogram in one walk.
+// Compare against BenchmarkReplayStageOneLevel — the same walk through
+// the interface-dispatched replay path.
 func BenchmarkBucketStreamBuild(b *testing.B) {
 	flat := benchBuffer(b).Flatten()
 	ann := Annotate(flat, predictor.Gshare64K())
 	fm := core.PaperOneLevel(core.IndexPCxorBHR)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		lane := bitvec.NewDense(fm.BucketWidth(), flat.Len())
-		counts := countsPool.Get().([]uint32)
-		used := counts[:2<<fm.BucketWidth()]
-		clear(used)
-		fm.FillBucketLane(flat.Records(), ann.MissWords(), lane, used)
-		s := countsToStats(used)
-		countsPool.Put(counts)
-		if len(s) == 0 {
+		if bs := tallyWalk(flat, ann, fm, nil); len(bs.Stats()) == 0 {
 			b.Fatal("empty histogram")
 		}
 	}
@@ -145,15 +138,44 @@ func BenchmarkTallyLaneKernel(b *testing.B) {
 func BenchmarkTallyVariant(b *testing.B) {
 	flat := benchBuffer(b).Flatten()
 	ann := Annotate(flat, predictor.Gshare64K())
-	fm := core.PaperOneLevel(core.IndexPCxorBHR)
-	lane := bitvec.NewDense(fm.BucketWidth(), flat.Len())
-	fm.FillBucketLane(flat.Records(), ann.MissWords(), lane, nil)
-	bs := &BucketStream{lane: lane, n: ann.Len(), misses: ann.Misses(),
-		stats: tallyLane(lane, ann.MissWords(), ann.Len())}
+	bs := tallyWalk(flat, ann, core.PaperOneLevel(core.IndexPCxorBHR), nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if s := bs.Stats(); len(s) == 0 {
 			b.Fatal("empty histogram")
 		}
+	}
+}
+
+// BenchmarkFillKernel is one whole-trace walk of each fill kernel the
+// engine runs, as the lane-carrying walk (lane) and the histogram-only
+// walk every bucket-stream build makes (hist).
+func BenchmarkFillKernel(b *testing.B) {
+	flat := benchBuffer(b).Flatten()
+	ann := Annotate(flat, predictor.Gshare64K())
+	for _, k := range []struct {
+		name string
+		fm   core.Factorable
+	}{
+		{"onelevel", core.PaperOneLevel(core.IndexPCxorBHR)},
+		{"twolevel", core.PaperTwoLevels()[0]},
+		{"resetting", core.PaperResetting()},
+	} {
+		width := k.fm.BucketWidth()
+		counts := make([]uint32, 2<<width)
+		b.Run(k.name+"/lane", func(b *testing.B) {
+			lane := bitvec.NewDense(width, flat.Len())
+			for i := 0; i < b.N; i++ {
+				lane.Reset()
+				clear(counts)
+				k.fm.FillBucketLane(flat.Records(), ann.MissWords(), lane, counts)
+			}
+		})
+		b.Run(k.name+"/hist", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				clear(counts)
+				k.fm.FillBucketLane(flat.Records(), ann.MissWords(), nil, counts)
+			}
+		})
 	}
 }

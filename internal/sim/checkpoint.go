@@ -71,9 +71,10 @@ func annSegKey(spec workload.Spec, n uint64, predKey string, segSize uint64, seg
 		artifact.FormatVersion, spec.CacheKey(), n, predKey, segSize, seg)
 }
 
-// bucketSegKey keys one segment's bucket stream for a geometry.
+// bucketSegKey keys one segment's bucket stream for a geometry, with the
+// histogram-only marker of bucketArtifactKey.
 func bucketSegKey(spec workload.Spec, n uint64, predKey, geom string, segSize uint64, seg int) string {
-	return fmt.Sprintf("bucket|v%d|%s|n=%d|pred=%s|geom=%s|segsz=%d|seg=%d",
+	return fmt.Sprintf("bucket-hist|v%d|%s|n=%d|pred=%s|geom=%s|segsz=%d|seg=%d",
 		artifact.FormatVersion, spec.CacheKey(), n, predKey, geom, segSize, seg)
 }
 

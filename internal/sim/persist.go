@@ -124,16 +124,12 @@ func unmarshalAnnotatedStream(payload []byte) (*AnnotatedStream, error) {
 //
 //	u64 branch count n
 //	u64 misprediction count
-//	u8  bucket-lane width
-//	u64 lane word count + words
 //	u64 histogram entry count, then (bucket, events, misses) u64 triples in
 //	    ascending bucket order
 func marshalBucketStream(b *BucketStream) []byte {
-	out := make([]byte, 0, 8+8+1+8+b.Footprint()+8)
+	out := make([]byte, 0, 24+24*len(b.stats))
 	out = binary.LittleEndian.AppendUint64(out, uint64(b.n))
 	out = binary.LittleEndian.AppendUint64(out, b.misses)
-	out = append(out, uint8(b.lane.Width()))
-	out = appendUint64s(out, b.lane.Words())
 	buckets := make([]uint64, 0, len(b.stats))
 	for bucket := range b.stats {
 		buckets = append(buckets, bucket)
@@ -155,29 +151,16 @@ func marshalBucketStream(b *BucketStream) []byte {
 // contiguous tally block.
 func unmarshalBucketStream(payload []byte) (*BucketStream, error) {
 	rd := payload
-	if len(rd) < 17 {
+	if len(rd) < 24 {
 		return nil, fmt.Errorf("sim: bucket payload truncated at header")
 	}
 	n := binary.LittleEndian.Uint64(rd)
 	misses := binary.LittleEndian.Uint64(rd[8:])
-	width := rd[16]
-	rd = rd[17:]
+	count := binary.LittleEndian.Uint64(rd[16:])
+	rd = rd[24:]
 	if n > uint64(int(^uint(0)>>1)) {
 		return nil, fmt.Errorf("sim: bucket payload branch count %d overflows int", n)
 	}
-	laneWords, rd, err := readUint64s(rd, "bucket lane")
-	if err != nil {
-		return nil, err
-	}
-	lane, err := bitvec.DenseFromWords(uint(width), laneWords, int(n))
-	if err != nil {
-		return nil, fmt.Errorf("sim: bucket payload: %w", err)
-	}
-	if len(rd) < 8 {
-		return nil, fmt.Errorf("sim: bucket payload truncated before histogram")
-	}
-	count := binary.LittleEndian.Uint64(rd)
-	rd = rd[8:]
 	if count > uint64(len(rd))/24 {
 		return nil, fmt.Errorf("sim: bucket payload histogram count %d exceeds remaining %d bytes", count, len(rd))
 	}
@@ -209,5 +192,5 @@ func unmarshalBucketStream(payload []byte) (*BucketStream, error) {
 	if events != n || missTotal != misses {
 		return nil, fmt.Errorf("sim: bucket payload histogram totals (%d events, %d misses) disagree with stream (%d, %d)", events, missTotal, n, misses)
 	}
-	return &BucketStream{lane: lane, stats: stats, n: int(n), misses: misses}, nil
+	return &BucketStream{stats: stats, n: int(n), misses: misses}, nil
 }

@@ -2,13 +2,14 @@ package sim
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"testing"
 
 	"branchconf/internal/analysis"
-	"branchconf/internal/bitvec"
 	"branchconf/internal/core"
 	"branchconf/internal/predictor"
+	"branchconf/internal/workload"
 )
 
 // buildAnnotated returns a real annotated stream for the codec tests:
@@ -82,15 +83,12 @@ func TestAnnotatedStreamCodecRejectsDamage(t *testing.T) {
 }
 
 // TestBucketStreamCodecRoundTrip builds a real geometry-keyed bucket
-// stream through the stage-3 kernel, round-trips it, and checks the lane,
-// histogram, and replay-visible behaviour all survive.
+// stream through the stage-3 kernel, round-trips it, and checks the
+// histogram and the counts it ties out against all survive.
 func TestBucketStreamCodecRoundTrip(t *testing.T) {
 	flat := annotateBuffer(t, 20000).Flatten()
 	ann := Annotate(flat, predictor.Gshare64K())
-	var fm core.Factorable = core.PaperOneLevel(core.IndexPCxorBHR)
-	lane := bitvec.NewDense(fm.BucketWidth(), flat.Len())
-	fm.FillBucketLane(flat.Records(), ann.MissWords(), lane, nil)
-	bs := &BucketStream{lane: lane, n: ann.n, misses: ann.misses, stats: tallyLane(lane, ann.MissWords(), ann.n)}
+	bs := tallyWalk(flat, ann, core.PaperOneLevel(core.IndexPCxorBHR), nil)
 
 	payload := marshalBucketStream(bs)
 	got, err := unmarshalBucketStream(payload)
@@ -100,11 +98,6 @@ func TestBucketStreamCodecRoundTrip(t *testing.T) {
 	if got.n != bs.n || got.misses != bs.misses {
 		t.Fatalf("decoded shape (n=%d misses=%d), want (%d, %d)", got.n, got.misses, bs.n, bs.misses)
 	}
-	for i := 0; i < bs.n; i++ {
-		if got.Bucket(i) != bs.Bucket(i) {
-			t.Fatalf("bucket lane entry %d differs", i)
-		}
-	}
 	if !reflect.DeepEqual(got.Stats(), bs.Stats()) {
 		t.Fatal("decoded histogram differs")
 	}
@@ -113,14 +106,44 @@ func TestBucketStreamCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestBucketPayloadIsHistogramOnly pins what a bucket record holds: a
+// 24-byte header (branches, misses, entry count) and 24 bytes per
+// histogram entry — no per-branch lane, for any geometry a suite pass
+// tallies.
+func TestBucketPayloadIsHistogramOnly(t *testing.T) {
+	spec, err := workload.ByName("groff")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 20000
+	cfg := SuiteConfig{Branches: n, Specs: []workload.Spec{spec}}
+	newMechs := []func() core.Mechanism{
+		func() core.Mechanism { return core.PaperOneLevel(core.IndexPCxorBHR) },
+		func() core.Mechanism { return core.PaperTwoLevels()[0] },
+		func() core.Mechanism { return core.PaperResetting() },
+	}
+	if _, err := RunSuiteAnnotated(cfg, "gshare-64K", predictor.Gshare64K, newMechs); err != nil {
+		t.Fatal(err)
+	}
+	for _, nm := range newMechs {
+		fm := nm().(core.Factorable)
+		key := bucketKey{spec: spec, n: n, predKey: "gshare-64K", geom: fm.GeometryKey()}
+		bs, err := BucketTier.Get(key, nil, func() (*BucketStream, error) {
+			return nil, errors.New("the suite pass left no resident stream")
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", fm.Name(), err)
+		}
+		if got, want := len(BucketTier.Encode(bs)), 24+24*len(bs.Stats()); got != want {
+			t.Errorf("%s: bucket payload is %d bytes, want %d (24 + 24 per histogram entry)", fm.Name(), got, want)
+		}
+	}
+}
+
 func TestBucketStreamCodecRejectsDamage(t *testing.T) {
 	// Tiny fixture: 4 branches in buckets 0,1,1,3 with misses on the two
 	// bucket-1 branches.
-	lane := bitvec.NewDense(2, 4)
-	for _, b := range []uint64{0, 1, 1, 3} {
-		lane.Append(b)
-	}
-	bs := &BucketStream{lane: lane, n: 4, misses: 2, stats: analysis.BucketStats{
+	bs := &BucketStream{n: 4, misses: 2, stats: analysis.BucketStats{
 		0: {Events: 1},
 		1: {Events: 2, Misses: 2},
 		3: {Events: 1},

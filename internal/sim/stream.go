@@ -181,7 +181,7 @@ type geomLane struct {
 	st     core.FactorState
 	stAt   uint64
 	merger *analysis.TallyMerger
-	lane   *bitvec.Dense // scratch bucket lane, reset and refilled per segment
+	lane   *bitvec.Dense // scratch lane for a geometry too wide to count in the walk
 	counts []uint64      // running fused histogram across live segments (nil until first)
 }
 
@@ -468,12 +468,6 @@ func consumeSegGeom(g *geomLane, unit segKey, flat *trace.FlatView, msg segMsg, 
 		}
 		g.stAt = msg.start
 	}
-	if g.lane == nil {
-		g.lane = bitvec.NewDense(g.width, segN)
-	} else {
-		g.lane.Reset()
-	}
-	lane := g.lane
 	// Live fused segments fold straight into the geometry's running uint64
 	// histogram — no per-segment map. The per-segment BucketStats form is
 	// built only when the artifact tier needs it for the segment payload.
@@ -486,7 +480,7 @@ func consumeSegGeom(g *geomLane, unit segKey, flat *trace.FlatView, msg segMsg, 
 		counts := countsPool.Get().([]uint32)
 		used := counts[:2<<g.width]
 		clear(used)
-		g.fm.FillBucketLaneResume(g.st, flat.Records(), msg.ann.MissWords(), lane, used)
+		g.fm.FillBucketLaneResume(g.st, flat.Records(), msg.ann.MissWords(), nil, used)
 		if g.counts == nil {
 			g.counts = make([]uint64, 2<<g.width)
 		}
@@ -498,15 +492,22 @@ func consumeSegGeom(g *geomLane, unit segKey, flat *trace.FlatView, msg segMsg, 
 		}
 		countsPool.Put(counts)
 	} else {
-		g.fm.FillBucketLaneResume(g.st, flat.Records(), msg.ann.MissWords(), lane, nil)
-		stats = tallyLane(lane, msg.ann.MissWords(), segN)
+		if g.lane == nil {
+			g.lane = bitvec.NewDense(g.width, segN)
+		} else {
+			g.lane.Reset()
+		}
+		g.fm.FillBucketLaneResume(g.st, flat.Records(), msg.ann.MissWords(), g.lane, nil)
+		stats = tallyLane(g.lane, msg.ann.MissWords(), segN)
 		g.merger.Merge(stats)
 	}
 	end := msg.start + uint64(segN)
 	g.stAt = end
-	bucketSegTier.Save(unit.with(g.geom, uint64(msg.idx)), &BucketStream{lane: lane, n: segN, misses: msg.ann.misses, stats: stats})
-	if persist && end < unit.n {
-		ckptTier.Save(unit.with(g.geom, end), Checkpoint{Branch: end, Misses: cumStart + msg.ann.misses, State: g.st.MarshalState()})
+	if persist {
+		bucketSegTier.Save(unit.with(g.geom, uint64(msg.idx)), &BucketStream{n: segN, misses: msg.ann.misses, stats: stats})
+		if end < unit.n {
+			ckptTier.Save(unit.with(g.geom, end), Checkpoint{Branch: end, Misses: cumStart + msg.ann.misses, State: g.st.MarshalState()})
+		}
 	}
 	streamSegLive.Add(1)
 	return nil

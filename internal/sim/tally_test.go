@@ -2,6 +2,7 @@ package sim
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 
 	"branchconf/internal/core"
@@ -56,6 +57,7 @@ func resetEngineCaches(t *testing.T) {
 	reset := func() {
 		AnnotatedTier.Reset()
 		BucketTier.Reset()
+		counterLaneTier.Reset()
 		workload.TraceTier.Reset()
 	}
 	reset()
@@ -169,5 +171,74 @@ func TestBucketCacheBound(t *testing.T) {
 	}
 	if rep.ResidentBytes > 1 {
 		t.Fatalf("1-byte bound left %d bytes resident", rep.ResidentBytes)
+	}
+}
+
+// TestCounterLaneWalksOnce: concurrent Lanes calls for one (benchmark,
+// predictor, table) share one counter walk, and every caller reads the
+// counter sequence the split Bucket/Update protocol observes — bucket by
+// bucket, and as the low-confidence lane below a threshold. The table's
+// histogram is claimed alongside and equals a tally of that sequence.
+func TestCounterLaneWalksOnce(t *testing.T) {
+	resetEngineCaches(t)
+	spec, err := workload.ByName("groff")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := SuiteConfig{Branches: 12000, Specs: []workload.Spec{spec}}
+	const callers = 8
+	lanes := make([]*CounterLane, callers)
+	errs := make([]error, callers)
+	var wg sync.WaitGroup
+	for i := range lanes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, _, lanes[i], errs[i] = Lanes(cfg, spec, "gshare-4K", predictor.Gshare4K, core.SmallResetting(12))
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := counterLaneTier.Stats(); st.Misses != 1 || st.Hits != callers-1 {
+		t.Fatalf("%d concurrent callers walked %d lanes and shared %d, want 1 and %d", callers, st.Misses, st.Hits, callers-1)
+	}
+	if st := BucketTier.Stats(); st.Misses != 1 {
+		t.Fatalf("the callers built %d histograms, want 1", st.Misses)
+	}
+
+	flat, ann, _, err := Lanes(cfg, spec, "gshare-4K", predictor.Gshare4K, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const thr = 8
+	m := core.SmallResetting(12)
+	acc := newBucketAccum()
+	for i, r := range flat.Records() {
+		incorrect := ann.miss.Bit(i)
+		want := m.Bucket(r)
+		m.Update(r, incorrect)
+		acc.add(want, incorrect)
+		for c, cl := range lanes {
+			if got := cl.Bucket(i); got != want {
+				t.Fatalf("caller %d: branch %d read counter %d, the split protocol %d", c, i, got, want)
+			}
+		}
+	}
+	low := lanes[0].Below(thr)
+	for i := 0; i < flat.Len(); i++ {
+		if got, want := low[i>>6]>>(uint(i)&63)&1 == 1, lanes[0].Bucket(i) < thr; got != want {
+			t.Fatalf("branch %d: Below(%d) bit %v for counter %d", i, thr, got, lanes[0].Bucket(i))
+		}
+	}
+	hist, err := Histogram(cfg, spec, "gshare-4K", predictor.Gshare4K, core.SmallResetting(12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(hist, acc.stats()) {
+		t.Fatal("the histogram claimed beside the lane differs from a tally of the split protocol")
 	}
 }
