@@ -40,7 +40,7 @@ func serveMain(args []string, stdout, errW io.Writer) error {
 		maxQueue      = fs.Int("max-queue", 64, "max report requests waiting for a slot; beyond this requests are shed with 429")
 		queueTimeout  = fs.Duration("queue-timeout", 30*time.Second, "max time a request may queue before it is shed with 429 (0 = queue until a slot frees or the client gives up)")
 		maxBranches   = fs.Uint64("max-request-branches", 0, "cap on a request's per-benchmark branch budget (0 = uncapped)")
-		passCacheMB   = fs.Uint64("pass-cache-mb", 256, "resident bound in MiB for the memoized suite passes of all request configurations together; a full report's passes take about 170 MiB at the default budget and 21 MiB at 50,000 branches (0 = unbounded)")
+		passCacheMB   = fs.Uint64("pass-cache-mb", 256, "resident bound in MiB for the memoized suite passes of all request configurations together; a full report's passes take about 85 MiB at the default budget and 10.5 MiB at 50,000 branches (0 = unbounded)")
 		reportCacheMB = fs.Uint64("report-cache-mb", 64, "resident bound for rendered deterministic reports in MiB")
 		memSoftMB     = fs.Uint64("mem-soft-limit-mb", 0, "heap soft limit in MiB: above it, resident suite passes and cached reports are released (0 = off)")
 		drainTimeout  = fs.Duration("drain-timeout", 30*time.Second, "max time to wait for in-flight requests on shutdown")

@@ -20,16 +20,20 @@ func TestTallyRate(t *testing.T) {
 }
 
 func TestBucketStatsAdd(t *testing.T) {
-	bs := make(BucketStats)
-	bs.Add(1, true)
-	bs.Add(1, false)
-	bs.Add(2, false)
+	tm := make(TallyMap)
+	tm.Add(2, false)
+	tm.Add(1, true)
+	tm.Add(1, false)
+	bs := tm.Stats()
 	e, m := bs.Totals()
 	if e != 3 || m != 1 {
 		t.Fatalf("totals %d/%d", e, m)
 	}
-	if bs[1].Events != 2 || bs[1].Misses != 1 {
-		t.Fatalf("bucket 1 %+v", bs[1])
+	if bs[0] != (BucketTally{Bucket: 1, Tally: Tally{Events: 2, Misses: 1}}) {
+		t.Fatalf("bucket 1 %+v", bs[0])
+	}
+	if bs[1].Bucket != 2 {
+		t.Fatalf("buckets out of order: %+v", bs)
 	}
 	if got := bs.MissRate(); !approx(got, 1.0/3, 1e-12) {
 		t.Fatalf("miss rate %v", got)
@@ -39,14 +43,14 @@ func TestBucketStatsAdd(t *testing.T) {
 func TestCompositePooledEqualWeight(t *testing.T) {
 	// Run A: 100 events; Run B: 1000 events. After compositing each must
 	// contribute exactly 1.0 event mass.
-	a, b := make(BucketStats), make(BucketStats)
+	a, b := make(TallyMap), make(TallyMap)
 	for i := 0; i < 100; i++ {
 		a.Add(7, i < 10) // 10% misses
 	}
 	for i := 0; i < 1000; i++ {
 		b.Add(7, i < 500) // 50% misses
 	}
-	ws := CompositePooled([]BucketStats{a, b})
+	ws := CompositePooled([]BucketStats{a.Stats(), b.Stats()})
 	if len(ws) != 1 {
 		t.Fatalf("%d buckets, want pooled 1", len(ws))
 	}
@@ -61,24 +65,24 @@ func TestCompositePooledEqualWeight(t *testing.T) {
 }
 
 func TestCompositeDistinctKeepsRunsApart(t *testing.T) {
-	a, b := make(BucketStats), make(BucketStats)
+	a, b := make(TallyMap), make(TallyMap)
 	a.Add(7, true)
 	b.Add(7, false)
-	ws := CompositeDistinct([]BucketStats{a, b})
+	ws := CompositeDistinct([]BucketStats{a.Stats(), b.Stats()})
 	if len(ws) != 2 {
 		t.Fatalf("%d buckets, want 2 distinct", len(ws))
 	}
-	if ws[Key{Run: 0, Bucket: 7}].Rate() != 1 || ws[Key{Run: 1, Bucket: 7}].Rate() != 0 {
+	if at(ws, Key{Run: 0, Bucket: 7}).Rate() != 1 || at(ws, Key{Run: 1, Bucket: 7}).Rate() != 0 {
 		t.Fatal("runs merged")
 	}
 }
 
 func TestSingleKeepsRawCounts(t *testing.T) {
-	bs := make(BucketStats)
+	bs := make(TallyMap)
 	for i := 0; i < 10; i++ {
 		bs.Add(3, i == 0)
 	}
-	ws := Single(bs)
+	ws := Single(bs.Stats())
 	e, m := ws.Totals()
 	if e != 10 || m != 1 {
 		t.Fatalf("totals %v/%v", e, m)
@@ -87,13 +91,21 @@ func TestSingleKeepsRawCounts(t *testing.T) {
 
 func mkStats(pairs ...[2]uint64) BucketStats {
 	// pairs of (events, misses) assigned to buckets 0,1,2,...
-	bs := make(BucketStats)
+	bs := make(TallyMap)
 	for i, p := range pairs {
 		for e := uint64(0); e < p[0]; e++ {
 			bs.Add(uint64(i), e < p[1])
 		}
 	}
-	return bs
+	return bs.Stats()
+}
+
+// at returns ws's tally for k, or nil when k is absent.
+func at(ws WeightedStats, k Key) *WTally {
+	if i, ok := ws.index(k); ok {
+		return &ws[i].WTally
+	}
+	return nil
 }
 
 func TestBuildCurveOrdering(t *testing.T) {
@@ -122,7 +134,7 @@ func TestCurveMonotone(t *testing.T) {
 		if n == 0 {
 			return true
 		}
-		bs := make(BucketStats)
+		bs := make(TallyMap)
 		for i := 0; i < n; i++ {
 			e := uint64(events[i]%50) + 1
 			m := uint64(missBits[i]) % (e + 1)
@@ -130,7 +142,7 @@ func TestCurveMonotone(t *testing.T) {
 				bs.Add(uint64(i), j < m)
 			}
 		}
-		c := BuildCurve(Single(bs))
+		c := BuildCurve(Single(bs.Stats()))
 		prevX, prevY, prevRate := 0.0, 0.0, math.Inf(1)
 		for _, p := range c {
 			if p.CumEventsPct < prevX-1e-9 || p.CumMissesPct < prevY-1e-9 {
@@ -160,7 +172,7 @@ func TestSortedOrderingDominates(t *testing.T) {
 		if n < 2 {
 			return true
 		}
-		bs := make(BucketStats)
+		bs := make(TallyMap)
 		for i := 0; i < n; i++ {
 			e := uint64(events[i]%50) + 1
 			m := uint64(missBits[i]) % (e + 1)
@@ -168,12 +180,12 @@ func TestSortedOrderingDominates(t *testing.T) {
 				bs.Add(uint64(i), j < m)
 			}
 		}
-		ws := Single(bs)
+		ws := Single(bs.Stats())
 		sorted := BuildCurve(ws)
 		// An arbitrary alternative ordering: by bucket id, rotated.
 		keys := make([]Key, 0, len(ws))
-		for k := range ws {
-			keys = append(keys, k)
+		for _, t := range ws {
+			keys = append(keys, t.Key)
 		}
 		sort.Slice(keys, func(i, j int) bool { return keys[i].Bucket < keys[j].Bucket })
 		rot := int(shuffleSeed) % len(keys)
@@ -181,8 +193,8 @@ func TestSortedOrderingDominates(t *testing.T) {
 		totalE, totalM := ws.Totals()
 		var cumE, cumM float64
 		for _, k := range keys {
-			cumE += ws[k].Events
-			cumM += ws[k].Misses
+			cumE += at(ws, k).Events
+			cumM += at(ws, k).Misses
 			x := 100 * cumE / totalE
 			y := 0.0
 			if totalM > 0 {
@@ -246,12 +258,12 @@ func TestLowSet(t *testing.T) {
 
 func TestThin(t *testing.T) {
 	// 100 buckets of 1% each, equal rates ⇒ thinning at 10 keeps ~10 points.
-	bs := make(BucketStats)
+	bs := make(TallyMap)
 	for i := 0; i < 100; i++ {
 		bs.Add(uint64(i), i%2 == 0)
 		bs.Add(uint64(i), false)
 	}
-	c := BuildCurve(Single(bs))
+	c := BuildCurve(Single(bs.Stats()))
 	thin := c.Thin(10)
 	// First half of the curve advances misses 2%/point (kept every 5th),
 	// second half advances events 1%/point (kept every 10th): ~15 points.
@@ -283,7 +295,7 @@ func TestWriteDat(t *testing.T) {
 func TestCounterRows(t *testing.T) {
 	// Counter values 0..2: value 0 rare but hot, value 2 huge and cold —
 	// a miniature Table 1.
-	bs := make(BucketStats)
+	bs := make(TallyMap)
 	for i := 0; i < 10; i++ {
 		bs.Add(0, i < 4) // 40% miss
 	}
@@ -293,7 +305,7 @@ func TestCounterRows(t *testing.T) {
 	for i := 0; i < 60; i++ {
 		bs.Add(2, i < 3) // 5% miss
 	}
-	rows := CounterRows(CompositePooled([]BucketStats{bs}), 2)
+	rows := CounterRows(CompositePooled([]BucketStats{bs.Stats()}), 2)
 	if len(rows) != 3 {
 		t.Fatalf("%d rows", len(rows))
 	}
@@ -315,9 +327,9 @@ func TestCounterRows(t *testing.T) {
 }
 
 func TestCounterRowsMissingBuckets(t *testing.T) {
-	bs := make(BucketStats)
+	bs := make(TallyMap)
 	bs.Add(0, true)
-	rows := CounterRows(CompositePooled([]BucketStats{bs}), 4)
+	rows := CounterRows(CompositePooled([]BucketStats{bs.Stats()}), 4)
 	if len(rows) != 5 {
 		t.Fatalf("%d rows", len(rows))
 	}

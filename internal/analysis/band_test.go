@@ -7,14 +7,14 @@ import (
 
 func bandCurves() []Curve {
 	mk := func(hotMisses uint64) Curve {
-		bs := make(BucketStats)
+		bs := make(TallyMap)
 		for i := uint64(0); i < 100; i++ {
 			bs.Add(0, i < hotMisses) // hot bucket, 10% of events
 		}
 		for i := 0; i < 900; i++ {
 			bs.Add(1, i < 10)
 		}
-		return BuildCurve(Single(bs))
+		return BuildCurve(Single(bs.Stats()))
 	}
 	return []Curve{mk(90), mk(50), mk(20)}
 }

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"math"
@@ -31,135 +32,40 @@ type Curve []Point
 // the cumulative percentages. Buckets with zero weighted events are
 // dropped.
 func BuildCurve(ws WeightedStats) Curve {
-	// Work on a flat (key, tally, rate) view: comparator map lookups on the
-	// 128-bit Key are the hot spot otherwise.
-	type entry struct {
-		key  Key
-		t    WTally
-		rate float64
-	}
-	entries := make([]entry, 0, len(ws))
-	allRunZero := true
-	for k, t := range ws {
-		if t.Events > 0 {
-			entries = append(entries, entry{key: k, t: *t, rate: t.Rate()})
-			allRunZero = allRunZero && k.Run == 0
-		}
-	}
-	if len(entries) == 0 {
-		return nil
-	}
-	// Totals must accumulate in canonical key order to reproduce
-	// ws.Totals() bit for bit (float addition is order-sensitive), so sort
-	// canonically and sum. The zero-event buckets excluded above each
-	// contribute exactly +0.0 to two nonnegative running sums — dropping
-	// them cannot change either total's bits. Summing the entries here
-	// saves a second map iteration and a probe per key.
-	// smallBucketLimit bounds the counting-placement path below: canonical
-	// order for a pooled composite over a small bucket space (CIR patterns,
-	// counter values — up to 2^16) is recovered in O(n + maxBucket) with a
-	// bucket-indexed slot array instead of a comparison sort over the
-	// entries. The placement emits exactly ascending-bucket order, so the
-	// float accumulation — and every downstream byte — is unchanged.
-	// Both orderings below go through an index permutation instead of
-	// physically reordering entries: curves over full-CIR composites reach
-	// 2^16 48-byte entries, and each avoided reorder is a multi-megabyte
-	// copy.
-	const smallBucketLimit = 1 << 16
-	maxBucket := uint64(0)
-	for i := range entries {
-		if b := entries[i].key.Bucket; b > maxBucket {
-			maxBucket = b
-		}
-	}
-	perm := make([]int32, 0, len(entries)) // canonical rank → entries index
-	if allRunZero && maxBucket < smallBucketLimit {
-		slots := make([]int32, maxBucket+1) // entry index + 1; 0 = absent
-		for i := range entries {
-			slots[entries[i].key.Bucket] = int32(i) + 1
-		}
-		for _, s := range slots {
-			if s != 0 {
-				perm = append(perm, s-1)
-			}
-		}
-	} else if allRunZero {
-		// Pooled composite: Run is uniformly zero, order by bucket alone.
-		for i := range entries {
-			perm = append(perm, int32(i))
-		}
-		slices.SortFunc(perm, func(a, b int32) int {
-			if entries[a].key.Bucket != entries[b].key.Bucket {
-				if entries[a].key.Bucket < entries[b].key.Bucket {
-					return -1
-				}
-				return 1
-			}
-			return 0
-		})
-	} else {
-		for i := range entries {
-			perm = append(perm, int32(i))
-		}
-		slices.SortFunc(perm, func(a, b int32) int {
-			ka, kb := entries[a].key, entries[b].key
-			if ka.Run != kb.Run {
-				if ka.Run < kb.Run {
-					return -1
-				}
-				return 1
-			}
-			if ka.Bucket != kb.Bucket {
-				if ka.Bucket < kb.Bucket {
-					return -1
-				}
-				return 1
-			}
-			return 0
-		})
-	}
-	var totalE, totalM float64
-	for _, p := range perm {
-		totalE += entries[p].t.Events
-		totalM += entries[p].t.Misses
-	}
-	if totalE == 0 {
-		return nil
-	}
-	// Now order worst bucket first. (rate, Run, Bucket) is a unique total
-	// order; perm is ascending (Run, Bucket), so the tie-break collapses to
-	// ascending canonical rank. Sorting 16-byte (rate-bits, rank) keys
-	// compares integers instead of floats: rates are nonnegative (and never
-	// NaN — zero-event buckets were dropped), where IEEE 754 order
-	// coincides with unsigned order on the bit patterns.
+	// (rate, Run, Bucket) is a unique total order; ws is in canonical
+	// (Run, Bucket) order, so the tie-break is ascending position in ws.
+	// Sorting 16-byte (rate-bits, position) keys compares integers instead
+	// of floats: rates are nonnegative (and never NaN — zero-event buckets
+	// are dropped), where IEEE 754 order coincides with unsigned order on
+	// the bit patterns.
 	type rateKey struct {
 		bits uint64
-		pos  int32 // canonical rank, i.e. index into perm
+		pos  int32 // index into ws
 	}
-	keys := make([]rateKey, len(perm))
-	for r, p := range perm {
-		keys[r] = rateKey{bits: math.Float64bits(entries[p].rate), pos: int32(r)}
+	keys := make([]rateKey, 0, len(ws))
+	// The totals accumulate in canonical order, as ws.Totals does; the
+	// dropped zero-event buckets would each add +0.0 to both sums.
+	var totalE, totalM float64
+	for i, t := range ws {
+		if t.Events > 0 {
+			totalE += t.Events
+			totalM += t.Misses
+			keys = append(keys, rateKey{bits: math.Float64bits(t.Rate()), pos: int32(i)})
+		}
+	}
+	if len(keys) == 0 {
+		return nil
 	}
 	slices.SortFunc(keys, func(a, b rateKey) int {
-		if a.bits != b.bits {
-			if a.bits > b.bits {
-				return -1
-			}
-			return 1
+		if c := cmp.Compare(b.bits, a.bits); c != 0 {
+			return c
 		}
-		if a.pos != b.pos {
-			if a.pos < b.pos {
-				return -1
-			}
-			return 1
-		}
-		return 0
+		return cmp.Compare(a.pos, b.pos)
 	})
 	curve := make(Curve, len(keys))
 	var cumE, cumM float64
 	for i, rk := range keys {
-		e := &entries[perm[rk.pos]]
-		k, t := e.key, e.t
+		t := &ws[rk.pos]
 		cumE += t.Events
 		cumM += t.Misses
 		missesPct := 0.0
@@ -171,7 +77,7 @@ func BuildCurve(ws WeightedStats) Curve {
 			cumMissesPct = 100 * cumM / totalM
 		}
 		curve[i] = Point{
-			Key:          k,
+			Key:          t.Key,
 			Rate:         t.Rate(),
 			EventsPct:    100 * t.Events / totalE,
 			MissesPct:    missesPct,
@@ -197,23 +103,23 @@ func BuildCurveOrdered(ws WeightedStats, order []Key) Curve {
 	if totalE == 0 {
 		return nil
 	}
-	seen := make(map[Key]bool, len(order))
-	keys := make([]Key, 0, len(ws))
+	seen := make([]bool, len(ws))
+	idx := make([]int, 0, len(ws))
 	for _, k := range order {
-		if t := ws[k]; t != nil && t.Events > 0 && !seen[k] {
-			keys = append(keys, k)
-			seen[k] = true
+		if i, ok := ws.index(k); ok && ws[i].Events > 0 && !seen[i] {
+			idx = append(idx, i)
+			seen[i] = true
 		}
 	}
-	for _, k := range ws.sortedKeys() {
-		if !seen[k] && ws[k].Events > 0 {
-			keys = append(keys, k)
+	for i, t := range ws {
+		if !seen[i] && t.Events > 0 {
+			idx = append(idx, i)
 		}
 	}
-	curve := make(Curve, len(keys))
+	curve := make(Curve, len(idx))
 	var cumE, cumM float64
-	for i, k := range keys {
-		t := ws[k]
+	for n, i := range idx {
+		t := &ws[i]
 		cumE += t.Events
 		cumM += t.Misses
 		missesPct, cumMissesPct := 0.0, 0.0
@@ -221,8 +127,8 @@ func BuildCurveOrdered(ws WeightedStats, order []Key) Curve {
 			missesPct = 100 * t.Misses / totalM
 			cumMissesPct = 100 * cumM / totalM
 		}
-		curve[i] = Point{
-			Key:          k,
+		curve[n] = Point{
+			Key:          t.Key,
 			Rate:         t.Rate(),
 			EventsPct:    100 * t.Events / totalE,
 			MissesPct:    missesPct,

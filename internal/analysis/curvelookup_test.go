@@ -99,12 +99,12 @@ func TestCurveLookupsMatchLinearScan(t *testing.T) {
 	// Two light buckets sort between two heavy ones but cannot move the
 	// cumulative sums: three points share (50, 90).
 	ties := BuildCurve(WeightedStats{
-		{Bucket: 1}: {Events: 1, Misses: 0.9},
-		{Bucket: 2}: {Events: 1e-300, Misses: 0.8e-300},
-		{Bucket: 3}: {Events: 1e-300, Misses: 0.8e-300},
-		{Bucket: 4}: {Events: 1, Misses: 0.1},
-		{Bucket: 5}: {Events: 2, Misses: 0},
-		{Bucket: 6}: {Events: 3, Misses: 0},
+		{Key{Bucket: 1}, WTally{Events: 1, Misses: 0.9}},
+		{Key{Bucket: 2}, WTally{Events: 1e-300, Misses: 0.8e-300}},
+		{Key{Bucket: 3}, WTally{Events: 1e-300, Misses: 0.8e-300}},
+		{Key{Bucket: 4}, WTally{Events: 1, Misses: 0.1}},
+		{Key{Bucket: 5}, WTally{Events: 2, Misses: 0}},
+		{Key{Bucket: 6}, WTally{Events: 3, Misses: 0}},
 	})
 	if ties[0].CumEventsPct != ties[2].CumEventsPct || ties[0].CumMissesPct != ties[2].CumMissesPct {
 		t.Fatalf("tie fixture does not tie: %+v", ties[:3])
@@ -117,7 +117,7 @@ func TestCurveLookupsMatchLinearScan(t *testing.T) {
 		t.Fatalf("MispredsAt at a tied x = %v, want the first tied point's %v", got, ties[0].CumMissesPct)
 	}
 
-	noMiss := BuildCurve(Single(BucketStats{1: {Events: 4}, 2: {Events: 6}}))
+	noMiss := BuildCurve(Single(BucketStats{{1, Tally{Events: 4}}, {2, Tally{Events: 6}}}))
 	if noMiss[0].CumMissesPct != 0 {
 		t.Fatalf("no-miss fixture has mispredictions: %+v", noMiss)
 	}
@@ -130,7 +130,7 @@ func TestCurveLookupsMatchLinearScan(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		runs := make([]BucketStats, 1+rng.Intn(4))
 		for r := range runs {
-			bs := make(BucketStats)
+			bs := make(TallyMap)
 			for n := rng.Intn(60); n > 0; n-- {
 				// A narrow bucket space makes equal rates, and so equal
 				// steps, common; a heavy zero bucket mimics the CIR curves.
@@ -145,7 +145,7 @@ func TestCurveLookupsMatchLinearScan(t *testing.T) {
 				}
 				bs[b] = &Tally{Events: events, Misses: misses}
 			}
-			runs[r] = bs
+			runs[r] = bs.Stats()
 		}
 		checkLookups(t, "pooled", BuildCurve(CompositePooled(runs)))
 		checkLookups(t, "distinct", BuildCurve(CompositeDistinct(runs)))

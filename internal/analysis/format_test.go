@@ -74,10 +74,11 @@ func FuzzAppendFixed(f *testing.F) {
 // The renderers print the bytes their fmt forms did.
 func TestFormattersMatchFmt(t *testing.T) {
 	rng := xrand.New(11)
-	stats := make(BucketStats)
+	tm := make(TallyMap)
 	for i := 0; i < 400; i++ {
-		stats.Add(rng.Uint64()%23, rng.Uint64()%5 == 0)
+		tm.Add(rng.Uint64()%23, rng.Uint64()%5 == 0)
 	}
+	stats := tm.Stats()
 	c := BuildCurve(Single(stats))
 	series := []Series{{Label: "BHRxorPC (ideal)", Curve: c}, {Label: "zeros — ünïcode", Curve: c}, {Label: strings.Repeat("w", 40), Curve: nil}}
 	xs := []float64{5, 10, 20, 30, 40, 60, 80, 99.5}

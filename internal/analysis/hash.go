@@ -4,12 +4,11 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"hash"
-	"slices"
 )
 
 // HashRun returns the canonical content hash of one run's bucket tallies:
-// the bucket count, then the (bucket, events, misses) triples in ascending
-// bucket order. Two runs hash equal iff they carry identical integer
+// the bucket count, then the (bucket, events, misses) triples in the
+// histogram's ascending bucket order. Two runs hash equal iff they carry identical integer
 // statistics. It is one run's share of HashRuns; callers that hash the
 // same immutable tallies repeatedly memoize it per run (sim.Result.Digest)
 // and combine the digests with CombineRunHashes.
@@ -39,11 +38,9 @@ func CombineRunHashes(digests [][sha256.Size]byte) [sha256.Size]byte {
 // tallies: CombineRunHashes over each run's HashRun, so a key combined
 // from memoized per-run digests equals HashRuns by construction. The hash
 // keys any artefact that is a pure function of the tallies — notably the
-// sorted confidence curves the experiment layer persists. Hashing sorts
-// every run's buckets, O(buckets log buckets), and costs a third to a half
-// of the composite+sort build it keys (on a 2-vCPU Xeon, about 1.5 ms
-// against 4 ms for a one-level suite pass of 14,181 buckets over 9 runs).
-// Callers that key the same tallies repeatedly therefore combine memoized
+// sorted confidence curves the experiment layer persists. Hashing is one
+// ordered walk per run, O(buckets), whose cost is SHA-256 over 24 bytes a
+// bucket. Callers that key the same tallies repeatedly combine memoized
 // per-run digests instead, which costs O(runs).
 func HashRuns(runs []BucketStats) [sha256.Size]byte {
 	var rh runHasher // scratch shared across runs
@@ -61,9 +58,8 @@ const hashChunk = 24 * 1024
 // runHasher holds the scratch one HashRun needs, reused across the runs
 // of a HashRuns call.
 type runHasher struct {
-	h       hash.Hash
-	buckets []uint64
-	buf     []byte
+	h   hash.Hash
+	buf []byte
 }
 
 // sum returns HashRun(bs), reusing rh's hash state and buffers.
@@ -79,14 +75,8 @@ func (rh *runHasher) sum(bs BucketStats) [sha256.Size]byte {
 	binary.LittleEndian.PutUint64(word[:], uint64(len(bs)))
 	h.Write(word[:])
 	buf := rh.buf[:0]
-	buckets := slices.Grow(rh.buckets[:0], len(bs))
-	for b := range bs {
-		buckets = append(buckets, b)
-	}
-	slices.Sort(buckets)
-	for _, b := range buckets {
-		t := bs[b]
-		buf = binary.LittleEndian.AppendUint64(buf, b)
+	for _, t := range bs {
+		buf = binary.LittleEndian.AppendUint64(buf, t.Bucket)
 		buf = binary.LittleEndian.AppendUint64(buf, t.Events)
 		buf = binary.LittleEndian.AppendUint64(buf, t.Misses)
 		if len(buf) >= hashChunk {
@@ -95,7 +85,7 @@ func (rh *runHasher) sum(bs BucketStats) [sha256.Size]byte {
 		}
 	}
 	h.Write(buf)
-	rh.buckets, rh.buf = buckets, buf
+	rh.buf = buf
 	var out [sha256.Size]byte
 	h.Sum(out[:0])
 	return out

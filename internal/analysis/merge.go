@@ -8,6 +8,7 @@ package analysis
 // vectors) rests on.
 type TallyMerger struct {
 	stats BucketStats
+	spare BucketStats // the previous merge's buffer, reused by the next
 }
 
 // NewTallyMerger returns a merger with empty statistics.
@@ -15,22 +16,37 @@ func NewTallyMerger() *TallyMerger {
 	return &TallyMerger{stats: BucketStats{}}
 }
 
-// Merge folds one segment's statistics into the running totals. The input
-// is read, never retained or mutated, so callers may merge a shared
-// read-only histogram (a cached BucketStream's) directly.
+// Merge folds one segment's statistics into the running totals, merging
+// the two ascending bucket sequences in one walk. The input is read,
+// never retained or mutated, so callers may merge a shared read-only
+// histogram (a cached BucketStream's) directly.
 func (m *TallyMerger) Merge(bs BucketStats) {
-	for b, t := range bs {
-		acc := m.stats[b]
-		if acc == nil {
-			acc = &Tally{}
-			m.stats[b] = acc
-		}
-		acc.Events += t.Events
-		acc.Misses += t.Misses
+	a := m.stats
+	out := m.spare[:0]
+	if need := len(a) + len(bs); cap(out) < need {
+		out = make(BucketStats, 0, need)
 	}
+	i, j := 0, 0
+	for i < len(a) && j < len(bs) {
+		switch x, y := a[i], bs[j]; {
+		case x.Bucket < y.Bucket:
+			out = append(out, x)
+			i++
+		case y.Bucket < x.Bucket:
+			out = append(out, y)
+			j++
+		default:
+			x.Events += y.Events
+			x.Misses += y.Misses
+			out = append(out, x)
+			i, j = i+1, j+1
+		}
+	}
+	out = append(append(out, a[i:]...), bs[j:]...)
+	m.stats, m.spare = out, a
 }
 
-// Stats returns the merged statistics. The map is the merger's live
+// Stats returns the merged statistics. The slice is the merger's live
 // accumulator: callers must treat it as read-only once handed out, and
 // Merge must not be called after Stats escapes to a reader.
 func (m *TallyMerger) Stats() BucketStats {

@@ -7,20 +7,20 @@ import (
 )
 
 func TestMergeBucketsByPopcount(t *testing.T) {
-	bs := make(BucketStats)
+	bs := make(TallyMap)
 	// Patterns 0b0011 and 0b0101 both have two set bits; 0b0001 has one.
 	for i := 0; i < 10; i++ {
 		bs.Add(0b0011, i < 4)
 		bs.Add(0b0101, i < 2)
 		bs.Add(0b0001, i < 1)
 	}
-	ws := CompositePooled([]BucketStats{bs}).MergeBuckets(func(b uint64) uint64 {
+	ws := CompositePooled([]BucketStats{bs.Stats()}).MergeBuckets(func(b uint64) uint64 {
 		return uint64(bits.OnesCount64(b))
 	})
 	if len(ws) != 2 {
 		t.Fatalf("%d merged buckets, want 2", len(ws))
 	}
-	two := ws[Key{Bucket: 2}]
+	two := at(ws, Key{Bucket: 2})
 	if two == nil {
 		t.Fatal("popcount-2 bucket missing")
 	}
@@ -41,7 +41,7 @@ func TestMergeBucketsPreservesMass(t *testing.T) {
 			return true
 		}
 		m := uint64(mod%7) + 1
-		bs := make(BucketStats)
+		bs := make(TallyMap)
 		for i := 0; i < n; i++ {
 			e := uint64(events[i]%20) + 1
 			miss := uint64(missBits[i]) % (e + 1)
@@ -49,7 +49,7 @@ func TestMergeBucketsPreservesMass(t *testing.T) {
 				bs.Add(uint64(i), j < miss)
 			}
 		}
-		ws := Single(bs)
+		ws := Single(bs.Stats())
 		e0, m0 := ws.Totals()
 		merged := ws.MergeBuckets(func(b uint64) uint64 { return b % m })
 		e1, m1 := merged.Totals()
@@ -69,18 +69,19 @@ func abs(x float64) float64 {
 
 // Property: merging through the identity function is a no-op.
 func TestMergeBucketsIdentity(t *testing.T) {
-	bs := make(BucketStats)
+	bs := make(TallyMap)
 	for i := uint64(0); i < 20; i++ {
 		bs.Add(i, i%3 == 0)
 		bs.Add(i, false)
 	}
-	ws := Single(bs)
+	ws := Single(bs.Stats())
 	merged := ws.MergeBuckets(func(b uint64) uint64 { return b })
 	if len(merged) != len(ws) {
 		t.Fatalf("identity merge changed bucket count: %d vs %d", len(merged), len(ws))
 	}
-	for k, v := range ws {
-		mv := merged[k]
+	for _, v := range ws {
+		k := v.Key
+		mv := at(merged, k)
 		if mv == nil || abs(mv.Events-v.Events) > 1e-12 || abs(mv.Misses-v.Misses) > 1e-12 {
 			t.Fatalf("bucket %v changed", k)
 		}
@@ -101,13 +102,13 @@ func TestCompositePooledEmpty(t *testing.T) {
 
 func TestBuildCurveDeterministicTieBreak(t *testing.T) {
 	// Equal-rate buckets must order deterministically (by bucket id).
-	bs := make(BucketStats)
+	bs := make(TallyMap)
 	for _, b := range []uint64{5, 3, 9, 1} {
 		bs.Add(b, true)
 		bs.Add(b, false)
 	}
-	c1 := BuildCurve(Single(bs))
-	c2 := BuildCurve(Single(bs))
+	c1 := BuildCurve(Single(bs.Stats()))
+	c2 := BuildCurve(Single(bs.Stats()))
 	for i := range c1 {
 		if c1[i].Key != c2[i].Key {
 			t.Fatalf("nondeterministic ordering at %d", i)

@@ -8,12 +8,17 @@
 // weight benchmarks so each contributes the same number of dynamic
 // branches, sort buckets by misprediction rate (highest first), and plot
 // cumulative mispredictions against cumulative dynamic branches.
+//
+// Histograms are slices in bucket order from the engine's fill kernels to
+// the curve: a run's BucketStats ascends by bucket and a composite's
+// WeightedStats by (run, bucket), so every consumer is one ordered walk
+// and every float sum runs in that canonical order.
 package analysis
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sync"
 )
 
 // Tally counts dynamic branches and mispredictions for one bucket.
@@ -30,36 +35,17 @@ func (t Tally) Rate() float64 {
 	return float64(t.Misses) / float64(t.Events)
 }
 
-// BucketStats accumulates per-bucket tallies over one simulation run.
-type BucketStats map[uint64]*Tally
-
-// Add records one dynamic branch landing in bucket, with its prediction
-// correctness.
-func (bs BucketStats) Add(bucket uint64, incorrect bool) {
-	t := bs[bucket]
-	if t == nil {
-		t = &Tally{}
-		bs[bucket] = t
-	}
-	t.Events++
-	if incorrect {
-		t.Misses++
-	}
+// BucketTally is one bucket's tally within a run's histogram.
+type BucketTally struct {
+	Bucket uint64
+	Tally
 }
 
-// Clone returns a deep copy of the statistics, backed by one contiguous
-// tally block. The tally engine (internal/sim) hands each variant sharing
-// a bucket stream its own copy of the base histogram, so the per-variant
-// cost is one O(buckets) copy rather than an O(branches) replay.
-func (bs BucketStats) Clone() BucketStats {
-	out := make(BucketStats, len(bs))
-	block := make([]Tally, 0, len(bs))
-	for b, t := range bs {
-		block = append(block, *t)
-		out[b] = &block[len(block)-1]
-	}
-	return out
-}
+// BucketStats is one simulation run's histogram: a tally per occupied
+// bucket, in strictly ascending bucket order. Every producer emits that
+// order, and every consumer relies on it; a BucketStats is immutable once
+// built, so runs share them freely.
+type BucketStats []BucketTally
 
 // Totals returns the run's total events and mispredictions.
 func (bs BucketStats) Totals() (events, misses uint64) {
@@ -79,6 +65,35 @@ func (bs BucketStats) MissRate() float64 {
 	return float64(m) / float64(e)
 }
 
+// TallyMap accumulates one run's tallies from branches arriving in any
+// bucket order — a straight-line walk's buckets over a sparse space, such
+// as static branch addresses. Stats hands the result on as a BucketStats.
+type TallyMap map[uint64]*Tally
+
+// Add records one dynamic branch landing in bucket, with its prediction
+// correctness.
+func (tm TallyMap) Add(bucket uint64, incorrect bool) {
+	t := tm[bucket]
+	if t == nil {
+		t = &Tally{}
+		tm[bucket] = t
+	}
+	t.Events++
+	if incorrect {
+		t.Misses++
+	}
+}
+
+// Stats returns the accumulated tallies in ascending bucket order.
+func (tm TallyMap) Stats() BucketStats {
+	bs := make(BucketStats, 0, len(tm))
+	for b, t := range tm {
+		bs = append(bs, BucketTally{Bucket: b, Tally: *t})
+	}
+	slices.SortFunc(bs, func(a, b BucketTally) int { return cmp.Compare(a.Bucket, b.Bucket) })
+	return bs
+}
+
 // Key identifies a bucket within a composite: Run disambiguates buckets
 // from different benchmarks when their identities must stay distinct (the
 // static method, where PC spaces overlap across benchmarks); pooled
@@ -86,6 +101,14 @@ func (bs BucketStats) MissRate() float64 {
 type Key struct {
 	Run    int
 	Bucket uint64
+}
+
+// compare orders keys canonically: by Run, then by Bucket.
+func (k Key) compare(o Key) int {
+	if c := cmp.Compare(k.Run, o.Run); c != 0 {
+		return c
+	}
+	return cmp.Compare(k.Bucket, o.Bucket)
 }
 
 // WTally is a weighted tally: fractional events and misses after
@@ -103,8 +126,23 @@ func (t WTally) Rate() float64 {
 	return t.Misses / t.Events
 }
 
-// WeightedStats is a composite of per-benchmark bucket statistics.
-type WeightedStats map[Key]*WTally
+// WeightedTally is one composite bucket's weighted tally.
+type WeightedTally struct {
+	Key
+	WTally
+}
+
+// WeightedStats is a composite of per-benchmark bucket statistics: a
+// weighted tally per bucket in strictly ascending (Run, Bucket) order —
+// the canonical order. Floating-point addition is not associative, so
+// every float accumulation over a composite runs in this order, which
+// keeps experiment outputs byte-reproducible.
+type WeightedStats []WeightedTally
+
+// index returns the position of k in ws, and whether it is present.
+func (ws WeightedStats) index(k Key) (int, bool) {
+	return slices.BinarySearchFunc(ws, k, func(t WeightedTally, k Key) int { return t.Key.compare(k) })
+}
 
 // compositeWeight returns the per-event weight that makes run bs contribute
 // exactly 1.0 total event mass.
@@ -116,96 +154,48 @@ func compositeWeight(bs BucketStats) float64 {
 	return 1 / float64(events)
 }
 
-// wtallyArena hands out WTally slots from chunked blocks, replacing one
-// heap allocation per bucket with one per chunk. Compositors over wide-CIR
-// runs create tens of thousands of buckets per call, and the per-object
-// allocations dominated their profile.
-type wtallyArena []WTally
-
-func (a *wtallyArena) get() *WTally {
-	if len(*a) == 0 {
-		*a = make([]WTally, 1024)
-	}
-	wt := &(*a)[0]
-	*a = (*a)[1:]
-	return wt
-}
-
-// pooledDenseLimit bounds CompositePooled's dense fast path: bucket spaces
-// up to 16 bits (counter values, ones counts, CIR patterns) accumulate into
-// a flat array indexed by bucket instead of probing a 128-bit-keyed map per
-// (run, bucket). Contributions to each bucket still arrive in run order, so
-// the float accumulation — and hence every downstream byte — is unchanged.
-const pooledDenseLimit = 1 << 16
-
-// compositeDensePool recycles CompositePooled's 1 MiB accumulation arrays.
-// Invariant: every pooled array is fully zero — New allocates zeroed, and
-// the drain loop re-zeroes exactly the nonzero slots before Put, so Get
-// never pays a fresh alloc-plus-memclr (which showed up as a measurable
-// share of figure-mix CPU).
-var compositeDensePool = sync.Pool{
-	New: func() any { return make([]WTally, pooledDenseLimit) },
-}
-
 // CompositePooled combines runs with equal dynamic-branch weight, pooling
 // identical buckets across runs — the paper's treatment of dynamic
 // mechanisms, where a CIR pattern means the same thing in every benchmark
-// (§1.2, §4).
+// (§1.2, §4). It merges the runs' ascending bucket sequences in one walk;
+// each bucket's weighted sums accumulate in run order.
 func CompositePooled(runs []BucketStats) WeightedStats {
 	size := 0
-	for _, bs := range runs {
-		if len(bs) > size {
-			size = len(bs)
-		}
+	weights := make([]float64, len(runs))
+	for i, bs := range runs {
+		size = max(size, len(bs))
+		weights[i] = compositeWeight(bs)
 	}
-	ws := make(WeightedStats, size)
-	var arena wtallyArena
-	// Small buckets accumulate into a pooled dense array in one pass;
-	// maxSmall tracks the occupied prefix.
-	dense := compositeDensePool.Get().([]WTally)
-	maxSmall := -1
-	for _, bs := range runs {
-		w := compositeWeight(bs)
-		for b, t := range bs {
-			if b < pooledDenseLimit {
-				dense[b].Events += w * float64(t.Events)
-				dense[b].Misses += w * float64(t.Misses)
-				if int(b) > maxSmall {
-					maxSmall = int(b)
-				}
-				continue
+	ws := make(WeightedStats, 0, size)
+	pos := make([]int, len(runs)) // each run's next unmerged entry
+	for {
+		bucket, ok := nextBucket(runs, pos)
+		if !ok {
+			return ws
+		}
+		var wt WTally
+		for i, bs := range runs {
+			if p := pos[i]; p < len(bs) && bs[p].Bucket == bucket {
+				wt.Events += weights[i] * float64(bs[p].Events)
+				wt.Misses += weights[i] * float64(bs[p].Misses)
+				pos[i]++
 			}
-			k := Key{Bucket: b}
-			wt := ws[k]
-			if wt == nil {
-				wt = arena.get()
-				ws[k] = wt
-			}
-			wt.Events += w * float64(t.Events)
-			wt.Misses += w * float64(t.Misses)
+		}
+		ws = append(ws, WeightedTally{Key: Key{Bucket: bucket}, WTally: wt})
+	}
+}
+
+// nextBucket returns the smallest bucket at the runs' merge positions,
+// and false once every run is exhausted.
+func nextBucket(runs []BucketStats, pos []int) (uint64, bool) {
+	var next uint64
+	ok := false
+	for i, bs := range runs {
+		if p := pos[i]; p < len(bs) && (!ok || bs[p].Bucket < next) {
+			next, ok = bs[p].Bucket, true
 		}
 	}
-	// Drain the dense prefix into a right-sized contiguous block (the
-	// returned composite must not alias the pooled array), restoring the
-	// all-zero pool invariant as each occupied slot is copied out. The
-	// block preserves ascending-bucket insertion order, so downstream
-	// float accumulation is unchanged.
-	occupied := 0
-	for b := 0; b <= maxSmall; b++ {
-		if dense[b].Events != 0 || dense[b].Misses != 0 {
-			occupied++
-		}
-	}
-	block := make([]WTally, 0, occupied)
-	for b := 0; b <= maxSmall; b++ {
-		if dense[b].Events != 0 || dense[b].Misses != 0 {
-			block = append(block, dense[b])
-			ws[Key{Bucket: uint64(b)}] = &block[len(block)-1]
-			dense[b] = WTally{}
-		}
-	}
-	compositeDensePool.Put(dense)
-	return ws
+	return next, ok
 }
 
 // CompositeDistinct combines runs with equal weight while keeping each
@@ -216,16 +206,14 @@ func CompositeDistinct(runs []BucketStats) WeightedStats {
 	for _, bs := range runs {
 		total += len(bs)
 	}
-	ws := make(WeightedStats, total)
-	block := make([]WTally, 0, total)
+	ws := make(WeightedStats, 0, total)
 	for i, bs := range runs {
 		w := compositeWeight(bs)
-		for b, t := range bs {
-			block = append(block, WTally{
-				Events: w * float64(t.Events),
-				Misses: w * float64(t.Misses),
+		for _, t := range bs {
+			ws = append(ws, WeightedTally{
+				Key:    Key{Run: i, Bucket: t.Bucket},
+				WTally: WTally{Events: w * float64(t.Events), Misses: w * float64(t.Misses)},
 			})
-			ws[Key{Run: i, Bucket: b}] = &block[len(block)-1]
 		}
 	}
 	return ws
@@ -235,85 +223,56 @@ func CompositeDistinct(runs []BucketStats) WeightedStats {
 // per-benchmark curves (Figure 9).
 func Single(bs BucketStats) WeightedStats {
 	ws := make(WeightedStats, len(bs))
-	block := make([]WTally, 0, len(bs))
-	for b, t := range bs {
-		block = append(block, WTally{Events: float64(t.Events), Misses: float64(t.Misses)})
-		ws[Key{Bucket: b}] = &block[len(block)-1]
+	for i, t := range bs {
+		ws[i] = WeightedTally{
+			Key:    Key{Bucket: t.Bucket},
+			WTally: WTally{Events: float64(t.Events), Misses: float64(t.Misses)},
+		}
 	}
 	return ws
-}
-
-// sortedKeys returns the composite's keys in canonical order. Floating
-// point addition is not associative, so every float accumulation over a
-// WeightedStats must run in this order to keep experiment outputs
-// byte-reproducible across runs (Go randomises map iteration).
-func (ws WeightedStats) sortedKeys() []Key {
-	keys := make([]Key, 0, len(ws))
-	allRunZero := true
-	for k := range ws {
-		keys = append(keys, k)
-		allRunZero = allRunZero && k.Run == 0
-	}
-	// (Run, Bucket) is unique per key, so the canonical total order is the
-	// same whatever sort implements it. Pooled composites (every Run zero —
-	// the common and largest case, up to 2^16 CIR patterns) order by bucket
-	// alone, where the specialized uint64 sort beats the comparator one.
-	if allRunZero {
-		buckets := make([]uint64, len(keys))
-		for i, k := range keys {
-			buckets[i] = k.Bucket
-		}
-		slices.Sort(buckets)
-		for i, b := range buckets {
-			keys[i] = Key{Bucket: b}
-		}
-		return keys
-	}
-	slices.SortFunc(keys, func(a, b Key) int {
-		if a.Run != b.Run {
-			if a.Run < b.Run {
-				return -1
-			}
-			return 1
-		}
-		if a.Bucket != b.Bucket {
-			if a.Bucket < b.Bucket {
-				return -1
-			}
-			return 1
-		}
-		return 0
-	})
-	return keys
 }
 
 // MergeBuckets rewrites bucket identities through fn, merging tallies that
 // map to the same value. Because a reduction function is a pure function
 // of the bucket, this derives a reduced mechanism's statistics from the
 // full-CIR run — e.g. fn = popcount turns per-pattern statistics into
-// ones-count statistics (§5.1) without re-simulating.
+// ones-count statistics (§5.1) without re-simulating. fn may reorder and
+// collide buckets, so the rewritten keys are sorted; each merged tally
+// sums its sources in canonical order.
 func (ws WeightedStats) MergeBuckets(fn func(uint64) uint64) WeightedStats {
-	out := make(WeightedStats)
-	var arena wtallyArena
-	for _, k := range ws.sortedKeys() {
-		t := ws[k]
-		nk := Key{Run: k.Run, Bucket: fn(k.Bucket)}
-		wt := out[nk]
-		if wt == nil {
-			wt = arena.get()
-			out[nk] = wt
+	type source struct {
+		key Key   // the rewritten key
+		pos int32 // canonical rank of the source tally
+	}
+	srcs := make([]source, len(ws))
+	for i, t := range ws {
+		srcs[i] = source{key: Key{Run: t.Run, Bucket: fn(t.Bucket)}, pos: int32(i)}
+	}
+	slices.SortFunc(srcs, func(a, b source) int {
+		if c := a.key.compare(b.key); c != 0 {
+			return c
 		}
-		wt.Events += t.Events
-		wt.Misses += t.Misses
+		return cmp.Compare(a.pos, b.pos)
+	})
+	var out WeightedStats
+	for _, s := range srcs {
+		t := ws[s.pos].WTally
+		if n := len(out); n > 0 && out[n-1].Key == s.key {
+			out[n-1].Events += t.Events
+			out[n-1].Misses += t.Misses
+			continue
+		}
+		out = append(out, WeightedTally{Key: s.key, WTally: t})
 	}
 	return out
 }
 
-// Totals returns the composite's total weighted events and misses.
+// Totals returns the composite's total weighted events and misses,
+// summed in canonical order.
 func (ws WeightedStats) Totals() (events, misses float64) {
-	for _, k := range ws.sortedKeys() {
-		events += ws[k].Events
-		misses += ws[k].Misses
+	for _, t := range ws {
+		events += t.Events
+		misses += t.Misses
 	}
 	return events, misses
 }

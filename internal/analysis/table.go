@@ -21,10 +21,15 @@ func CounterRows(ws WeightedStats, max int) []TableRow {
 	totalE, totalM := ws.Totals()
 	rows := make([]TableRow, max+1)
 	var cumE, cumM float64
+	next := 0 // ws's first key not below the current counter value
 	for v := 0; v <= max; v++ {
-		t := ws[Key{Bucket: uint64(v)}]
-		if t == nil {
-			t = &WTally{}
+		k := Key{Bucket: uint64(v)}
+		for next < len(ws) && ws[next].Key.compare(k) < 0 {
+			next++
+		}
+		var t WTally
+		if next < len(ws) && ws[next].Key == k {
+			t = ws[next].WTally
 		}
 		cumE += t.Events
 		cumM += t.Misses

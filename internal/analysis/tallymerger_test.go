@@ -17,19 +17,20 @@ func TestTallyMergerMatchesMonolithic(t *testing.T) {
 	for i := range stream {
 		stream[i] = ev{bucket: uint64(i*i) % 37, incorrect: i%3 == 0}
 	}
-	whole := BucketStats{}
+	wholeMap := TallyMap{}
 	for _, e := range stream {
-		whole.Add(e.bucket, e.incorrect)
+		wholeMap.Add(e.bucket, e.incorrect)
 	}
+	whole := wholeMap.Stats()
 	for _, size := range []int{1, 997, 5000, len(stream), len(stream) + 1} {
 		m := NewTallyMerger()
 		for start := 0; start < len(stream); start += size {
 			end := min(start+size, len(stream))
-			seg := BucketStats{}
+			seg := TallyMap{}
 			for _, e := range stream[start:end] {
 				seg.Add(e.bucket, e.incorrect)
 			}
-			m.Merge(seg)
+			m.Merge(seg.Stats())
 		}
 		if !reflect.DeepEqual(m.Stats(), whole) {
 			t.Fatalf("size %d: merged stats diverge from monolithic", size)
@@ -45,17 +46,17 @@ func TestTallyMergerMatchesMonolithic(t *testing.T) {
 // TestTallyMergerLeavesInputIntact: merging must not retain or mutate the
 // segment histogram — it may be a cached stream's shared read-only map.
 func TestTallyMergerLeavesInputIntact(t *testing.T) {
-	seg := BucketStats{3: {Events: 10, Misses: 4}}
+	seg := BucketStats{{3, Tally{Events: 10, Misses: 4}}}
 	m := NewTallyMerger()
 	m.Merge(seg)
 	m.Merge(seg)
-	if got := seg[3]; *got != (Tally{Events: 10, Misses: 4}) {
-		t.Fatalf("input mutated: %+v", *got)
+	if got := seg[0]; got != (BucketTally{3, Tally{Events: 10, Misses: 4}}) {
+		t.Fatalf("input mutated: %+v", got)
 	}
-	if got := m.Stats()[3]; *got != (Tally{Events: 20, Misses: 8}) {
-		t.Fatalf("double merge: %+v", *got)
+	if got := m.Stats()[0]; got != (BucketTally{3, Tally{Events: 20, Misses: 8}}) {
+		t.Fatalf("double merge: %+v", got)
 	}
-	if m.Stats()[3] == seg[3] {
+	if &m.Stats()[0] == &seg[0] {
 		t.Fatal("merger aliases the input tally")
 	}
 }

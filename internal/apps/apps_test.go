@@ -1,8 +1,10 @@
 package apps
 
 import (
+	"slices"
 	"testing"
 
+	"branchconf/internal/analysis"
 	"branchconf/internal/core"
 	"branchconf/internal/predictor"
 	"branchconf/internal/trace"
@@ -294,5 +296,34 @@ func TestReverserDeltaHelper(t *testing.T) {
 	}
 	if (ReverserResult{}).Delta() != 0 {
 		t.Fatal("zero-branch delta nonzero")
+	}
+}
+
+// TestReverseSetAscends: the reversal set comes out in ascending bucket
+// order, whatever order the profile's branches arrived in, so equal
+// profiles give equal sets.
+func TestReverseSetAscends(t *testing.T) {
+	tm := analysis.TallyMap{}
+	var want []uint64
+	for b := uint64(40); b > 0; b-- { // buckets arrive in descending order
+		misses := 10
+		if b%3 == 0 {
+			misses, want = 40, append(want, b)
+		}
+		for i := 0; i < 64; i++ {
+			tm.Add(b, i < misses)
+		}
+	}
+	slices.Reverse(want)
+	set := ReverseSet(tm.Stats(), 0.3)
+	if !slices.Equal(set, want) {
+		t.Fatalf("ReverseSet = %v, want %v", set, want)
+	}
+	profiled, err := ProfileReverseSet(benchSource(t, "groff", 60000), predictor.Gshare4K(), core.PaperResetting(), 0.03)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(profiled) < 4 || !slices.IsSorted(profiled) {
+		t.Fatalf("profiled reversal set %v is not ascending or too small to tell", profiled)
 	}
 }

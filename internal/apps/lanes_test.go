@@ -279,7 +279,7 @@ func TestReverserHistogramMatchesOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			stats := make(analysis.BucketStats)
+			tm := make(analysis.TallyMap)
 			p, m := newPred(), newMech()
 			src := benchSource(t, name, 8000)
 			for {
@@ -288,11 +288,11 @@ func TestReverserHistogramMatchesOracle(t *testing.T) {
 					break
 				}
 				miss := p.Predict(r) != r.Taken
-				stats.Add(m.Bucket(r), miss)
+				tm.Add(m.Bucket(r), miss)
 				p.Update(r)
 				m.Update(r, miss)
 			}
-			if got := EvalReverser(stats, set); got != want {
+			if got := EvalReverser(tm.Stats(), set); got != want {
 				t.Fatalf("%s set %v: histogram %+v, oracle %+v", name, set, got, want)
 			}
 		}

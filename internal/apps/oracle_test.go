@@ -410,7 +410,7 @@ func oracleCompareHybrids(src trace.Source, newA, newB func() predictor.Predicto
 // The returned set may be empty — the paper's data suggests it often is
 // for well-tuned predictors, which is itself a reproducible finding.
 func oracleProfileReverseSet(src trace.Source, pred predictor.Predictor, mech core.Mechanism, threshold float64) ([]uint64, error) {
-	stats := make(analysis.BucketStats)
+	stats := make(analysis.TallyMap)
 	for {
 		r, err := src.Next()
 		if err == io.EOF {

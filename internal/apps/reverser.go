@@ -3,6 +3,7 @@ package apps
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"branchconf/internal/analysis"
 	"branchconf/internal/core"
@@ -40,33 +41,33 @@ func (r ReverserResult) Delta() float64 {
 // folded into a histogram as they stream by. On a source failure it
 // returns the tallies so far with the error.
 func tallyBuckets(src trace.Source, pred predictor.Predictor, mech core.Mechanism) (analysis.BucketStats, error) {
-	stats := make(analysis.BucketStats)
+	tm := make(analysis.TallyMap)
 	for {
 		r, err := src.Next()
 		if err == io.EOF {
-			return stats, nil
+			return tm.Stats(), nil
 		}
 		if err != nil {
-			return stats, err
+			return tm.Stats(), err
 		}
 		incorrect := pred.Predict(r) != r.Taken
-		stats.Add(mech.Bucket(r), incorrect)
+		tm.Add(mech.Bucket(r), incorrect)
 		pred.Update(r)
 		mech.Update(r, incorrect)
 	}
 }
 
 // ReverseSet returns the buckets of a profile histogram whose
-// misprediction rate exceeds threshold (0.5 for a true reverser). A
-// bucket needs a minimum population, so a handful of unlucky events
-// cannot nominate it. The set may be empty — the paper's data suggests it
-// often is for well-tuned predictors, which is itself a reproducible
-// finding.
+// misprediction rate exceeds threshold (0.5 for a true reverser), in
+// ascending order. A bucket needs a minimum population, so a handful of
+// unlucky events cannot nominate it. The set may be empty — the paper's
+// data suggests it often is for well-tuned predictors, which is itself a
+// reproducible finding.
 func ReverseSet(profile analysis.BucketStats, threshold float64) []uint64 {
 	var set []uint64
-	for b, t := range profile {
+	for _, t := range profile {
 		if t.Events >= 64 && t.Rate() > threshold {
-			set = append(set, b)
+			set = append(set, t.Bucket)
 		}
 	}
 	return set
@@ -83,28 +84,29 @@ func ProfileReverseSet(src trace.Source, pred predictor.Predictor, mech core.Mec
 }
 
 // EvalReverser evaluates a reversal set over a trace's histogram of
-// bucket → {events, mispredictions}. The tables train on the original
+// (bucket, events, mispredictions). The tables train on the original
 // prediction's correctness — the reverser consumes the confidence signal
 // but is not part of the training loop (§1's architecture, Fig. 1) — so
 // the histogram determines every count: each reversed branch flips from
-// miss to hit or hit to miss.
+// miss to hit or hit to miss. The set may hold repeats and come in any
+// order; sorted, it is walked together with the histogram.
 func EvalReverser(eval analysis.BucketStats, reverseSet []uint64) ReverserResult {
+	set := slices.Clone(reverseSet)
+	slices.Sort(set)
 	var res ReverserResult
 	for _, t := range eval {
 		res.Branches += t.Events
 		res.BaseMisses += t.Misses
-	}
-	res.ReversedMisses = res.BaseMisses
-	reversed := make(map[uint64]bool, len(reverseSet))
-	for _, b := range reverseSet {
-		t, ok := eval[b]
-		if !ok || reversed[b] {
-			continue
+		for len(set) > 0 && set[0] < t.Bucket {
+			set = set[1:]
 		}
-		reversed[b] = true
-		res.Reversals += t.Events
-		res.GoodReversals += t.Misses
-		res.ReversedMisses = res.ReversedMisses - t.Misses + (t.Events - t.Misses)
+		if len(set) > 0 && set[0] == t.Bucket {
+			res.Reversals += t.Events
+			res.GoodReversals += t.Misses
+			res.ReversedMisses += t.Events - t.Misses
+		} else {
+			res.ReversedMisses += t.Misses
+		}
 	}
 	return res
 }

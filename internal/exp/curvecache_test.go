@@ -77,22 +77,31 @@ func TestMergedRequiresDescriptor(t *testing.T) {
 	s.Pooled(nil).Merged("", func(b uint64) uint64 { return b })
 }
 
-// TestHashRunsKeysContent: the content hash must be invariant to bucket-map
-// iteration order and sensitive to every statistic and to run boundaries.
+// TestHashRunsKeysContent: the content hash must be invariant to the order
+// buckets arrive in and sensitive to every statistic and to run boundaries.
 func TestHashRunsKeysContent(t *testing.T) {
-	a := analysis.BucketStats{1: {Events: 10, Misses: 2}, 2: {Events: 5, Misses: 1}}
-	b := analysis.BucketStats{2: {Events: 5, Misses: 1}, 1: {Events: 10, Misses: 2}}
+	// hist builds a histogram from (bucket, events, misses) triples given
+	// in any order.
+	hist := func(triples ...[3]uint64) analysis.BucketStats {
+		tm := analysis.TallyMap{}
+		for _, x := range triples {
+			tm[x[0]] = &analysis.Tally{Events: x[1], Misses: x[2]}
+		}
+		return tm.Stats()
+	}
+	a := hist([3]uint64{1, 10, 2}, [3]uint64{2, 5, 1})
+	b := hist([3]uint64{2, 5, 1}, [3]uint64{1, 10, 2})
 	if analysis.HashRuns([]analysis.BucketStats{a}) != analysis.HashRuns([]analysis.BucketStats{b}) {
 		t.Error("hash depends on bucket insertion order")
 	}
 	base := analysis.HashRuns([]analysis.BucketStats{a})
-	mut := analysis.BucketStats{1: {Events: 10, Misses: 3}, 2: {Events: 5, Misses: 1}}
+	mut := hist([3]uint64{1, 10, 3}, [3]uint64{2, 5, 1})
 	if analysis.HashRuns([]analysis.BucketStats{mut}) == base {
 		t.Error("hash missed a changed miss count")
 	}
 	// The same triples split differently across runs must hash differently.
-	one := []analysis.BucketStats{{1: {Events: 10, Misses: 2}, 2: {Events: 5, Misses: 1}}}
-	two := []analysis.BucketStats{{1: {Events: 10, Misses: 2}}, {2: {Events: 5, Misses: 1}}}
+	one := []analysis.BucketStats{hist([3]uint64{1, 10, 2}, [3]uint64{2, 5, 1})}
+	two := []analysis.BucketStats{hist([3]uint64{1, 10, 2}), hist([3]uint64{2, 5, 1})}
 	if analysis.HashRuns(one) == analysis.HashRuns(two) {
 		t.Error("hash missed a run boundary")
 	}

@@ -1,6 +1,9 @@
 package exp
 
 import (
+	"unsafe"
+
+	"branchconf/internal/analysis"
 	"branchconf/internal/artifact"
 	"branchconf/internal/core"
 	"branchconf/internal/memo"
@@ -161,11 +164,10 @@ func (s *Session) Suite(pred PredSpec, mechs ...MechSpec) ([]sim.SuiteResult, er
 }
 
 // passBytes approximates a cached pass's resident footprint for the LRU
-// bound: the per-benchmark run headers plus each bucket tally (map slot,
-// key, and tally block).
+// bound: the per-benchmark run headers plus each histogram entry.
 func passBytes(res sim.SuiteResult) uint64 {
-	const runHeader = 64  // Result struct + slice slot + name
-	const bucketCost = 48 // map bucket share + uint64 key + *Tally + Tally
+	const runHeader = 64 // Result struct + slice slot + name
+	const bucketCost = uint64(unsafe.Sizeof(analysis.BucketTally{}))
 	b := uint64(32)
 	for _, r := range res.Runs {
 		b += runHeader + uint64(len(r.Buckets))*bucketCost

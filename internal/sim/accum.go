@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/bits"
 	"sync"
 
 	"branchconf/internal/analysis"
@@ -14,24 +15,24 @@ import (
 const denseBuckets = 1 << 16
 
 // bucketAccum accumulates per-bucket tallies with a dense fast path. It
-// produces exactly the integer counts BucketStats.Add would, so swapping it
-// into a simulation loop cannot perturb any artefact.
+// produces exactly the integer counts analysis.TallyMap.Add would, so
+// swapping it into a simulation loop cannot perturb any artefact.
 type bucketAccum struct {
-	dense   []analysis.Tally // lazily allocated on the first small bucket
-	touched []uint32         // dense buckets hit at least once, in first-hit order
-	sparse  analysis.BucketStats
+	dense  *denseState // lazily taken from densePool on the first small bucket
+	sparse analysis.TallyMap
 }
 
 func newBucketAccum() *bucketAccum {
-	return &bucketAccum{sparse: make(analysis.BucketStats)}
+	return &bucketAccum{sparse: make(analysis.TallyMap)}
 }
 
-// denseState is one pooled dense accumulator: the 1 MiB tally array plus
-// its touched-bucket list, recycled together so stats only ever walks (and
-// re-zeroes) the slots a pass actually occupied instead of all 2^16.
+// denseState is one pooled dense accumulator: the 1 MiB tally array plus a
+// bitmap of its occupied buckets, recycled together so stats only ever
+// reads (and re-zeroes) the slots a pass actually occupied instead of all
+// 2^16, and emits them in ascending order.
 type denseState struct {
 	tallies []analysis.Tally
-	touched []uint32
+	touched [denseBuckets / 64]uint64
 }
 
 // densePool recycles the dense arrays between passes. A report run makes
@@ -46,12 +47,11 @@ var densePool = sync.Pool{
 func (a *bucketAccum) add(bucket uint64, incorrect bool) {
 	if bucket < denseBuckets {
 		if a.dense == nil {
-			st := densePool.Get().(*denseState)
-			a.dense, a.touched = st.tallies, st.touched[:0]
+			a.dense = densePool.Get().(*denseState)
 		}
-		t := &a.dense[bucket]
+		t := &a.dense.tallies[bucket]
 		if t.Events == 0 {
-			a.touched = append(a.touched, uint32(bucket))
+			a.dense.touched[bucket>>6] |= 1 << (bucket & 63)
 		}
 		t.Events++
 		if incorrect {
@@ -62,23 +62,32 @@ func (a *bucketAccum) add(bucket uint64, incorrect bool) {
 	a.sparse.Add(bucket, incorrect)
 }
 
-// stats folds the dense array into the sparse map and returns it. The
-// accumulator must not be used afterwards. Occupied dense buckets share one
-// backing block instead of one heap object each; a wide CIR accumulator has
-// tens of thousands of them per (benchmark, mechanism) pass.
+// stats returns the accumulated histogram in ascending bucket order: the
+// occupied dense buckets, then the sparse ones, which all lie above them.
+// The accumulator must not be used afterwards.
 func (a *bucketAccum) stats() analysis.BucketStats {
-	bs := a.sparse
-	if len(a.touched) > 0 {
-		block := make([]analysis.Tally, 0, len(a.touched))
-		for _, b := range a.touched {
-			block = append(block, a.dense[b])
-			bs[uint64(b)] = &block[len(block)-1]
-			a.dense[b] = analysis.Tally{}
+	d := a.dense
+	occupied := 0
+	if d != nil {
+		for _, w := range d.touched {
+			occupied += bits.OnesCount64(w)
 		}
 	}
-	if a.dense != nil {
-		densePool.Put(&denseState{tallies: a.dense, touched: a.touched})
+	bs := make(analysis.BucketStats, 0, occupied+len(a.sparse))
+	if d != nil {
+		for wi, w := range d.touched {
+			for ; w != 0; w &= w - 1 {
+				b := wi<<6 | bits.TrailingZeros64(w)
+				bs = append(bs, analysis.BucketTally{Bucket: uint64(b), Tally: d.tallies[b]})
+				d.tallies[b] = analysis.Tally{}
+			}
+			d.touched[wi] = 0
+		}
+		densePool.Put(d)
 	}
-	a.dense, a.touched, a.sparse = nil, nil, nil
+	if len(a.sparse) > 0 {
+		bs = append(bs, a.sparse.Stats()...)
+	}
+	a.dense, a.sparse = nil, nil
 	return bs
 }

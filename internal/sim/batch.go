@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sort"
 	"sync"
 
 	"branchconf/internal/core"
@@ -154,8 +153,8 @@ func DeriveEstimator(res Result, reduce core.Reducer) EstimatorResult {
 		Branches:  res.Branches,
 		Misses:    res.Misses,
 	}
-	for b, t := range res.Buckets {
-		if !reduce.Confident(b) {
+	for _, t := range res.Buckets {
+		if !reduce.Confident(t.Bucket) {
 			out.Low += t.Events
 			out.LowMisses += t.Misses
 		}
@@ -165,11 +164,16 @@ func DeriveEstimator(res Result, reduce core.Reducer) EstimatorResult {
 
 // DeriveMulti reconstructs a multi-level estimator run from a
 // counter-mechanism run, partitioning bucket tallies by the ascending
-// threshold ladder exactly as core.MultiEstimator.Level does online.
+// threshold ladder exactly as core.MultiEstimator.Level does online. The
+// buckets ascend, so their levels do too: one walk up the histogram and
+// the ladder together.
 func DeriveMulti(res Result, thresholds []uint64) MultiResult {
 	out := MultiResult{Benchmark: res.Benchmark, Levels: make([]LevelTally, len(thresholds)+1)}
-	for b, t := range res.Buckets {
-		level := sort.Search(len(thresholds), func(i int) bool { return b < thresholds[i] })
+	level := 0 // thresholds at or below the current bucket
+	for _, t := range res.Buckets {
+		for level < len(thresholds) && t.Bucket >= thresholds[level] {
+			level++
+		}
 		out.Levels[level].Branches += t.Events
 		out.Levels[level].Misses += t.Misses
 	}

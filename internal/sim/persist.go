@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
-	"slices"
 
 	"branchconf/internal/analysis"
 	"branchconf/internal/bitvec"
@@ -130,25 +129,19 @@ func marshalBucketStream(b *BucketStream) []byte {
 	out := make([]byte, 0, 24+24*len(b.stats))
 	out = binary.LittleEndian.AppendUint64(out, uint64(b.n))
 	out = binary.LittleEndian.AppendUint64(out, b.misses)
-	buckets := make([]uint64, 0, len(b.stats))
-	for bucket := range b.stats {
-		buckets = append(buckets, bucket)
-	}
-	slices.Sort(buckets)
-	out = binary.LittleEndian.AppendUint64(out, uint64(len(buckets)))
-	for _, bucket := range buckets {
-		t := b.stats[bucket]
-		out = binary.LittleEndian.AppendUint64(out, bucket)
+	out = binary.LittleEndian.AppendUint64(out, uint64(len(b.stats)))
+	for _, t := range b.stats {
+		out = binary.LittleEndian.AppendUint64(out, t.Bucket)
 		out = binary.LittleEndian.AppendUint64(out, t.Events)
 		out = binary.LittleEndian.AppendUint64(out, t.Misses)
 	}
 	return out
 }
 
-// unmarshalBucketStream decodes a marshalBucketStream payload. The decoded
-// histogram's totals must tie out against the branch and miss counts —
-// every branch lands in exactly one bucket — backed, like Clone, by one
-// contiguous tally block.
+// unmarshalBucketStream decodes a marshalBucketStream payload straight
+// into the histogram's ascending order, rejecting any other order. The
+// decoded histogram's totals must tie out against the branch and miss
+// counts — every branch lands in exactly one bucket.
 func unmarshalBucketStream(payload []byte) (*BucketStream, error) {
 	rd := payload
 	if len(rd) < 24 {
@@ -165,26 +158,25 @@ func unmarshalBucketStream(payload []byte) (*BucketStream, error) {
 		return nil, fmt.Errorf("sim: bucket payload histogram count %d exceeds remaining %d bytes", count, len(rd))
 	}
 	stats := make(analysis.BucketStats, count)
-	block := make([]analysis.Tally, count)
 	var events, missTotal uint64
-	var prev uint64
-	for i := uint64(0); i < count; i++ {
-		bucket := binary.LittleEndian.Uint64(rd)
-		block[i] = analysis.Tally{
-			Events: binary.LittleEndian.Uint64(rd[8:]),
-			Misses: binary.LittleEndian.Uint64(rd[16:]),
+	for i := range stats {
+		t := analysis.BucketTally{
+			Bucket: binary.LittleEndian.Uint64(rd),
+			Tally: analysis.Tally{
+				Events: binary.LittleEndian.Uint64(rd[8:]),
+				Misses: binary.LittleEndian.Uint64(rd[16:]),
+			},
 		}
 		rd = rd[24:]
-		if i > 0 && bucket <= prev {
+		if i > 0 && t.Bucket <= stats[i-1].Bucket {
 			return nil, fmt.Errorf("sim: bucket payload histogram not in ascending bucket order")
 		}
-		prev = bucket
-		if block[i].Misses > block[i].Events {
-			return nil, fmt.Errorf("sim: bucket payload bucket %d has %d misses for %d events", bucket, block[i].Misses, block[i].Events)
+		if t.Misses > t.Events {
+			return nil, fmt.Errorf("sim: bucket payload bucket %d has %d misses for %d events", t.Bucket, t.Misses, t.Events)
 		}
-		stats[bucket] = &block[i]
-		events += block[i].Events
-		missTotal += block[i].Misses
+		stats[i] = t
+		events += t.Events
+		missTotal += t.Misses
 	}
 	if len(rd) != 0 {
 		return nil, fmt.Errorf("sim: bucket payload has %d trailing bytes", len(rd))

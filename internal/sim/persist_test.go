@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"reflect"
 	"testing"
@@ -144,9 +145,9 @@ func TestBucketStreamCodecRejectsDamage(t *testing.T) {
 	// Tiny fixture: 4 branches in buckets 0,1,1,3 with misses on the two
 	// bucket-1 branches.
 	bs := &BucketStream{n: 4, misses: 2, stats: analysis.BucketStats{
-		0: {Events: 1},
-		1: {Events: 2, Misses: 2},
-		3: {Events: 1},
+		{Bucket: 0, Tally: analysis.Tally{Events: 1}},
+		{Bucket: 1, Tally: analysis.Tally{Events: 2, Misses: 2}},
+		{Bucket: 3, Tally: analysis.Tally{Events: 1}},
 	}}
 	payload := marshalBucketStream(bs)
 	if _, err := unmarshalBucketStream(payload); err != nil {
@@ -170,5 +171,34 @@ func TestBucketStreamCodecRejectsDamage(t *testing.T) {
 	mut[8]++ // misses = 3, buckets still sum to 2
 	if _, err := unmarshalBucketStream(mut); err == nil {
 		t.Fatal("histogram/stream miss disagreement accepted")
+	}
+}
+
+// TestBucketStreamCodecRejectsDisorder: a bucket payload decodes straight
+// into the histogram's ascending order, so a payload whose triples are out
+// of order or repeat a bucket is corruption.
+func TestBucketStreamCodecRejectsDisorder(t *testing.T) {
+	bs := &BucketStream{n: 4, misses: 2, stats: analysis.BucketStats{
+		{Bucket: 0, Tally: analysis.Tally{Events: 1}},
+		{Bucket: 1, Tally: analysis.Tally{Events: 2, Misses: 2}},
+		{Bucket: 3, Tally: analysis.Tally{Events: 1}},
+	}}
+	payload := marshalBucketStream(bs)
+	back, err := unmarshalBucketStream(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireAscending(t, "decoded", back.Stats())
+	triple := func(p []byte, i int) []byte { return p[24+24*i : 48+24*i] }
+	swapped := bytes.Clone(payload)
+	copy(triple(swapped, 1), triple(payload, 2))
+	copy(triple(swapped, 2), triple(payload, 1))
+	if _, err := unmarshalBucketStream(swapped); err == nil {
+		t.Fatal("out-of-order histogram accepted")
+	}
+	repeated := bytes.Clone(payload)
+	binary.LittleEndian.PutUint64(triple(repeated, 2), 1) // bucket 3 becomes a second bucket 1
+	if _, err := unmarshalBucketStream(repeated); err == nil {
+		t.Fatal("repeated bucket accepted")
 	}
 }

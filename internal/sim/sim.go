@@ -36,7 +36,8 @@ type Result struct {
 	Benchmark string
 	// Branches and Misses count dynamic branches and mispredictions.
 	Branches, Misses uint64
-	// Buckets holds per-bucket confidence statistics.
+	// Buckets holds per-bucket confidence statistics, in ascending bucket
+	// order.
 	Buckets analysis.BucketStats
 
 	// digest, when attached by SuiteResult.MemoizeDigests, is shared by

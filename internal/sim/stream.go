@@ -303,7 +303,7 @@ consume:
 	// independent).
 	for _, g := range lanes {
 		if g.counts != nil {
-			g.merger.Merge(countsToStats64(g.counts))
+			g.merger.Merge(countsToStats(g.counts))
 			g.counts = nil
 		}
 	}
@@ -469,8 +469,8 @@ func consumeSegGeom(g *geomLane, unit segKey, flat *trace.FlatView, msg segMsg, 
 		g.stAt = msg.start
 	}
 	// Live fused segments fold straight into the geometry's running uint64
-	// histogram — no per-segment map. The per-segment BucketStats form is
-	// built only when the artifact tier needs it for the segment payload.
+	// count array; a segment's own BucketStats is drained only when the
+	// artifact tier needs it for the segment payload.
 	// Folding the running histogram into the merger at unit exit instead of
 	// per segment changes nothing: tallies are exact integer sums, so the
 	// merge is commutative with the warm segments' merges.

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"sync"
+	"unsafe"
 
 	"branchconf/internal/analysis"
 	"branchconf/internal/artifact"
@@ -20,12 +21,12 @@ import (
 // never of the reduction function, threshold, or counter policy layered
 // on top. So the engine replays each annotated stream through each
 // geometry exactly once, into a BucketStream: the base histogram of
-// pattern → {events, misses} tallies. Every variant over the same
-// geometry is then served by sharing the immutable histogram at O(1)
-// marginal cost — no O(branches) replay — and the build itself runs a
-// monomorphic raw-table kernel (core.Factorable.FillBucketLane) that is
-// several times faster per branch than the interface-dispatched stage-2
-// replay.
+// (pattern, events, misses) tallies in ascending pattern order. Every
+// variant over the same geometry is then served by sharing the immutable
+// histogram at O(1) marginal cost — no O(branches) replay — and the
+// build itself runs a monomorphic raw-table kernel
+// (core.Factorable.FillBucketLane) that is several times faster per
+// branch than the interface-dispatched stage-2 replay.
 //
 // The factoring is exact: the walk counts precisely the buckets the
 // stage-2 replay would feed its accumulator, so the histogram has
@@ -41,7 +42,7 @@ import (
 // with the branch and miss counts it ties out against. A fully built
 // stream is immutable and safe for concurrent use.
 type BucketStream struct {
-	stats  analysis.BucketStats // base histogram: bucket → {events, misses}
+	stats  analysis.BucketStats // base histogram, in ascending bucket order
 	n      int
 	misses uint64
 }
@@ -50,20 +51,17 @@ type BucketStream struct {
 func (b *BucketStream) Len() int { return b.n }
 
 // Stats returns the base histogram for use as a Result's bucket
-// statistics. The map is shared by every variant served from this stream
-// (and by the stream cache) and must be treated as read-only — which every
-// consumer already is: Result.Buckets only ever feeds the read-only
-// analysis composites and the Derive* partitions. Sharing makes the
-// per-variant marginal cost O(1); a caller that genuinely needs a private
-// mutable copy takes Stats().Clone().
+// statistics. The slice is shared by every variant served from this
+// stream (and by the stream cache) and must be treated as read-only —
+// which every consumer already is: Result.Buckets only ever feeds the
+// read-only analysis composites and the Derive* partitions. Sharing makes
+// the per-variant marginal cost O(1).
 func (b *BucketStream) Stats() analysis.BucketStats { return b.stats }
 
 // Footprint returns the stream's payload bytes: the base histogram's
-// tally storage.
+// entries.
 func (b *BucketStream) Footprint() uint64 {
-	// Each histogram entry costs one Tally plus a map slot; 32 bytes is the
-	// amortised cost on 64-bit platforms and keeps the bound honest.
-	return uint64(len(b.stats)) * 32
+	return uint64(len(b.stats)) * uint64(unsafe.Sizeof(analysis.BucketTally{}))
 }
 
 // CounterLane is one counter table's per-branch bucket lane: the counter
@@ -117,44 +115,26 @@ var countsPool = sync.Pool{
 	New: func() any { return make([]uint32, 2<<fusedTallyLimit) },
 }
 
-// countsToStats converts a fused histogram into the map form the analysis
-// layer consumes, walking buckets in ascending order and backing all
-// tallies with one contiguous block. The integer counts are exactly what
-// the stage-2 replay accumulator would produce.
-func countsToStats(counts []uint32) analysis.BucketStats {
+// countsToStats drains a fused histogram — interleaved (events, misses)
+// counts indexed by bucket — into the histogram the analysis layer
+// consumes, in ascending bucket order. The integer counts are exactly what
+// the stage-2 replay accumulator would produce. The fill kernels count in
+// uint32; the streaming engine's per-geometry running histogram counts in
+// uint64, so no horizon can overflow it.
+func countsToStats[C uint32 | uint64](counts []C) analysis.BucketStats {
 	occupied := 0
 	for b := 0; b < len(counts); b += 2 {
 		if counts[b] != 0 {
 			occupied++
 		}
 	}
-	bs := make(analysis.BucketStats, occupied)
-	block := make([]analysis.Tally, 0, occupied)
+	bs := make(analysis.BucketStats, 0, occupied)
 	for b := 0; b < len(counts); b += 2 {
 		if counts[b] != 0 {
-			block = append(block, analysis.Tally{Events: uint64(counts[b]), Misses: uint64(counts[b+1])})
-			bs[uint64(b>>1)] = &block[len(block)-1]
-		}
-	}
-	return bs
-}
-
-// countsToStats64 is countsToStats for the streaming engine's per-geometry
-// running histogram, which accumulates across segments in uint64 so no
-// horizon can overflow it.
-func countsToStats64(counts []uint64) analysis.BucketStats {
-	occupied := 0
-	for b := 0; b < len(counts); b += 2 {
-		if counts[b] != 0 {
-			occupied++
-		}
-	}
-	bs := make(analysis.BucketStats, occupied)
-	block := make([]analysis.Tally, 0, occupied)
-	for b := 0; b < len(counts); b += 2 {
-		if counts[b] != 0 {
-			block = append(block, analysis.Tally{Events: counts[b], Misses: counts[b+1]})
-			bs[uint64(b>>1)] = &block[len(block)-1]
+			bs = append(bs, analysis.BucketTally{
+				Bucket: uint64(b >> 1),
+				Tally:  analysis.Tally{Events: uint64(counts[b]), Misses: uint64(counts[b+1])},
+			})
 		}
 	}
 	return bs
